@@ -49,6 +49,12 @@ class DependenceSpec:
                  "functional_delta")
         if self.kind not in kinds:
             raise ValueError(f"unknown dependence kind {self.kind!r}")
+        for name in ("alpha", "rho"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
         if self.kind == "mixing_polynomial" and not (self.alpha and self.alpha > 1):
             raise ValueError("polynomial mixing needs alpha > 1")
         if self.kind == "mixing_exponential" and not (self.rho and 0 < self.rho < 1):
@@ -83,21 +89,44 @@ def functional_delta(delta: Callable[[int], float],
     return DependenceSpec(kind="functional_delta", delta=delta, delta_tail=tail)
 
 
+# Euler-Maclaurin for the Hurwitz zeta: terms summed before the remainder,
+# and B_2j / (2j)! for the j = 1..8 Bernoulli corrections
+_HZ_HEAD = 10
+_HZ_COEFFS = tuple(
+    b / math.factorial(2 * j)
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                           -691 / 2730, 7 / 6, -3617 / 510), start=1)
+)
+
+
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """zeta(s, a) = sum_{k>=0} (a+k)^-s for s > 1 and a >= 1.
+
+    Sums the first _HZ_HEAD terms directly; the rest from x = a + _HZ_HEAD
+    is x^(1-s)/(s-1) + x^-s/2 + sum_j B_2j/(2j)! s(s+1)...(s+2j-2) x^(1-s-2j),
+    accurate to double precision once x >= 11.
+    """
+    head = math.fsum((a + k) ** -s for k in range(_HZ_HEAD))
+    x = a + _HZ_HEAD
+    xs = x ** -s
+    rest = x * xs / (s - 1.0) + 0.5 * xs
+    rising = s * xs / x
+    for j, coeff in enumerate(_HZ_COEFFS):
+        rest += coeff * rising
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2) / (x * x)
+    return head + rest
+
+
 def fdm_polynomial(alpha: float, kappa: float = 1.0) -> DependenceSpec:
-    """Delta(j) = kappa (j+1)^-alpha, with a midpoint-rule tail formula."""
+    """Delta(j) = kappa (j+1)^-alpha, with the Hurwitz-zeta tail
+    kappa zeta(alpha, q+1)."""
     if alpha <= 1:
         raise ValueError("polynomial Delta needs alpha > 1 for summability")
-
-    def delta(j: int) -> float:
-        return kappa * (j + 1.0) ** (-alpha)
-
-    def tail(q: int) -> float:
-        head = sum(delta(j) for j in range(q, q + 10000))
-        rest = kappa * (q + 10000 + 0.5) ** (1.0 - alpha) / (alpha - 1.0)
-        return head + rest
-
-    return DependenceSpec(kind="functional_delta", alpha=alpha, kappa=kappa,
-                          delta=delta, delta_tail=tail)
+    return DependenceSpec(
+        kind="functional_delta", alpha=alpha, kappa=kappa,
+        delta=lambda j: kappa * (j + 1.0) ** (-alpha),
+        delta_tail=lambda q: kappa * _hurwitz_zeta(alpha, q + 1.0),
+    )
 
 
 def fdm_exponential(rho: float, kappa: float = 1.0) -> DependenceSpec:
@@ -281,7 +310,9 @@ def lambda_dep(spec: DependenceSpec, x: float) -> float:
     """Functional-dependence rate function sqrt(x) * ybar(x).
 
     ybar is the minimal positive fixed point of V(sqrt(x) y) <= y, located
-    by bisection; the returned bracket end satisfies the inequality.
+    by bisection; the returned bracket end satisfies the inequality.  The
+    bisection stops once the midpoint of the bracket rounds onto one of its
+    ends (after at most 200 halvings): further steps could not move it.
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
@@ -300,6 +331,8 @@ def lambda_dep(spec: DependenceSpec, x: float) -> float:
             raise RateComputationError("no fixed point found; Delta not summable?")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if excess(mid) <= 0.0:
             hi = mid
         else:
@@ -345,10 +378,6 @@ def q_star(beta_fn: Callable[[int], float], x: float) -> int:
 
 def q_star_mix(spec: DependenceSpec, x: float) -> int:
     return q_star(lambda q: beta_mix(spec, q), x)
-
-
-def q_star_dep(spec: DependenceSpec, x: float) -> int:
-    return q_star(lambda q: beta_dep(spec, q), x)
 
 
 def block_rate_constant(spec: DependenceSpec, horizon: int = 200_000) -> float:

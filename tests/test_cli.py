@@ -182,6 +182,15 @@ def test_rates_polynomial_envelope_dominates(tmp_path):
         assert env >= lam
 
 
+def test_rates_rejects_negative_kappa(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "rates.json", {
+        "dependence": {"kind": "fdm_polynomial", "alpha": 2.0, "kappa": -1.0},
+        "profile": {"beta": 1.0, "t": 1},
+    })
+    assert run(["rates", "--config", cfg, "--out", tmp_path]) == 2
+    assert "dependence: kappa" in capsys.readouterr().err
+
+
 def test_sweep_emits_grid_table(tmp_path):
     sim = write_cfg(tmp_path, "sim.json",
                     {"model": "seasonal", "n": 160, "burn_in": 100, "seed": 4})

@@ -9,6 +9,7 @@ from edforecast.rates import (
     DependenceSpec,
     RateComputationError,
     SmoothnessProfile,
+    _hurwitz_zeta,
     beta_dep,
     beta_mix,
     oracle_bound,
@@ -103,6 +104,70 @@ def test_v_tilde_matches_direct_sum():
             min(math.sqrt(z), 2.0 * 0.5 ** j) for j in range(200)
         )
         assert v_tilde(spec, z) == pytest.approx(direct, rel=1e-12)
+
+
+def test_v_tilde_polynomial_matches_direct_sum():
+    spec = fdm_polynomial(2.0, kappa=2.0)
+    j = np.arange(10 ** 6, dtype=float)
+    rest = 2.0 * (10 ** 6 + 0.5) ** -1.0  # midpoint-rule tail beyond 10^6
+    for z in (1e-6, 0.01, 0.5, 4.0):
+        s = math.sqrt(z)
+        direct = s + float(np.minimum(s, 2.0 * (j + 1.0) ** -2.0).sum()) + rest
+        assert v_tilde(spec, z) == pytest.approx(direct, rel=1e-12)
+
+
+def _brute_polynomial_tail(alpha, q):
+    # 10,000 terms from q, then the midpoint-rule integral of the remainder
+    head = sum((j + 1.0) ** -alpha for j in range(q, q + 10000))
+    return head + (q + 10000 + 0.5) ** (1.0 - alpha) / (alpha - 1.0)
+
+
+ZETA_ALPHAS = (1.1, 1.5, 2.0, 4.0, 20.0)
+ZETA_QS = (0, 1, 37, 10 ** 5, 10 ** 9)
+
+
+def test_hurwitz_zeta_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for alpha in ZETA_ALPHAS:
+        for q in ZETA_QS:
+            ref = float(special.zeta(alpha, q + 1.0))
+            assert abs(_hurwitz_zeta(alpha, q + 1.0) - ref) <= 1e-13 * ref
+
+
+def test_polynomial_tail_matches_brute_force_sum():
+    for alpha in ZETA_ALPHAS:
+        spec = fdm_polynomial(alpha, kappa=3.0)
+        for q in ZETA_QS:
+            brute = 3.0 * _brute_polynomial_tail(alpha, q)
+            assert beta_dep(spec, q) == pytest.approx(brute, rel=1e-9)
+
+
+def _lambda_dep_200_steps(spec, x):
+    # lambda_dep with its bisection always run for the full 200 steps
+    sqx = math.sqrt(x)
+
+    def excess(y):
+        return v_tilde(spec, sqx * y) - y
+
+    lo = 0.5 * sqx
+    hi = max(1.0, 2.0 * lo)
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return sqx * hi
+
+
+def test_lambda_dep_early_stop_is_exact():
+    specs = (independent(), fdm_polynomial(2.0), fdm_polynomial(1.5),
+             fdm_exponential(0.5))
+    for spec in specs:
+        for x in np.logspace(-8, 1, 40):
+            assert lambda_dep(spec, float(x)) == _lambda_dep_200_steps(spec, float(x))
 
 
 def test_lambda_dep_envelope_shapes_bounded():
@@ -296,3 +361,14 @@ def test_spec_validation():
         DependenceSpec(kind="nope")
     with pytest.raises(ValueError):
         SmoothnessProfile.isotropic(0.5, 1)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: fdm_polynomial(float("nan")), "alpha must be finite"),
+    (lambda: fdm_exponential(0.5, kappa=float("nan")), "kappa"),
+    (lambda: fdm_polynomial(2.0, kappa=-1.0), "kappa"),
+    (lambda: mixing_polynomial(float("inf")), "alpha must be finite"),
+], ids=["nan_alpha", "nan_kappa", "negative_kappa", "infinite_mixing_alpha"])
+def test_spec_rejects_invalid_parameters(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
