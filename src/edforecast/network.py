@@ -10,7 +10,8 @@ hidden layer ``i+1``.  The output layer is affine-linear with no bias.
 
 Networks are immutable values: construction validates shapes, evaluation is
 pure and thread-safe.  Structural combinators (compose/parallel/deepen)
-return new networks.
+return new networks.  Evaluation runs one forward kernel that multiplies
+layers with at most 10% nonzero entries as scipy CSR matrices.
 """
 
 from __future__ import annotations
@@ -71,10 +72,22 @@ class Architecture:
         return None if self.L1 is None else self.p[self.L1]
 
 
-class Network:
-    """Immutable ReLU network; weights[i] is a (p[i+1], p[i]) matrix."""
+# Rows per block of the forward kernel: one block's activations stay in
+# cache across all layers.
+_BLOCK_ROWS = 256
+# A layer with at most this fraction of nonzero entries runs as CSR.
+_SPARSE_DENSITY = 0.10
 
-    __slots__ = ("arch", "weights", "biases")
+
+class Network:
+    """Immutable ReLU network; weights[i] is a (p[i+1], p[i]) matrix.
+
+    The first evaluation caches a kernel per layer, built from the weight
+    arrays, so the arrays must not be mutated once the network has been
+    evaluated; build a new Network over changed arrays instead.
+    """
+
+    __slots__ = ("arch", "weights", "biases", "_kernels")
 
     def __init__(self, arch: Architecture, weights, biases):
         weights = [np.asarray(w, dtype=np.float64) for w in weights]
@@ -95,6 +108,7 @@ class Network:
         object.__setattr__(self, "arch", arch)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "_kernels", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Network is immutable")
@@ -103,15 +117,7 @@ class Network:
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Evaluate on a (n, p0) batch, returning (n, p_{L+1})."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.arch.in_dim:
-            raise ShapeError(
-                f"input layer expects dim {self.arch.in_dim}, got shape {X.shape}"
-            )
-        A = X
-        for i in range(self.arch.L):
-            A = np.maximum(A @ self.weights[i].T - self.biases[i], 0.0)
-        return A @ self.weights[self.arch.L].T
+        return self._forward(self._batch(X, 0, "input layer"), 0, self.arch.L + 1)
 
     def eval(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -127,15 +133,7 @@ class Network:
     def encoder_batch(self, X: np.ndarray) -> np.ndarray:
         """Activations of the bottleneck hidden layer L1, dim p[L1]."""
         L1 = self._require_l1()
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.arch.in_dim:
-            raise ShapeError(
-                f"input layer expects dim {self.arch.in_dim}, got shape {X.shape}"
-            )
-        A = X
-        for i in range(L1):
-            A = np.maximum(A @ self.weights[i].T - self.biases[i], 0.0)
-        return A
+        return self._forward(self._batch(X, 0, "input layer"), 0, L1)
 
     def eval_encoder(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -144,14 +142,50 @@ class Network:
     def decoder_batch(self, Z: np.ndarray) -> np.ndarray:
         """Continue evaluation from bottleneck activations to the output."""
         L1 = self._require_l1()
-        A = np.asarray(Z, dtype=np.float64)
-        if A.ndim != 2 or A.shape[1] != self.arch.p[L1]:
+        return self._forward(self._batch(Z, L1, f"bottleneck layer {L1}"),
+                             L1, self.arch.L + 1)
+
+    def _batch(self, X, layer: int, name: str) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.arch.p[layer]:
             raise ShapeError(
-                f"bottleneck layer {L1} expects dim {self.arch.p[L1]}, got shape {A.shape}"
+                f"{name} expects dim {self.arch.p[layer]}, got shape {X.shape}"
             )
-        for i in range(L1, self.arch.L):
-            A = np.maximum(A @ self.weights[i].T - self.biases[i], 0.0)
-        return A @ self.weights[self.arch.L].T
+        return X
+
+    def _forward(self, A: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Apply layers start..stop-1 to the rows of A.
+
+        Activations are kept transposed, (width, rows), and walked in blocks
+        of _BLOCK_ROWS rows; every layer below L subtracts its bias and takes
+        the ReLU in place.
+        """
+        if self._kernels is None:
+            object.__setattr__(self, "_kernels", self._build_kernels())
+        kernels, biases = self._kernels
+        L = self.arch.L
+        out = np.empty((A.shape[0], self.arch.p[stop]))
+        for r0 in range(0, A.shape[0], _BLOCK_ROWS):
+            Z = np.ascontiguousarray(A[r0 : r0 + _BLOCK_ROWS].T)
+            for i in range(start, stop):
+                Z = kernels[i] @ Z
+                if i < L:
+                    Z -= biases[i]
+                    np.maximum(Z, 0.0, out=Z)
+            out[r0 : r0 + _BLOCK_ROWS] = Z.T
+        return out
+
+    def _build_kernels(self):
+        """Per layer, the weight matrix as CSR when at most _SPARSE_DENSITY
+        of it is nonzero, else the dense array; biases as columns."""
+        kernels = []
+        for w in self.weights:
+            if np.count_nonzero(w) <= _SPARSE_DENSITY * w.size:
+                from scipy.sparse import csr_matrix
+
+                w = csr_matrix(w)
+            kernels.append(w)
+        return kernels, [b[:, None] for b in self.biases]
 
     def _require_l1(self) -> int:
         if self.arch.L1 is None:
@@ -241,12 +275,6 @@ def is_in_class(net: Network, arch: Architecture, sample_inputs=None) -> dict:
 def identity_network(dim: int) -> Network:
     """Depth-0 network computing x -> x."""
     return Network(Architecture(0, (dim, dim)), [np.eye(dim)], [])
-
-
-def affine_network(w: np.ndarray, out_dim=None) -> Network:
-    """Depth-0 network computing x -> w x (no bias available at depth 0)."""
-    w = np.atleast_2d(np.asarray(w, dtype=np.float64))
-    return Network(Architecture(0, (w.shape[1], w.shape[0])), [w], [])
 
 
 def compose(f: Network, g: Network, interface: str = "split") -> Network:
@@ -394,7 +422,12 @@ def from_dict(doc: dict) -> Network:
         raise ValueError(f"unsupported network format {doc.get('format')!r}")
     a = doc["arch"]
     arch = Architecture(int(a["L"]), tuple(a["p"]), L1=a.get("L1"))
-    return Network(arch, doc["weights"], doc["biases"])
+    net = Network(arch, doc["weights"], doc["biases"])
+    for kind, arrays in (("weight", net.weights), ("bias", net.biases)):
+        for i, arr in enumerate(arrays):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{kind} {i} has non-finite entries")
+    return net
 
 
 def save_json(net: Network, path) -> None:

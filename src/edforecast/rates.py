@@ -86,6 +86,12 @@ def mixing_exponential(rho: float, kappa: float = 1.0) -> DependenceSpec:
 
 def functional_delta(delta: Callable[[int], float],
                      tail: Callable[[int], float] | None = None) -> DependenceSpec:
+    """Functional dependence given by a sequence Delta(j) >= 0.
+
+    Delta must be non-increasing: ``v_tilde`` bisects for the first j with
+    Delta(j) <= sqrt(z), and without ``tail`` (the sum from q onward)
+    ``beta_dep`` uses it to reject a non-summable Delta before its walk.
+    """
     return DependenceSpec(kind="functional_delta", delta=delta, delta_tail=tail)
 
 
@@ -254,6 +260,10 @@ def mix_envelope(spec: DependenceSpec, x: float) -> float:
 # -- functional dependence ------------------------------------------------
 
 
+_DIVERGENT_TAIL = ("Delta tail did not converge within the truncation horizon; "
+                   "supply a delta_tail formula or a faster-decaying sequence")
+
+
 def beta_dep(spec: DependenceSpec, q: int) -> float:
     """Tail sum of the Delta sequence from q onward."""
     if spec.kind == "independent":
@@ -262,19 +272,23 @@ def beta_dep(spec: DependenceSpec, q: int) -> float:
         raise ValueError("spec has no Delta sequence")
     if spec.delta_tail is not None:
         return float(spec.delta_tail(q))
+    horizon = q + 10_000_000
+    # Delta is non-increasing, so every partial sum is at most
+    # (horizon - q) * Delta(q) and every term at least Delta(horizon - 1).  If
+    # that last term clears the stopping threshold (doubled to cover the
+    # rounding of the running sum), no step of the walk below can stop it.
+    if float(spec.delta(horizon - 1)) >= max(
+            2e-15 * (horizon - q) * float(spec.delta(q)), 1e-315):
+        raise RateComputationError(_DIVERGENT_TAIL)
     total = 0.0
     j = q
-    horizon = q + 10_000_000
     while j < horizon:
         term = float(spec.delta(j))
         total += term
         if term < 1e-15 * max(total, 1e-300):
             return total
         j += 1
-    raise RateComputationError(
-        "Delta tail did not converge within the truncation horizon; "
-        "supply a delta_tail formula or a faster-decaying sequence"
-    )
+    raise RateComputationError(_DIVERGENT_TAIL)
 
 
 def v_tilde(spec: DependenceSpec, z: float) -> float:

@@ -11,7 +11,6 @@ of the same per-sample loss plus an optional L2 penalty on all parameters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,9 +183,12 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     rng = np.random.default_rng(cfg.seed)
     weights = [wm.copy() for wm in net.weights]
     biases = [bv.copy() for bv in net.biases]
+    # SGD updates these arrays in place, so ``current`` only feeds gradient
+    # (which reads the arrays); every risk is evaluated on a fresh Network,
+    # whose kernels are built from the arrays as they are at that moment
     current = Network(net.arch, weights, biases)
 
-    initial = empirical_risk(current, data, w)
+    initial = empirical_risk(Network(net.arch, weights, biases), data, w)
     ceiling = 1e6 * max(initial, 1e-12)
     curve = []
     n_samples = len(data)
@@ -205,9 +207,10 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
                     np.clip(weights[i], -1.0, 1.0, out=weights[i])
                 for i in range(net.arch.L):
                     np.clip(biases[i], -1.0, 1.0, out=biases[i])
-        train_risk = empirical_risk(current, data, w)
+        snapshot = Network(net.arch, weights, biases)
+        train_risk = empirical_risk(snapshot, data, w)
         test_risk = (
-            empirical_risk(current, test_data, w) if test_data is not None else None
+            empirical_risk(snapshot, test_data, w) if test_data is not None else None
         )
         curve.append(EpochRecord(epoch=epoch, train_risk=train_risk, test_risk=test_risk))
         if not np.isfinite(train_risk) or train_risk > ceiling:
@@ -284,12 +287,3 @@ def curve_to_csv(curve, path, provenance: dict | None = None) -> None:
         for rec in curve:
             test = "" if rec.test_risk is None else repr(rec.test_risk)
             fh.write(f"{rec.epoch},{rec.train_risk!r},{test}\n")
-
-
-def curve_to_json(curve) -> str:
-    return json.dumps(
-        [
-            {"epoch": r.epoch, "train_risk": r.train_risk, "test_risk": r.test_risk}
-            for r in curve
-        ]
-    )

@@ -1,6 +1,10 @@
 """End-to-end command-line workflows on temporary directories."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +126,36 @@ def test_evaluate_lag_mismatch_is_config_error(tmp_path):
         "test_csv": str(tmp_path / "s2.csv"),
     })
     assert run(["evaluate", "--config", ev, "--out", tmp_path]) == 2
+
+
+def test_evaluate_rejects_non_finite_model(tmp_path):
+    sim = write_cfg(tmp_path, "sim.json", {"model": {"kind": "zero", "d": 2}, "n": 40})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
+    train = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"),
+        "r": 1,
+        "arch": {"p": [2, 3, 2], "L1": 1},
+        "train": {"epochs": 0},
+        "out_model": "model.json",
+    })
+    assert run(["train", "--config", train, "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["weights"][1][0][0] = float("nan")
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    ev = write_cfg(tmp_path, "eval.json", {
+        "model_json": str(tmp_path / "model.json"),
+        "test_csv": str(tmp_path / "series.csv"),
+    })
+    assert run(["evaluate", "--config", ev, "--out", tmp_path]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only when a sparse layer is first evaluated
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import edforecast.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_certify_zero_target(tmp_path):

@@ -5,6 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from edforecast.approx import (
+    ApproxPlan,
+    HolderFunction,
+    StageSpec,
+    _as_batch,
+    build_approximator,
+    build_encoder_decoder,
+    catalog,
+)
 from edforecast.network import (
     Architecture,
     Network,
@@ -290,3 +299,100 @@ def test_architecture_validation():
         Architecture(1, (2, 0, 2))
     with pytest.raises(ShapeError):
         Architecture(1, (2, 3, 2), L1=2)
+
+
+# -- forward kernel against the dense per-layer loop it replaced -------------
+
+
+def dense_forward(net, A, start, stop):
+    """Oracle: the row-major dense loop, layers start..stop-1."""
+    A = np.asarray(A, dtype=float)
+    for i in range(start, stop):
+        if i < net.arch.L:
+            A = np.maximum(A @ net.weights[i].T - net.biases[i], 0.0)
+        else:
+            A = A @ net.weights[i].T
+    return A
+
+
+def assert_matches_dense(got, ref):
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def has_sparse_layer(net):
+    from scipy.sparse import issparse
+
+    net.eval_batch(np.zeros((1, net.arch.in_dim)))
+    return any(issparse(k) for k in net._kernels[0])
+
+
+# (target, N, m): the certificate sizes of the benchmark's certify workload
+CERT_PLANS = {"zero": (10, 6), "linear": (10, 6), "product2": (23, 8), "sinsum": (25, 12)}
+
+
+@pytest.fixture(scope="module")
+def cert_nets():
+    nets = {}
+    for name, hf in catalog().items():
+        N, m = CERT_PLANS[name]
+        nets[name] = build_approximator(hf, ApproxPlan(N=N, m=m))[0]
+    return nets
+
+
+@pytest.mark.parametrize("target", sorted(CERT_PLANS))
+def test_forward_kernel_matches_dense_on_certificate_nets(cert_nets, target):
+    net = cert_nets[target]
+    assert has_sparse_layer(net)
+    X = np.random.default_rng(53).uniform(0, 1, size=(4000, net.arch.in_dim))
+    assert_matches_dense(net.eval_batch(X), dense_forward(net, X, 0, net.arch.L + 1))
+    assert all(type(w) is np.ndarray for w in net.weights)
+
+
+def _kernel_nets(cert_nets):
+    rng = np.random.default_rng(59)
+    depth0 = Network(Architecture(0, (3, 4)), [rng.uniform(-1, 1, size=(4, 3))], [])
+    return {"certificate": cert_nets["product2"], "dense": random_net(rng, (3, 20, 8, 20, 3)),
+            "depth0": depth0}
+
+
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 4000])
+@pytest.mark.parametrize("kind", ["certificate", "dense", "depth0"])
+def test_forward_kernel_block_edges(cert_nets, kind, rows):
+    net = _kernel_nets(cert_nets)[kind]
+    X = np.random.default_rng(rows).uniform(0, 1, size=(rows, net.arch.in_dim))
+    out = net.eval_batch(X)
+    assert out.shape == (rows, net.arch.out_dim)
+    assert_matches_dense(out, dense_forward(net, X, 0, net.arch.L + 1))
+    assert all(type(w) is np.ndarray for w in net.weights)
+
+
+def test_forward_kernel_encoder_decoder_on_assembled_net():
+    ident = HolderFunction(
+        t=1, beta=2.0, K=2.0, name="ident", f=_as_batch(lambda X: X[:, 0]),
+        partials={(1,): _as_batch(lambda X: np.ones(X.shape[0]))},
+    )
+    stage = StageSpec(in_dim=2, components=((ident, (0,)), (ident, (1,))))
+    net, _ = build_encoder_decoder(stage, stage, stage, ApproxPlan(N=10, m=10),
+                                   L1_target=35, L_target=55)
+    assert has_sparse_layer(net)
+    L1 = net.arch.L1
+    for rows in (0, 1, 255, 256, 257, 4000):
+        X = np.random.default_rng(rows).uniform(0, 1, size=(rows, 2))
+        z = net.encoder_batch(X)
+        assert_matches_dense(z, dense_forward(net, X, 0, L1))
+        assert_matches_dense(net.decoder_batch(z),
+                             dense_forward(net, z, L1, net.arch.L + 1))
+    assert all(type(w) is np.ndarray for w in net.weights)
+
+
+def test_from_dict_rejects_non_finite_entries():
+    net = random_net(np.random.default_rng(67), (2, 3, 4, 1))
+    doc = to_dict(net)
+    doc["weights"][2][0][1] = float("nan")
+    with pytest.raises(ValueError, match="weight 2 has non-finite entries"):
+        from_dict(json.loads(json.dumps(doc)))
+    doc = to_dict(net)
+    doc["biases"][1][3] = float("-inf")
+    with pytest.raises(ValueError, match="bias 1 has non-finite entries"):
+        from_dict(json.loads(json.dumps(doc)))

@@ -199,6 +199,30 @@ def test_beta_dep_requires_summable_sequence():
         beta_dep(bad, 1)
 
 
+def _beta_dep_walk(delta, q):
+    # beta_dep's generic walk without the up-front divergence check
+    total = 0.0
+    for j in range(q, q + 10_000_000):
+        term = float(delta(j))
+        total += term
+        if term < 1e-15 * max(total, 1e-300):
+            return total
+    raise RateComputationError("no stop")
+
+
+def test_beta_dep_convergent_walks_unchanged():
+    sequences = (
+        lambda j: 2.0 ** -j,
+        lambda j: max(0.0, 1.0 - j / 40.0),  # reaches exactly 0 at j = 40
+        lambda j: 3.0 * (j + 1.0) ** -4,
+        lambda j: 1.0 if j < 50_000 else 3e-11,  # the walk stops on the plateau
+    )
+    for delta in sequences:
+        spec = functional_delta(delta)
+        for q in (0, 1, 7, 39, 40):
+            assert beta_dep(spec, q) == _beta_dep_walk(delta, q)
+
+
 # -- block length selector --------------------------------------------------
 
 

@@ -233,6 +233,36 @@ def test_train_deterministic_given_seed():
         assert np.array_equal(a, b)
 
 
+def dense_risk(net, data, w):
+    """Reference risk through the row-major dense evaluation loop."""
+    A = data.X
+    for i in range(net.arch.L):
+        A = np.maximum(A @ net.weights[i].T - net.biases[i], 0.0)
+    resid = data.Y - A @ net.weights[net.arch.L].T
+    return float(np.sum(np.sum(resid * resid, axis=1) / data.d * w(data.X)) / data.n)
+
+
+def test_train_curve_tracks_updates_of_a_sparse_initial_net():
+    # the hidden 20x20 layer starts 5% dense, so its first evaluation runs it
+    # as a sparse kernel; the curve must follow the weights SGD changes in place
+    series = small_series(seed=4, n=120)
+    data, test = lag_embed(series[:80], 1), lag_embed(series[80:], 1)
+    arch = Architecture(2, (1, 20, 20, 1))
+    net = init_network(arch, 5)
+    net = Network(arch, [net.weights[0], 0.5 * np.eye(20), net.weights[2]], net.biases)
+    w = WeightFn()
+    epochs = 3
+    _, curve = train_sgd(net, data, TrainConfig(epochs=epochs, lr_schedule=((0, 0.05),),
+                                                seed=6, batch_size=4), w, test_data=test)
+    for e in range(epochs):
+        # the same run cut after e+1 epochs ends on the weights of epoch e
+        cut, _ = train_sgd(net, data, TrainConfig(epochs=e + 1, lr_schedule=((0, 0.05),),
+                                                  seed=6, batch_size=4), w)
+        assert curve[e].train_risk == pytest.approx(dense_risk(cut, data, w), rel=1e-12, abs=0)
+        assert curve[e].test_risk == pytest.approx(dense_risk(cut, test, w), rel=1e-12, abs=0)
+    assert curve[0].train_risk != pytest.approx(dense_risk(net, data, w), rel=1e-6)
+
+
 def test_train_projection_keeps_entries_bounded():
     data = lag_embed(small_series(), 1)
     arch = Architecture(1, (1, 4, 1))
