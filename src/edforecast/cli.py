@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .approx import ApproxPlan, PlanError, build_approximator, catalog
 from .data import fit_scaler, lag_embed, load_series_csv, save_series_csv
-from .network import Architecture, Network, load_json as load_net, save_json as save_net
+from .network import Architecture, load_json as load_net, save_json as save_net
 from .rates import (
     DependenceSpec,
     RateComputationError,
@@ -58,6 +59,7 @@ from .train import (
     curve_to_csv,
     empirical_risk,
     init_network,
+    multi_step_forecast,
     naive_predict,
     train_sgd,
 )
@@ -140,13 +142,12 @@ def _model_from_spec(spec, seed: int) -> TimeSeriesModel:
     raise ConfigError(f"model.kind: unknown kind {kind!r}")
 
 
-def _weight_from_spec(spec, dims: int) -> WeightFn:
+def _weight_from_spec(spec) -> WeightFn:
     if spec is None:
         return WeightFn()
     _check_keys(spec, "weight", ["kind"], ["varsigma"])
     try:
-        return WeightFn(kind=spec["kind"],
-                        varsigma=float(spec.get("varsigma", 0.1)), dims=dims)
+        return WeightFn(kind=spec["kind"], varsigma=float(spec.get("varsigma", 0.1)))
     except ValueError as exc:
         raise ConfigError(f"weight: {exc}")
 
@@ -216,7 +217,7 @@ def _run_single_training(series_train, series_test, r, arch_p, arch_l1,
         raise ConfigError(
             f"arch.p: expects input dim {d * r} and output dim {d}, got {arch_p}"
         )
-    w = _weight_from_spec(weight_spec, d * r)
+    w = _weight_from_spec(weight_spec)
     arch = Architecture(len(arch_p) - 2, tuple(arch_p), L1=arch_l1)
     net0 = init_network(arch, tc.seed)
     net, curve = train_sgd(net0, data, tc, w, test_data=test_data)
@@ -273,23 +274,17 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, out_dir) -
     runs = int(sweep.get("runs", 1))
     normalize = bool(cfg.get("normalize", False))
     d = series_train.shape[1]
+    tc = _train_config_from(cfg["train"], None)
     rows = []
     best = None
     for r in r_values:
         for m in m_values:
             risks = []
             for run in range(runs):
-                tc = _train_config_from(cfg["train"], None)
-                tc = TrainConfig(
-                    epochs=tc.epochs, lr_schedule=tc.lr_schedule,
-                    l2_lambda=tc.l2_lambda, batch_size=tc.batch_size,
-                    seed=base_seed + 1000 * run, project_entries=tc.project_entries,
-                    prune_to_s=tc.prune_to_s,
-                )
                 p = (r * d, r * d, 24, m, 24, d, d)
                 net, curve, data, test_data, w = _run_single_training(
-                    series_train, series_test, r, list(p), 3, tc,
-                    cfg.get("weight"), normalize,
+                    series_train, series_test, r, list(p), 3,
+                    replace(tc, seed=base_seed + 1000 * run), cfg.get("weight"), normalize,
                 )
                 risk = empirical_risk(net, test_data, w)
                 risks.append(risk)
@@ -342,17 +337,25 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
         scaler = Scaler(lo=np.asarray(meta["scaler"]["lo"]),
                         hi=np.asarray(meta["scaler"]["hi"]))
     data = lag_embed(series, r, scaler=scaler)
-    w = _weight_from_spec(cfg.get("weight"), d * r)
+    w = _weight_from_spec(cfg.get("weight"))
     run_seed = seed if seed is not None else int(cfg.get("seed", 0))
     metrics = {
         "empirical_risk": empirical_risk(net, data, w),
         "naive_risk": naive_predict(data, w),
         "n_samples": len(data),
     }
-    k_steps = [int(k) for k in cfg.get("k_steps", [1])]
+    n = len(data)
     k_errors = {}
-    for k in k_steps:
-        k_errors[str(k)] = _k_step_errors(net, data, k)
+    for k in [int(k) for k in cfg.get("k_steps", [1])]:
+        # per-coordinate squared error of the j-step forecast from every start, j = 1..k
+        if k > n:
+            raise ConfigError(f"k_steps: horizon {k} exceeds test sample count {n}")
+        m = n - (k - 1)
+        preds = multi_step_forecast(net, data.X[:m], k)
+        k_errors[str(k)] = [
+            float(np.mean(np.sum((preds[:, j] - data.Y[j : j + m]) ** 2, axis=1) / d))
+            for j in range(k)
+        ]
     metrics["k_step_mse"] = k_errors
     prov = _provenance(cfg, run_seed)
     out_json = out_dir / cfg.get("out_json", "metrics.json")
@@ -360,25 +363,6 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     print(f"wrote {out_json}; risk {metrics['empirical_risk']:.6g}, "
           f"naive {metrics['naive_risk']:.6g}")
     return 0
-
-
-def _k_step_errors(net: Network, data, k: int):
-    """Mean per-coordinate squared error of the j-step-ahead forecast,
-    j = 1..k, averaged over all admissible start positions."""
-    n = len(data)
-    if n <= k - 1:
-        raise ConfigError(f"k_steps: horizon {k} exceeds test sample count {n}")
-    m = n - (k - 1)
-    states = data.X[:m].copy()
-    d = data.d
-    dr = net.arch.in_dim
-    errs = []
-    for j in range(k):
-        preds = net.eval_batch(states)
-        target = data.Y[j : j + m]
-        errs.append(float(np.mean(np.sum((preds - target) ** 2, axis=1) / d)))
-        states = np.hstack([preds, states[:, : dr - d]])
-    return errs
 
 
 def cmd_certify(cfg: dict, seed: int | None, out_dir: Path) -> int:

@@ -109,21 +109,31 @@ def save_series_csv(path, series: np.ndarray, provenance: dict | None = None) ->
 
 
 def load_series_csv(path) -> np.ndarray:
-    """Read a series CSV written by :func:`save_series_csv`."""
+    """Read a series CSV written by :func:`save_series_csv`; a row with the
+    wrong field count or a non-finite value raises ValueError naming its line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
+        width = None
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if header is None:
+            if width is None:
                 header = line.split(",")
                 if header[0] != "t":
                     raise ValueError(f"unexpected series header {header!r}")
+                width = len(header)
                 continue
             parts = line.split(",")
+            if len(parts) != width:
+                raise ValueError(f"{path}: line {lineno} has {len(parts)} fields, not {width}")
             rows.append([float(v) for v in parts[1:]])
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    return np.asarray(rows, dtype=np.float64)
+    series = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(series).all(axis=1)
+    if not finite.all():
+        with open(path, "r", encoding="utf-8") as fh:  # header and data lines
+            lines = [i for i, ln in enumerate(fh, start=1) if ln.strip()[:1] not in ("", "#")]
+        raise ValueError(f"{path}: line {lines[1 + int(np.argmin(finite))]} is not finite")
+    return series

@@ -28,14 +28,13 @@ class WeightFn:
     """Weight function on the lag-input space, with values in [0,1].
 
     ``constant_one`` weighs every sample equally.  ``box_ramp`` is 1 on the
-    inner box [varsigma, 1-varsigma]^dims, 0 outside [0,1]^dims, and ramps
-    linearly in the sup-distance to the inner box in between; it is
-    (1/varsigma)-Lipschitz.
+    inner box [varsigma, 1-varsigma]^p, 0 outside [0,1]^p (p the input
+    dimension), and ramps linearly in the sup-distance to the inner box in
+    between; it is (1/varsigma)-Lipschitz.
     """
 
     kind: str = "constant_one"
     varsigma: float = 0.1
-    dims: int = 0
 
     def __post_init__(self):
         if self.kind not in ("constant_one", "box_ramp"):
@@ -127,12 +126,13 @@ def naive_predict(data: LagDataset, w: WeightFn | None = None) -> float:
     return empirical_risk(lambda X: X[:, : data.d], data, w)
 
 
-def gradient(net: Network, X: np.ndarray, Y: np.ndarray, w: WeightFn,
-             l2_lambda: float = 0.0):
+def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
+             l2_lambda: float = 0.0, out=None):
     """Exact gradient of the batch-mean weighted loss plus L2 penalty.
 
-    Returns (weight gradients, bias gradients) matching the network layout.
-    The ReLU subgradient at a kink is taken as 0.
+    ``wts`` are the batch rows' sample weights W(x).  Returns (weight
+    gradients, bias gradients) in the network layout, written into the
+    arrays of ``out=(g_w, g_b)`` when given.  ReLU'(0) is taken as 0.
     """
     L = net.arch.L
     nb = X.shape[0]
@@ -144,24 +144,23 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, w: WeightFn,
         z = acts[-1] @ net.weights[i].T - net.biases[i]
         pre.append(z)
         acts.append(np.maximum(z, 0.0))
-    out = acts[-1] @ net.weights[L].T
+    pred = acts[-1] @ net.weights[L].T
 
-    wts = w(X)
-    g_out = (2.0 / (net.arch.out_dim * nb)) * (out - Y) * wts[:, None]
+    g_out = (2.0 / (net.arch.out_dim * nb)) * (pred - Y) * wts[:, None]
 
-    g_w = [None] * (L + 1)
-    g_b = [None] * L
-    g_w[L] = g_out.T @ acts[L]
+    g_w, g_b = out or ([np.empty_like(wm) for wm in net.weights],
+                       [np.empty_like(bv) for bv in net.biases])
+    np.matmul(g_out.T, acts[L], out=g_w[L])
     g_a = g_out @ net.weights[L]
     for i in range(L - 1, -1, -1):
         g_z = g_a * (pre[i] > 0.0)
-        g_b[i] = -np.sum(g_z, axis=0)
-        g_w[i] = g_z.T @ acts[i]
+        np.negative(np.sum(g_z, axis=0, out=g_b[i]), out=g_b[i])
+        np.matmul(g_z.T, acts[i], out=g_w[i])
         if i > 0:
             g_a = g_z @ net.weights[i]
     if l2_lambda:
-        g_w = [gw + 2.0 * l2_lambda * wm for gw, wm in zip(g_w, net.weights)]
-        g_b = [gb + 2.0 * l2_lambda * bv for gb, bv in zip(g_b, net.biases)]
+        for g, p in zip(g_w + g_b, net.weights + net.biases):
+            g += (2.0 * l2_lambda) * p
     return g_w, g_b
 
 
@@ -170,6 +169,15 @@ class EpochRecord:
     epoch: int
     train_risk: float
     test_risk: float | None = None
+
+
+def _unflatten(theta: np.ndarray, net: Network):
+    """Views of a flat parameter vector laid out as weights[0..L] then
+    biases[0..L-1], shaped like ``net``'s arrays."""
+    arrays = net.weights + net.biases
+    ends = np.cumsum([a.size for a in arrays[:-1]])
+    views = [v.reshape(a.shape) for v, a in zip(np.split(theta, ends), arrays)]
+    return views[: net.arch.L + 1], views[net.arch.L + 1 :]
 
 
 def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
@@ -181,32 +189,35 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     the train risk exceeds 1e6 times its initial value.
     """
     rng = np.random.default_rng(cfg.seed)
-    weights = [wm.copy() for wm in net.weights]
-    biases = [bv.copy() for bv in net.biases]
-    # SGD updates these arrays in place, so ``current`` only feeds gradient
-    # (which reads the arrays); every risk is evaluated on a fresh Network,
-    # whose kernels are built from the arrays as they are at that moment
+    # One parameter vector and one gradient vector, so a step's update is a
+    # few whole-vector operations.  SGD updates theta in place, so ``current``
+    # only feeds gradient (which reads the arrays); every risk is evaluated on
+    # a fresh Network, whose kernels are built from the arrays as they are then
+    theta = np.concatenate([a.ravel() for a in net.weights + net.biases])
+    g = np.empty_like(theta)
+    weights, biases = _unflatten(theta, net)
+    g_views = _unflatten(g, net)
     current = Network(net.arch, weights, biases)
 
     initial = empirical_risk(Network(net.arch, weights, biases), data, w)
     ceiling = 1e6 * max(initial, 1e-12)
     curve = []
     n_samples = len(data)
+    sample_wts = w(data.X)
     for epoch in range(cfg.epochs):
         lr = cfg.rate_at(epoch)
         order = rng.permutation(n_samples)
+        X, Y, wts = data.X[order], data.Y[order], sample_wts[order]
         for start in range(0, n_samples, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            g_w, g_b = gradient(current, data.X[idx], data.Y[idx], w, cfg.l2_lambda)
-            for i in range(net.arch.L + 1):
-                weights[i] -= lr * g_w[i]
-            for i in range(net.arch.L):
-                biases[i] -= lr * g_b[i]
+            stop = start + cfg.batch_size
+            gradient(current, X[start:stop], Y[start:stop], wts[start:stop], 0.0,
+                     out=g_views)
+            if cfg.l2_lambda:
+                g += (2.0 * cfg.l2_lambda) * theta
+            g *= lr
+            theta -= g
             if cfg.project_entries:
-                for i in range(net.arch.L + 1):
-                    np.clip(weights[i], -1.0, 1.0, out=weights[i])
-                for i in range(net.arch.L):
-                    np.clip(biases[i], -1.0, 1.0, out=biases[i])
+                np.clip(theta, -1.0, 1.0, out=theta)
         snapshot = Network(net.arch, weights, biases)
         train_risk = empirical_risk(snapshot, data, w)
         test_risk = (
@@ -219,7 +230,7 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
                 f"at epoch {epoch} (lr={lr:g}); reduce the learning rate"
             )
 
-    result = Network(net.arch, [wm.copy() for wm in weights], [bv.copy() for bv in biases])
+    result = Network(net.arch, *_unflatten(theta.copy(), net))
     if cfg.prune_to_s is not None:
         result, _ = prune_to_sparsity(result, cfg.prune_to_s)
     return result, curve
@@ -234,24 +245,16 @@ def prune_to_sparsity(net: Network, s: int):
     """
     if s < 0:
         raise ValueError("sparsity target must be nonnegative")
-    arrays = list(net.weights) + list(net.biases)
-    flat = np.concatenate([np.abs(a).ravel() for a in arrays])
-    if s >= flat.size:
+    arrays = net.weights + net.biases
+    theta = np.concatenate([a.ravel() for a in arrays])
+    if s >= theta.size:
         return net, 0.0
-    order = np.argsort(-flat, kind="stable")
-    keep = np.zeros(flat.size, dtype=bool)
-    keep[order[:s]] = True
-    new_arrays = []
-    pruned_sq = 0.0
-    pos = 0
-    for a in arrays:
-        mask = keep[pos : pos + a.size].reshape(a.shape)
-        na = np.where(mask, a, 0.0)
-        pruned_sq += float(np.sum((a - na) ** 2))
-        new_arrays.append(na)
-        pos += a.size
-    n_w = len(net.weights)
-    pruned = Network(net.arch, new_arrays[:n_w], new_arrays[n_w:])
+    keep = np.argsort(-np.abs(theta), kind="stable")[:s]
+    kept = np.zeros_like(theta)
+    kept[keep] = theta[keep]
+    pruned = Network(net.arch, *_unflatten(kept, net))
+    pruned_sq = sum(float(np.sum((a - b) ** 2))
+                    for a, b in zip(arrays, pruned.weights + pruned.biases))
     assert pruned.sparsity() <= s
     return pruned, pruned_sq
 
@@ -259,8 +262,9 @@ def prune_to_sparsity(net: Network, s: int):
 def multi_step_forecast(net: Network, x0, k: int) -> np.ndarray:
     """Iterate the one-step predictor k steps ahead.
 
-    The newest forecast is rotated into the front of the lag state; returns
-    the (k, d) array of forecasts.
+    ``x0`` is one lag state or an (m, r*d) batch of them.  The newest
+    forecast is rotated into the front of each lag state; returns the (k, d)
+    forecasts of a single state, or (m, k, d) for a batch.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -268,15 +272,16 @@ def multi_step_forecast(net: Network, x0, k: int) -> np.ndarray:
     dr = net.arch.in_dim
     if dr % d != 0:
         raise ValueError(f"input dim {dr} is not a multiple of output dim {d}")
-    state = np.asarray(x0, dtype=np.float64).reshape(-1).copy()
-    if state.shape[0] != dr:
-        raise ValueError(f"lag state has dim {state.shape[0]}, expected {dr}")
-    outs = np.empty((k, d))
+    x0 = np.asarray(x0, dtype=np.float64)
+    states = np.atleast_2d(x0)
+    if states.ndim != 2 or states.shape[1] != dr:
+        raise ValueError(f"lag states have shape {states.shape}, expected (m, {dr})")
+    outs = np.empty((states.shape[0], k, d))
     for j in range(k):
-        y = net.eval(state)
-        outs[j] = y
-        state = np.concatenate([y, state[: dr - d]])
-    return outs
+        y = net.eval_batch(states)
+        outs[:, j] = y
+        states = np.hstack([y, states[:, : dr - d]])
+    return outs[0] if x0.ndim < 2 else outs
 
 
 def curve_to_csv(curve, path, provenance: dict | None = None) -> None:

@@ -236,7 +236,7 @@ def test_criterion_7_gradient_correctness():
                 break
         assert X is not None
         Y = rng.uniform(-1, 1, size=(8, p[-1]))
-        g_w, g_b = gradient(net, X, Y, w, lam)
+        g_w, g_b = gradient(net, X, Y, w(X), lam)
         h = 1e-6
         for i, mat in enumerate(net.weights):
             for r in range(mat.shape[0]):

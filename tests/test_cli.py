@@ -75,7 +75,26 @@ def test_train_epochs_zero_keeps_initial_net(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_train_and_evaluate_roundtrip(tmp_path):
+@pytest.mark.parametrize("bad_row,reason", [
+    ("4,0.5", "has 2 fields, not 3"),
+    ("4,nan,0.5", "is not finite"),
+])
+def test_train_rejects_malformed_series_row_with_its_line(tmp_path, capsys, bad_row, reason):
+    # line 1 is a provenance comment, line 2 the header; the bad row is line 6
+    rows = ["# seed=0", "t,x1,x2", "1,0.1,0.2", "2,0.3,0.4", "3,0.5,0.6", bad_row,
+            "5,0.7,0.8"]
+    (tmp_path / "series.csv").write_text("\n".join(rows) + "\n")
+    train = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"),
+        "arch": {"p": [2, 4, 2]},
+        "train": {"epochs": 1},
+    })
+    assert run(["train", "--config", train, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "line 6 " in err and reason in err
+
+
+def test_train_and_evaluate_roundtrip(tmp_path, capsys):
     sim = write_cfg(tmp_path, "sim.json",
                     {"model": "low_d", "n": 400, "burn_in": 100, "seed": 2})
     assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
@@ -105,6 +124,17 @@ def test_train_and_evaluate_roundtrip(tmp_path):
     expect = naive_predict(lag_embed(series, 1), WeightFn())
     assert metrics["naive_risk"] == pytest.approx(expect, rel=1e-12)
     assert len(metrics["k_step_mse"]["3"]) == 3
+    # 399 one-step residuals: their mean is the risk (which divides by n = 400) x 400/399
+    assert metrics["k_step_mse"]["1"][0] == pytest.approx(
+        metrics["empirical_risk"] * 400 / 399, rel=1e-12)
+    too_long = write_cfg(tmp_path, "eval_long.json", {
+        "model_json": str(tmp_path / "model.json"),
+        "test_csv": str(tmp_path / "series.csv"),
+        "k_steps": [400],
+    })
+    capsys.readouterr()
+    assert run(["evaluate", "--config", too_long, "--out", tmp_path]) == 2
+    assert "k_steps: horizon 400 exceeds test sample count 399" in capsys.readouterr().err
 
 
 def test_evaluate_lag_mismatch_is_config_error(tmp_path):

@@ -29,25 +29,25 @@ def make_dataset(X, Y, r=1, n=None):
 
 
 def test_box_ramp_inside_inner_box():
-    w = WeightFn(kind="box_ramp", varsigma=0.1, dims=3)
+    w = WeightFn(kind="box_ramp", varsigma=0.1)
     assert weight_eval(w, np.full(3, 0.5)) == 1.0
 
 
 def test_box_ramp_outside_unit_box():
-    w = WeightFn(kind="box_ramp", varsigma=0.1, dims=3)
+    w = WeightFn(kind="box_ramp", varsigma=0.1)
     x = np.array([0.5, -0.2, 0.5])
     assert weight_eval(w, x) == 0.0
 
 
 def test_box_ramp_linear_between():
-    w = WeightFn(kind="box_ramp", varsigma=0.1, dims=2)
+    w = WeightFn(kind="box_ramp", varsigma=0.1)
     # sup-distance 0.05 from the inner box [0.1, 0.9]^2
     x = np.array([0.05, 0.5])
     assert weight_eval(w, x) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_box_ramp_lipschitz_property():
-    w = WeightFn(kind="box_ramp", varsigma=0.2, dims=2)
+    w = WeightFn(kind="box_ramp", varsigma=0.2)
     rng = np.random.default_rng(0)
     X = rng.uniform(-0.5, 1.5, size=(2000, 2))
     Xp = rng.uniform(-0.5, 1.5, size=(2000, 2))
@@ -85,7 +85,7 @@ def test_risk_hand_computed_single_pair():
 def test_risk_vanishes_under_zero_weight():
     net = Network(Architecture(0, (2, 2)), [np.zeros((2, 2))], [])
     data = make_dataset([[-3.0, -3.0]], [[10.0, -7.0]])  # inputs outside [0,1]^2
-    w = WeightFn(kind="box_ramp", varsigma=0.1, dims=2)
+    w = WeightFn(kind="box_ramp", varsigma=0.1)
     assert empirical_risk(net, data, w) == 0.0
 
 
@@ -102,7 +102,7 @@ def test_risk_rejects_empty_dataset():
 def test_gradient_zero_residual_is_zero():
     net = Network(Architecture(0, (2, 2)), [np.eye(2)], [])
     X = np.array([[1.0, 2.0]])
-    g_w, g_b = gradient(net, X, X.copy(), WeightFn(), 0.0)
+    g_w, g_b = gradient(net, X, X.copy(), WeightFn()(X), 0.0)
     assert all(np.all(g == 0) for g in g_w)
 
 
@@ -113,7 +113,7 @@ def test_gradient_weight_decay_only():
     X = rng.uniform(0, 1, size=(4, 2))
     Y = net.eval_batch(X)  # zero residual
     lam = 0.37
-    g_w, g_b = gradient(net, X, Y, WeightFn(), lam)
+    g_w, g_b = gradient(net, X, Y, WeightFn()(X), lam)
     for g, w in zip(g_w, net.weights):
         assert np.allclose(g, 2 * lam * w, atol=1e-12)
     for g, b in zip(g_b, net.biases):
@@ -191,7 +191,7 @@ def test_gradient_matches_finite_differences(p, l1, lam, seed):
     X = kink_free_batch(net, rng, 8)
     Y = rng.uniform(-1, 1, size=(8, p[-1]))
     w = WeightFn()
-    g_w, g_b = gradient(net, X, Y, w, lam)
+    g_w, g_b = gradient(net, X, Y, w(X), lam)
     fd_w, fd_b = finite_difference_grads(net, X, Y, w, lam)
     for a, b in zip(g_w + g_b, fd_w + fd_b):
         scale = np.maximum(np.abs(b), 1e-3)
@@ -231,6 +231,113 @@ def test_train_deterministic_given_seed():
         assert np.array_equal(a, b)
     for a, b in zip(out1.biases, out2.biases):
         assert np.array_equal(a, b)
+
+
+def reference_gradient(net, X, Y, w, l2_lambda=0.0):
+    """The per-layer gradient that evaluates W on every batch: the oracle for
+    the flat-vector SGD step."""
+    L = net.arch.L
+    acts = [np.asarray(X, dtype=np.float64)]
+    pre = []
+    for i in range(L):
+        z = acts[-1] @ net.weights[i].T - net.biases[i]
+        pre.append(z)
+        acts.append(np.maximum(z, 0.0))
+    out = acts[-1] @ net.weights[L].T
+    g_out = (2.0 / (net.arch.out_dim * X.shape[0])) * (out - Y) * w(X)[:, None]
+    g_w = [None] * (L + 1)
+    g_b = [None] * L
+    g_w[L] = g_out.T @ acts[L]
+    g_a = g_out @ net.weights[L]
+    for i in range(L - 1, -1, -1):
+        g_z = g_a * (pre[i] > 0.0)
+        g_b[i] = -np.sum(g_z, axis=0)
+        g_w[i] = g_z.T @ acts[i]
+        if i > 0:
+            g_a = g_z @ net.weights[i]
+    if l2_lambda:
+        g_w = [gw + 2.0 * l2_lambda * wm for gw, wm in zip(g_w, net.weights)]
+        g_b = [gb + 2.0 * l2_lambda * bv for gb, bv in zip(g_b, net.biases)]
+    return g_w, g_b
+
+
+def reference_train_sgd(net, data, cfg, w):
+    """SGD that gathers every batch by fancy indexing and updates each layer's
+    arrays separately; returns (weights, biases, per-epoch train risks)."""
+    rng = np.random.default_rng(cfg.seed)
+    weights = [wm.copy() for wm in net.weights]
+    biases = [bv.copy() for bv in net.biases]
+    current = Network(net.arch, weights, biases)
+    risks = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.rate_at(epoch)
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            g_w, g_b = reference_gradient(current, data.X[idx], data.Y[idx], w,
+                                          cfg.l2_lambda)
+            for i in range(net.arch.L + 1):
+                weights[i] -= lr * g_w[i]
+            for i in range(net.arch.L):
+                biases[i] -= lr * g_b[i]
+            if cfg.project_entries:
+                for i in range(net.arch.L + 1):
+                    np.clip(weights[i], -1.0, 1.0, out=weights[i])
+                for i in range(net.arch.L):
+                    np.clip(biases[i], -1.0, 1.0, out=biases[i])
+        risks.append(empirical_risk(Network(net.arch, weights, biases), data, w))
+    return weights, biases, risks
+
+
+@pytest.mark.parametrize("batch_size,l2,project,weight,lr", [
+    (1, 1e-3, False, WeightFn(), ((0, 0.05), (2, 0.01))),   # the benchmark's regime
+    (1, 0.0, True, WeightFn(), ((0, 2.0),)),                 # projection active
+    (1, 1e-4, False, WeightFn(kind="box_ramp", varsigma=0.2), ((0, 0.05),)),
+    (4, 1e-3, False, WeightFn(), ((0, 0.05),)),               # last batch of 2 rows
+])
+def test_flat_sgd_matches_per_layer_reference(batch_size, l2, project, weight, lr):
+    data = lag_embed(small_series(seed=3, n=60), 2, normalize=True)
+    assert len(data) % 4 == 2
+    arch = Architecture(4, (2, 6, 5, 1, 5, 1), L1=3)
+    net = init_network(arch, 8)
+    net = Network(arch, net.weights, [b - 0.05 for b in net.biases])
+    before = [a.copy() for a in net.weights + net.biases]
+    cfg = TrainConfig(epochs=4, lr_schedule=lr, l2_lambda=l2, batch_size=batch_size,
+                      seed=12, project_entries=project)
+    trained, curve = train_sgd(net, data, cfg, weight)
+    ref_w, ref_b, ref_risks = reference_train_sgd(net, data, cfg, weight)
+    for a, b in zip(trained.weights + trained.biases, ref_w + ref_b):
+        assert np.array_equal(a, b)
+    assert [rec.train_risk for rec in curve] == ref_risks
+    # the input network is left as it was
+    for a, b in zip(net.weights + net.biases, before):
+        assert np.array_equal(a, b)
+    if project:
+        assert trained.max_entry() == 1.0
+    if weight.kind == "box_ramp":
+        wts = weight(data.X)
+        assert np.any((wts > 0.0) & (wts < 1.0)) and np.any(wts == 0.0)
+
+
+def test_gradient_into_out_arrays_matches_allocating_call():
+    rng = np.random.default_rng(4)
+    arch = Architecture(2, (3, 5, 4, 2))
+    net = init_network(arch, 2)
+    X = rng.uniform(0, 1, size=(5, 3))
+    Y = rng.uniform(-1, 1, size=(5, 2))
+    wts = WeightFn(kind="box_ramp", varsigma=0.3)(X)
+    out = ([np.full_like(a, np.nan) for a in net.weights],
+           [np.full_like(b, np.nan) for b in net.biases])
+    for lam in (0.0, 0.2):
+        g_w, g_b = gradient(net, X, Y, wts, lam)
+        o_w, o_b = gradient(net, X, Y, wts, lam, out=out)
+        assert o_w is out[0] and o_b is out[1]
+        for a, b in zip(g_w + g_b, out[0] + out[1]):
+            assert np.array_equal(a, b)
+        ref_w, ref_b = reference_gradient(net, X, Y, WeightFn(kind="box_ramp", varsigma=0.3),
+                                          lam)
+        for a, b in zip(g_w + g_b, ref_w + ref_b):
+            assert np.array_equal(a, b)
 
 
 def dense_risk(net, data, w):
@@ -402,6 +509,19 @@ def test_multi_step_zero_net():
     net = Network(arch, [np.zeros((3, 3))], [])
     outs = multi_step_forecast(net, [1.0, 2.0, 3.0], 4)
     assert np.all(outs == 0.0)
+
+
+def test_multi_step_batch_matches_per_row_loop():
+    rng = np.random.default_rng(23)
+    arch = Architecture(2, (6, 8, 5, 2))  # r=3 lags of d=2
+    net = init_network(arch, 4)
+    states = rng.uniform(0, 1, size=(300, 6))  # more rows than one forward block
+    outs = multi_step_forecast(net, states, 5)
+    assert outs.shape == (300, 5, 2)
+    for row, state in enumerate(states):
+        assert np.max(np.abs(outs[row] - multi_step_forecast(net, state, 5))) <= 1e-12
+    with pytest.raises(ValueError, match="expected"):
+        multi_step_forecast(net, states[:, :4], 2)
 
 
 def test_multi_step_lag_rotation():
