@@ -161,6 +161,11 @@ def b_constant(K: float, t: int) -> int:
 # -- elementary gadgets ----------------------------------------------------
 
 
+def _selector(indices, dim: int) -> np.ndarray:
+    """Matrix whose row k picks coordinate indices[k] of a dim-vector."""
+    return np.eye(dim)[list(indices)]
+
+
 def mult_net(m: int) -> Network:
     """Explicit network computing mult_m on two inputs; m+2 hidden layers.
 
@@ -231,8 +236,7 @@ def multiprod_net(m: int, t: int) -> Network:
     full = 2 ** q
     stages = []
     if full != t:
-        w0 = np.zeros((full, t))
-        w0[:t, :] = np.eye(t)
+        w0 = np.eye(full, t)
         bias = np.zeros(full)
         bias[t:] = -1.0
         stages.append(Network(Architecture(1, (t, full, full)),
@@ -242,10 +246,7 @@ def multiprod_net(m: int, t: int) -> Network:
         half = width // 2
         blocks = []
         for i in range(half):
-            sel = np.zeros((2, width))
-            sel[0, 2 * i] = 1.0
-            sel[1, 2 * i + 1] = 1.0
-            blocks.append(precompose_affine(mult_net(m), sel))
+            blocks.append(precompose_affine(mult_net(m), _selector([2 * i, 2 * i + 1], width)))
         stages.append(parallel(blocks))
         width = half
     net = stages[0]
@@ -316,18 +317,16 @@ def taylor_monomial_coeffs(hf: HolderFunction, a) -> dict:
     return coeffs
 
 
-def _grid_points(M: int, t: int) -> np.ndarray:
-    axes = [np.arange(M + 1) / M for _ in range(t)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _lattice(axis: np.ndarray, t: int) -> np.ndarray:
+    """All points of axis^t as rows, the last coordinate varying fastest."""
+    mesh = np.meshgrid(*([axis] * t), indexing="ij")
     return np.stack([ax.ravel() for ax in mesh], axis=1)
 
 
 def _eval_grid(t: int, per_axis: int, cap: int, seed: int = 0):
     total = per_axis ** t
     if total <= cap:
-        axes = [np.linspace(0.0, 1.0, per_axis) for _ in range(t)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([ax.ravel() for ax in mesh], axis=1)
+        pts = _lattice(np.linspace(0.0, 1.0, per_axis), t)
         spec = {"kind": "lattice", "per_axis": per_axis, "points": total}
     else:
         rng = np.random.default_rng(seed)
@@ -380,7 +379,7 @@ def build_approximator(hf: HolderFunction, plan: ApproxPlan,
             f"sampled max {holder_report['max_abs_f']:.6g}"
         )
 
-    centers = _grid_points(M, t)
+    centers = _lattice(np.arange(M + 1) / M, t)
     gammas = multi_indices(t, beta)
     gam_pos = [g for g in gammas if sum(g) > 0]
     zero_gamma = tuple(0 for _ in range(t))
@@ -388,10 +387,7 @@ def build_approximator(hf: HolderFunction, plan: ApproxPlan,
     monomials = []
     for g in gam_pos:
         reps = [j for j in range(t) for _ in range(g[j])]
-        sel = np.zeros((len(reps), t))
-        for row, j in enumerate(reps):
-            sel[row, j] = 1.0
-        monomials.append(precompose_affine(multiprod_net(m, len(reps)), sel))
+        monomials.append(precompose_affine(multiprod_net(m, len(reps)), _selector(reps, t)))
     hats = [hat_net(c, M, m, t) for c in centers]
 
     subs = monomials + hats
@@ -481,10 +477,7 @@ def build_stage(stage: StageSpec, plan: ApproxPlan, f_bound=None, seed=0):
     nets, certs = [], []
     for hf, args in stage.components:
         net, cert = build_approximator(hf, plan, f_bound=f_bound, seed=seed)
-        sel = np.zeros((hf.t, stage.in_dim))
-        for row, j in enumerate(args):
-            sel[row, j] = 1.0
-        nets.append(precompose_affine(net, sel))
+        nets.append(precompose_affine(net, _selector(args, stage.in_dim)))
         certs.append(cert)
     depth = max(n.arch.L for n in nets)
     return parallel([deepen(n, depth) for n in nets]), certs

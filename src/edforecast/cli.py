@@ -2,9 +2,11 @@
 
 Every command reads a JSON config (strictly validated: unknown keys are
 rejected with their field path), takes an optional --seed override and an
---out directory, and writes deterministic artifacts.  Output files carry a
-provenance header (config hash, seed, tool version) and no timestamps, so
-re-runs with the same inputs are byte-identical.
+--out directory, and writes deterministic artifacts.  Every CSV and JSON
+output except the network file ``model.json`` carries a provenance header
+(config hash, seed, tool version); the network's provenance is in its
+``.meta.json`` sidecar.  Nothing carries a timestamp, so re-runs with the
+same inputs are byte-identical.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .approx import ApproxPlan, PlanError, build_approximator, catalog
-from .data import fit_scaler, lag_embed, load_series_csv, save_series_csv
+from .data import Scaler, fit_scaler, lag_embed, load_series_csv, save_series_csv, write_csv
 from .network import Architecture, load_json as load_net, save_json as save_net
 from .rates import (
     DependenceSpec,
@@ -56,7 +58,6 @@ from .train import (
     TrainConfig,
     TrainingDiverged,
     WeightFn,
-    curve_to_csv,
     empirical_risk,
     init_network,
     multi_step_forecast,
@@ -248,7 +249,8 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
     out_model = out_dir / cfg.get("out_model", "model.json")
     out_curve = out_dir / cfg.get("out_curve", "curve.csv")
     save_net(net, out_model)
-    curve_to_csv(curve, out_curve, provenance=prov)
+    write_csv(out_curve, ["epoch", "train_risk", "test_risk"],
+              ((rec.epoch, rec.train_risk, rec.test_risk) for rec in curve), prov)
     meta = {"r": r, "d": data.d, "normalize": bool(cfg.get("normalize", False))}
     if data.scaler is not None:
         meta["scaler"] = {"lo": data.scaler.lo.tolist(), "hi": data.scaler.hi.tolist()}
@@ -293,12 +295,8 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, out_dir) -
             rows.append((r, m, risks))
             print(f"sweep r={r} m={m}: " + " ".join(f"{v:.4g}" for v in risks))
     out_table = out_dir / sweep.get("out_table", "sweep.csv")
-    with open(out_table, "w", encoding="utf-8") as fh:
-        for key, val in prov.items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("r,m," + ",".join(f"run{i + 1}" for i in range(runs)) + "\n")
-        for r, m, risks in rows:
-            fh.write(f"{r},{m}," + ",".join(repr(v) for v in risks) + "\n")
+    write_csv(out_table, ["r", "m"] + [f"run{i + 1}" for i in range(runs)],
+              ([r, m, *risks] for r, m, risks in rows), prov)
     # naive baseline on the test stretch, on the same scale as the sweep risks
     scaler = fit_scaler(series_train) if normalize else None
     naive = naive_predict(lag_embed(series_test, best[1], scaler=scaler))
@@ -333,7 +331,6 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
         raise ConfigError(f"model_json: metadata lag count {meta['r']} != {r}")
     scaler = None
     if meta.get("scaler"):
-        from .data import Scaler
         scaler = Scaler(lo=np.asarray(meta["scaler"]["lo"]),
                         hi=np.asarray(meta["scaler"]["hi"]))
     data = lag_embed(series, r, scaler=scaler)
@@ -451,25 +448,17 @@ def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
         env = [float(dep_envelope(spec, float(x))) for x in xs]
 
     out_lambda = out_dir / cfg.get("out_lambda_csv", "lambda.csv")
-    with open(out_lambda, "w", encoding="utf-8") as fh:
-        for key, val in prov.items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("x,lambda,envelope\n")
-        for x, l, e in zip(xs, lam, env):
-            fh.write(f"{float(x)!r},{l!r},{e!r}\n")
+    write_csv(out_lambda, ["x", "lambda", "envelope"], zip(xs, lam, env), prov)
 
     n_values = [int(v) for v in cfg.get("n_values", [1000, 10000, 100000])]
     alpha = spec.alpha if spec.alpha is not None else 2.0
     out_rates = out_dir / cfg.get("out_rates_csv", "rates.csv")
-    with open(out_rates, "w", encoding="utf-8") as fh:
-        for key, val in prov.items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("n,N,predicted_rate,bound_at_N\n")
-        for n in n_values:
-            N = choose_N(n, alpha, profile)
-            rate = predicted_rate(n, alpha, profile)
-            bound = oracle_bound(spec, n, N, profile)
-            fh.write(f"{n},{N},{rate!r},{bound!r}\n")
+    rows = []
+    for n in n_values:
+        N = choose_N(n, alpha, profile)
+        rows.append((n, N, predicted_rate(n, alpha, profile),
+                     oracle_bound(spec, n, N, profile)))
+    write_csv(out_rates, ["n", "N", "predicted_rate", "bound_at_N"], rows, prov)
     print(f"wrote {out_lambda} and {out_rates}")
     return 0
 

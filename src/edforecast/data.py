@@ -1,4 +1,4 @@
-"""Lag-embedded datasets and series CSV input/output.
+"""Lag-embedded datasets, the lag push, and provenance-stamped CSV input/output.
 
 A series of length n with d coordinates becomes n-r sample pairs
 (input, target) where the input concatenates the r most recent lags
@@ -90,27 +90,50 @@ def lag_embed(series: np.ndarray, r: int, normalize: bool = False,
     return LagDataset(X=X, Y=Y, r=r, d=d, n=n, scaler=scaler)
 
 
-def save_series_csv(path, series: np.ndarray, provenance: dict | None = None) -> None:
-    """Write a series as CSV with header t,x1,...,xd.
+def push_lag(states: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rotate the newest values ``x`` into the front of newest-first lag
+    states (the input layout of :func:`lag_embed`), dropping the oldest lag.
 
-    Provenance key/value pairs are emitted as leading '# key=value' comment
-    lines so that re-runs with identical configuration are byte-identical.
+    Works on the last axis, so one state or a batch of them; with a single
+    lag the new state is ``x`` itself.
     """
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim == 1:
-        series = series[:, None]
-    d = series.shape[1]
+    d = x.shape[-1]
+    if states.shape[-1] == d:
+        return x
+    return np.concatenate([x, states[..., :-d]], axis=-1)
+
+
+def write_csv(path, header, rows, provenance: dict | None = None) -> None:
+    """Write a CSV: '# key=value' provenance lines, the header, the rows.
+
+    An int cell prints as itself, any other number as repr(float(v)) (so a
+    numpy scalar prints as a plain float), and None as an empty field; with
+    no timestamps, re-runs with identical configuration are byte-identical.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for key, val in (provenance or {}).items():
             fh.write(f"# {key}={val}\n")
-        fh.write("t," + ",".join(f"x{j + 1}" for j in range(d)) + "\n")
-        for t, row in enumerate(series, start=1):
-            fh.write(str(t) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else str(v) if isinstance(v, int)
+                              else repr(float(v)) for v in row) + "\n")
+
+
+def save_series_csv(path, series: np.ndarray, provenance: dict | None = None) -> None:
+    """Write a series as CSV with header t,x1,...,xd under the provenance
+    lines of :func:`write_csv`."""
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim == 1:
+        series = series[:, None]
+    header = ["t"] + [f"x{j + 1}" for j in range(series.shape[1])]
+    rows = ([t, *row] for t, row in enumerate(series.tolist(), start=1))
+    write_csv(path, header, rows, provenance)
 
 
 def load_series_csv(path) -> np.ndarray:
     """Read a series CSV written by :func:`save_series_csv`; a row with the
-    wrong field count or a non-finite value raises ValueError naming its line."""
+    wrong field count, a non-numeric field or a non-finite value raises
+    ValueError naming its line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         width = None
@@ -127,7 +150,10 @@ def load_series_csv(path) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != width:
                 raise ValueError(f"{path}: line {lineno} has {len(parts)} fields, not {width}")
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} has a non-numeric field") from None
     if not rows:
         raise ValueError(f"no data rows in {path}")
     series = np.asarray(rows, dtype=np.float64)

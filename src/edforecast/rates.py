@@ -291,6 +291,30 @@ def beta_dep(spec: DependenceSpec, q: int) -> float:
     raise RateComputationError(_DIVERGENT_TAIL)
 
 
+def _first_index(pred: Callable[[int], bool], start: int, limit: int,
+                 error: str) -> int:
+    """Smallest i >= start with pred(i), for a pred that stays true once true.
+
+    Doubles an upper end until pred holds there (raising
+    RateComputationError(error) once it passes ``limit``), then bisects
+    between it and the last index where pred failed.
+    """
+    if pred(start):
+        return start
+    lo, hi = start, max(1, 2 * start)
+    while not pred(hi):
+        lo, hi = hi, 2 * hi
+        if hi > limit:
+            raise RateComputationError(error)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def v_tilde(spec: DependenceSpec, z: float) -> float:
     """Variance proxy sqrt(z) + sum_j min(sqrt(z), Delta(j))."""
     if z < 0.0:
@@ -301,22 +325,8 @@ def v_tilde(spec: DependenceSpec, z: float) -> float:
     if s == 0.0:
         return 0.0
     # j_star = first index with Delta(j) <= sqrt(z); Delta decreasing
-    if float(spec.delta(0)) <= s:
-        j_star = 0
-    else:
-        hi = 1
-        while float(spec.delta(hi)) > s:
-            hi *= 2
-            if hi > 2 ** 60:
-                raise RateComputationError("Delta does not decay to zero")
-        lo = hi // 2
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if float(spec.delta(mid)) <= s:
-                hi = mid
-            else:
-                lo = mid
-        j_star = hi
+    j_star = _first_index(lambda j: float(spec.delta(j)) <= s, 0, 2 ** 60,
+                          "Delta does not decay to zero")
     return s * (1 + j_star) + beta_dep(spec, j_star)
 
 
@@ -371,23 +381,8 @@ def q_star(beta_fn: Callable[[int], float], x: float) -> int:
     """Smallest q with beta(q) <= q x (monotone bracket + binary search)."""
     if x <= 0.0:
         raise ValueError("x must be positive")
-    if float(beta_fn(1)) <= x:
-        return 1
-    hi = 1
-    while float(beta_fn(hi)) > hi * x:
-        hi *= 2
-        if hi > 2 ** 32:
-            raise RateComputationError(
-                "no block length below 2^32 satisfies beta(q) <= q x"
-            )
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if float(beta_fn(mid)) <= mid * x:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _first_index(lambda q: float(beta_fn(q)) <= q * x, 1, 2 ** 32,
+                        "no block length below 2^32 satisfies beta(q) <= q x")
 
 
 def q_star_mix(spec: DependenceSpec, x: float) -> int:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import LagDataset, lag_embed  # noqa: F401  (re-exported)
+from .data import LagDataset, lag_embed, push_lag  # noqa: F401  (re-exported)
 
 
 class UnstableModelError(RuntimeError):
@@ -139,7 +139,7 @@ def generate(model: TimeSeriesModel, n: int, burn_in: int = 1000,
             )
         if step >= burn_in:
             out[step - burn_in] = x
-        state = np.concatenate([x, state[: d * (r - 1)]]) if r > 1 else x
+        state = push_lag(state, x)
     return out
 
 
@@ -150,7 +150,7 @@ def _stationary_states(model: TimeSeriesModel, n_mc: int, burn_in: int,
     states = np.zeros((n_mc, d * r))
     for _ in range(burn_in):
         x = model.f0(states) + rng.standard_normal((n_mc, d)) * model.noise_sd
-        states = np.hstack([x, states[:, : d * (r - 1)]]) if r > 1 else x
+        states = push_lag(states, x)
     return states
 
 
@@ -192,13 +192,12 @@ def estimate_fdm(model: TimeSeriesModel, k: int, q: float = 2.0,
     if k < 1:
         raise ValueError("lag k must be >= 1")
     rng = np.random.default_rng(model.seed + 104729 if seed is None else seed)
-    d, r = model.d, model.r
+    d = model.d
     states = _stationary_states(model, n_mc, burn_in, rng)
     coupled = states.copy()
 
     def advance(st, eps):
-        x = model.f0(st) + eps
-        return np.hstack([x, st[:, : d * (r - 1)]]) if r > 1 else x
+        return push_lag(st, model.f0(st) + eps)
 
     eps_swap = rng.standard_normal((n_mc, d)) * model.noise_sd
     eps_star = rng.standard_normal((n_mc, d)) * model.noise_sd

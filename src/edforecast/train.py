@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LagDataset
+from .data import LagDataset, push_lag
 from .network import Architecture, Network
 
 
@@ -280,15 +280,6 @@ def multi_step_forecast(net: Network, x0, k: int) -> np.ndarray:
     for j in range(k):
         y = net.eval_batch(states)
         outs[:, j] = y
-        states = np.hstack([y, states[:, : dr - d]])
+        states = push_lag(states, y)
     return outs[0] if x0.ndim < 2 else outs
 
-
-def curve_to_csv(curve, path, provenance: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, val in (provenance or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("epoch,train_risk,test_risk\n")
-        for rec in curve:
-            test = "" if rec.test_risk is None else repr(rec.test_risk)
-            fh.write(f"{rec.epoch},{rec.train_risk!r},{test}\n")

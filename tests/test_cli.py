@@ -45,6 +45,43 @@ def test_simulate_deterministic_bytes(tmp_path):
         (tmp_path / "b" / "series.csv").read_bytes()
 
 
+def test_all_commands_deterministic_bytes(tmp_path, monkeypatch):
+    # every path in the configs is relative to the run directory, so both
+    # runs see identical configs and write identical provenance headers
+    steps = [
+        ("simulate", "sim.json", {"model": "low_d", "n": 80, "burn_in": 20}),
+        ("train", "train.json", {
+            "train_csv": "series.csv", "train_fraction": 0.5, "normalize": True,
+            "arch": {"p": [5, 6, 1, 6, 5], "L1": 2},
+            "train": {"epochs": 2, "lr_schedule": [[0, 0.01]], "l2_lambda": 1e-5}}),
+        ("train", "sweep.json", {
+            "train_csv": "series.csv", "train_fraction": 0.5,
+            "train": {"epochs": 1, "lr_schedule": [[0, 0.01]]},
+            "sweep": {"r_values": [1, 2], "m_values": [2], "runs": 2}}),
+        ("evaluate", "eval.json", {"model_json": "model.json", "test_csv": "series.csv",
+                                   "k_steps": [1, 3]}),
+        ("certify", "cert.json", {"target": "linear", "N": 10, "m": 6}),
+        ("rates", "rates.json", {
+            "dependence": {"kind": "fdm_polynomial", "alpha": 2.0},
+            "profile": {"beta": 2.0, "t": 2},
+            "x_grid": {"min": 1e-4, "max": 0.5, "points": 3}, "n_values": [1000]}),
+    ]
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        for command, config, payload in steps:
+            Path(config).write_text(json.dumps(payload))
+            assert run([command, "--config", config, "--out", ".", "--seed", 9]) == 0
+    written = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "b").iterdir())
+    artifacts = {"series.csv", "series.csv.json", "model.json", "model.meta.json",
+                 "curve.csv", "sweep.csv", "sweep.summary.json", "metrics.json",
+                 "certificate.json", "lambda.csv", "rates.csv"}
+    assert artifacts <= set(written)
+    for name in written:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_simulate_rejects_short_series(tmp_path):
     cfg = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 1})
     assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
@@ -78,6 +115,7 @@ def test_train_epochs_zero_keeps_initial_net(tmp_path):
 @pytest.mark.parametrize("bad_row,reason", [
     ("4,0.5", "has 2 fields, not 3"),
     ("4,nan,0.5", "is not finite"),
+    ("4,abc,0.5", "has a non-numeric field"),
 ])
 def test_train_rejects_malformed_series_row_with_its_line(tmp_path, capsys, bad_row, reason):
     # line 1 is a provenance comment, line 2 the header; the bad row is line 6

@@ -250,6 +250,19 @@ def test_q_star_piecewise_monotone():
             assert v2 >= v1 - 1e-15
 
 
+def test_q_star_matches_linear_scan_on_random_monotone_sequences():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        # a non-increasing beta with plateaus, zero past its support
+        steps = rng.exponential(size=int(rng.integers(1, 400)))
+        steps[rng.random(steps.size) < 0.3] = 0.0
+        vals = np.cumsum(steps[::-1])[::-1] * rng.uniform(0.01, 5.0)
+        beta = lambda q: float(vals[q]) if q < vals.size else 0.0
+        x = 10.0 ** rng.uniform(-4.0, 1.0)
+        scan = next(q for q in range(1, vals.size + 1) if beta(q) <= q * x)
+        assert q_star(beta, x) == scan
+
+
 def test_q_star_no_decay_raises():
     with pytest.raises(RateComputationError):
         q_star(lambda q: 1e9, 1e-9)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edforecast.data import DegenerateScaleError, lag_embed
+from edforecast.data import DegenerateScaleError, lag_embed, push_lag, write_csv
 from edforecast.simulate import (
     estimate_fdm,
     generate,
@@ -231,3 +231,23 @@ def test_series_csv_roundtrip_bit_exact(tmp_path):
     save_series_csv(path, series, provenance={"seed": 3})
     back = load_series_csv(path)
     assert np.array_equal(back, series)
+
+
+def test_write_csv_cells_and_provenance(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [(1, np.float64(0.1), None), (2, 0.25, np.float64(-1e-300))]
+    write_csv(path, ["k", "a", "b"], rows, provenance={"tool": "x-1", "seed": 7})
+    # ints print as themselves, other numbers as repr(float(v)) (never
+    # np.float64(...)), None as an empty field
+    assert path.read_text() == "# tool=x-1\n# seed=7\nk,a,b\n1,0.1,\n2,0.25,-1e-300\n"
+    write_csv(path, ["k"], [(3,)])
+    assert path.read_text() == "k\n3\n"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_push_lag_steps_lag_embed_rows(r):
+    series = np.random.default_rng(r).normal(size=(12, 2))
+    data = lag_embed(series, r)
+    for i in range(len(data) - 1):
+        assert np.array_equal(push_lag(data.X[i], data.Y[i]), data.X[i + 1])
+    assert np.array_equal(push_lag(data.X[:-1], data.Y[:-1]), data.X[1:])
