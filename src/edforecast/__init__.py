@@ -1,3 +1,8 @@
 """Encoder-decoder ReLU network forecasting toolkit."""
 
 __version__ = "0.1.0"
+
+
+class ConfigError(ValueError):
+    """A malformed config value, series file or model file; the message
+    names the field or line, and the command line exits with code 2."""

@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import ConfigError
 from .network import (
     Architecture,
     Network,
@@ -43,8 +44,8 @@ from .network import (
 )
 
 
-class PlanError(ValueError):
-    pass
+class PlanError(ConfigError):
+    """A plan or stage layout that cannot build the requested network."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class ApproxPlan:
 
     def __post_init__(self):
         if self.N < 1 or self.m < 1:
-            raise PlanError("need N >= 1 and m >= 1")
+            raise PlanError(f"need N >= 1 and m >= 1, got N={self.N}, m={self.m}")
 
     def grid_resolution(self, t: int) -> int:
         M = max(1, int(round(self.N ** (1.0 / t))) + 2)

@@ -8,7 +8,9 @@ output except the network file ``model.json`` carries a provenance header
 ``.meta.json`` sidecar.  Nothing carries a timestamp, so re-runs with the
 same inputs are byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+Exit codes: 0 success, 2 config error (malformed config, series or model
+file; the message names the field or line), 3 numeric failure.  Any other
+error is a bug and exits 1 with its traceback.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .approx import ApproxPlan, PlanError, build_approximator, catalog
+from . import ConfigError, __version__
+from .approx import ApproxPlan, build_approximator, catalog
 from .data import Scaler, fit_scaler, lag_embed, load_series_csv, save_series_csv, write_csv
-from .network import Architecture, load_json as load_net, save_json as save_net
+from .network import Architecture, ShapeError, load_json as load_net, save_json as save_net
 from .rates import (
     DependenceSpec,
     RateComputationError,
@@ -72,10 +74,6 @@ WEATHER_DATA_NOTE = (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _check_keys(cfg: dict, path: str, required, optional):
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -86,6 +84,18 @@ def _check_keys(cfg: dict, path: str, required, optional):
     missing = sorted(set(required) - set(cfg))
     if missing:
         raise ConfigError(f"{path}: missing required keys {missing}")
+
+
+def _read(cast, value, field: str):
+    """cast(value) for a config value, or a ConfigError naming its field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field}: invalid value {value!r}") from None
+
+
+def _ints(values):
+    return [int(v) for v in values]
 
 
 def _config_hash(cfg: dict) -> str:
@@ -125,21 +135,24 @@ def _model_from_spec(spec, seed: int) -> TimeSeriesModel:
     _check_keys(spec, "model", ["kind"],
                 ["d", "r", "noise_sd", "v", "a", "period", "decay"])
     kind = spec["kind"]
-    if kind == "zero":
-        return zero_model(d=int(spec.get("d", 1)), r=int(spec.get("r", 1)),
-                          noise_sd=float(spec.get("noise_sd", 1.0)), seed=seed)
-    if kind == "linear":
-        if "v" not in spec or "a" not in spec:
-            raise ConfigError("model: linear kind needs 'v' and 'a' matrices")
-        return linear_model(np.asarray(spec["v"], dtype=float),
-                            np.asarray(spec["a"], dtype=float),
-                            noise_sd=float(spec.get("noise_sd", 1.0)),
-                            r=int(spec.get("r", 1)), seed=seed)
-    if kind == "seasonal":
-        return seasonal_model(d=int(spec.get("d", 8)),
-                              period=int(spec.get("period", 24)),
-                              decay=float(spec.get("decay", 0.95)),
-                              noise_sd=float(spec.get("noise_sd", 0.5)), seed=seed)
+    if kind == "linear" and ("v" not in spec or "a" not in spec):
+        raise ConfigError("model: linear kind needs 'v' and 'a' matrices")
+    try:
+        if kind == "zero":
+            return zero_model(d=int(spec.get("d", 1)), r=int(spec.get("r", 1)),
+                              noise_sd=float(spec.get("noise_sd", 1.0)), seed=seed)
+        if kind == "linear":
+            return linear_model(np.asarray(spec["v"], dtype=float),
+                                np.asarray(spec["a"], dtype=float),
+                                noise_sd=float(spec.get("noise_sd", 1.0)),
+                                r=int(spec.get("r", 1)), seed=seed)
+        if kind == "seasonal":
+            return seasonal_model(d=int(spec.get("d", 8)),
+                                  period=int(spec.get("period", 24)),
+                                  decay=float(spec.get("decay", 0.95)),
+                                  noise_sd=float(spec.get("noise_sd", 0.5)), seed=seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model: {exc}") from None
     raise ConfigError(f"model.kind: unknown kind {kind!r}")
 
 
@@ -149,8 +162,8 @@ def _weight_from_spec(spec) -> WeightFn:
     _check_keys(spec, "weight", ["kind"], ["varsigma"])
     try:
         return WeightFn(kind=spec["kind"], varsigma=float(spec.get("varsigma", 0.1)))
-    except ValueError as exc:
-        raise ConfigError(f"weight: {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"weight: {exc}") from None
 
 
 # -- commands --------------------------------------------------------------
@@ -158,12 +171,12 @@ def _weight_from_spec(spec) -> WeightFn:
 
 def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     _check_keys(cfg, "config", ["model", "n"], ["burn_in", "out_csv", "seed"])
-    run_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
     model = _model_from_spec(cfg["model"], run_seed)
-    n = int(cfg["n"])
+    n = _read(int, cfg["n"], "n")
     if n < model.r + 1:
         raise ConfigError(f"n: need n >= r+1 = {model.r + 1}, got {n}")
-    burn_in = int(cfg.get("burn_in", 1000))
+    burn_in = _read(int, cfg.get("burn_in", 1000), "burn_in")
     series = generate(model, n, burn_in=burn_in, seed=run_seed)
     prov = _provenance(cfg, run_seed)
     out_csv = out_dir / cfg.get("out_csv", "series.csv")
@@ -178,7 +191,7 @@ def _split_series(series, cfg):
     test_csv = cfg.get("test_csv")
     if test_csv is not None:
         return series, load_series_csv(test_csv)
-    frac = float(cfg.get("train_fraction", 1.0))
+    frac = _read(float, cfg.get("train_fraction", 1.0), "train_fraction")
     if not 0.0 < frac <= 1.0:
         raise ConfigError(f"train_fraction: must be in (0,1], got {frac}")
     if frac == 1.0:
@@ -203,8 +216,8 @@ def _train_config_from(spec, seed: int | None) -> TrainConfig:
             project_entries=bool(spec.get("project_entries", False)),
             prune_to_s=spec.get("prune_to_s"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"train: {exc}") from None
 
 
 def _run_single_training(series_train, series_test, r, arch_p, arch_l1,
@@ -219,7 +232,10 @@ def _run_single_training(series_train, series_test, r, arch_p, arch_l1,
             f"arch.p: expects input dim {d * r} and output dim {d}, got {arch_p}"
         )
     w = _weight_from_spec(weight_spec)
-    arch = Architecture(len(arch_p) - 2, tuple(arch_p), L1=arch_l1)
+    try:
+        arch = Architecture(len(arch_p) - 2, tuple(arch_p), L1=arch_l1)
+    except ShapeError as exc:
+        raise ConfigError(f"arch: {exc}") from None
     net0 = init_network(arch, tc.seed)
     net, curve = train_sgd(net0, data, tc, w, test_data=test_data)
     return net, curve, data, test_data, w
@@ -231,7 +247,7 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
                  "train", "weight", "out_model", "out_curve", "sweep", "seed"])
     series = load_series_csv(cfg["train_csv"])
     series_train, series_test = _split_series(series, cfg)
-    base_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    base_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
     prov = _provenance(cfg, base_seed)
 
     if "sweep" in cfg:
@@ -240,7 +256,7 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
     if "arch" not in cfg or "train" not in cfg:
         raise ConfigError("config: training needs 'arch' and 'train' sections")
     _check_keys(cfg["arch"], "arch", ["p"], ["L1"])
-    r = int(cfg.get("r", 1))
+    r = _read(int, cfg.get("r", 1), "r")
     tc = _train_config_from(cfg["train"], seed)
     net, curve, data, test_data, w = _run_single_training(
         series_train, series_test, r, list(cfg["arch"]["p"]),
@@ -271,9 +287,9 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, out_dir) -
         raise ConfigError("sweep: needs test data (test_csv or train_fraction < 1)")
     if "train" not in cfg:
         raise ConfigError("config: sweep needs a 'train' section")
-    r_values = [int(v) for v in sweep.get("r_values", [1, 2, 3, 5])]
-    m_values = [int(v) for v in sweep.get("m_values", [4, 6, 8, 10])]
-    runs = int(sweep.get("runs", 1))
+    r_values = _read(_ints, sweep.get("r_values", [1, 2, 3, 5]), "sweep.r_values")
+    m_values = _read(_ints, sweep.get("m_values", [4, 6, 8, 10]), "sweep.m_values")
+    runs = _read(int, sweep.get("runs", 1), "sweep.runs")
     normalize = bool(cfg.get("normalize", False))
     d = series_train.shape[1]
     tc = _train_config_from(cfg["train"], None)
@@ -321,10 +337,10 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
     series = load_series_csv(cfg["test_csv"])
     d = series.shape[1]
-    if net.arch.in_dim % d != 0:
+    if net.arch.in_dim % d != 0 or net.arch.out_dim != d:
         raise ConfigError(
-            f"model_json: network input dim {net.arch.in_dim} does not match "
-            f"series dimension {d}"
+            f"model_json: network dims {net.arch.in_dim} -> {net.arch.out_dim} "
+            f"do not match series dimension {d}"
         )
     r = net.arch.in_dim // d
     if meta.get("r") not in (None, r):
@@ -335,7 +351,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
                         hi=np.asarray(meta["scaler"]["hi"]))
     data = lag_embed(series, r, scaler=scaler)
     w = _weight_from_spec(cfg.get("weight"))
-    run_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
     metrics = {
         "empirical_risk": empirical_risk(net, data, w),
         "naive_risk": naive_predict(data, w),
@@ -343,7 +359,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     }
     n = len(data)
     k_errors = {}
-    for k in [int(k) for k in cfg.get("k_steps", [1])]:
+    for k in _read(_ints, cfg.get("k_steps", [1]), "k_steps"):
         # per-coordinate squared error of the j-step forecast from every start, j = 1..k
         if k > n:
             raise ConfigError(f"k_steps: horizon {k} exceeds test sample count {n}")
@@ -370,15 +386,10 @@ def cmd_certify(cfg: dict, seed: int | None, out_dir: Path) -> int:
     if name not in cat:
         raise ConfigError(f"target: unknown catalog entry {name!r}; "
                           f"choose from {sorted(cat)}")
-    run_seed = seed if seed is not None else int(cfg.get("seed", 0))
-    try:
-        plan = ApproxPlan(N=int(cfg["N"]), m=int(cfg["m"]))
-        net, cert = build_approximator(
-            cat[name], plan,
-            f_bound=cfg.get("f_bound"), seed=run_seed,
-        )
-    except PlanError as exc:
-        raise ConfigError(str(exc))
+    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
+    plan = ApproxPlan(N=_read(int, cfg["N"], "N"), m=_read(int, cfg["m"], "m"))
+    net, cert = build_approximator(cat[name], plan, f_bound=cfg.get("f_bound"),
+                                   seed=run_seed)
     prov = _provenance(cfg, run_seed)
     out_json = out_dir / cfg.get("out_json", "certificate.json")
     _write_json(out_json, cert, prov)
@@ -403,22 +414,25 @@ def _dependence_from_spec(spec) -> DependenceSpec:
             return fdm_polynomial(float(spec["alpha"]), float(spec.get("kappa", 1.0)))
         if kind == "fdm_exponential":
             return fdm_exponential(float(spec["rho"]), float(spec.get("kappa", 1.0)))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"dependence: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"dependence: {exc}") from None
     raise ConfigError(f"dependence.kind: unknown kind {kind!r}")
 
 
 def _profile_from_spec(spec) -> SmoothnessProfile:
-    if "beta" in spec:
-        _check_keys(spec, "profile", ["beta", "t"], [])
-        return SmoothnessProfile.isotropic(float(spec["beta"]), int(spec["t"]))
-    _check_keys(spec, "profile",
+    isotropic = isinstance(spec, dict) and "beta" in spec
+    _check_keys(spec, "profile", ["beta", "t"] if isotropic else
                 ["beta_dec", "t_dec", "beta_enc0", "t_enc0", "beta_enc1", "t_enc1"], [])
-    return SmoothnessProfile(
-        float(spec["beta_dec"]), int(spec["t_dec"]),
-        float(spec["beta_enc0"]), int(spec["t_enc0"]),
-        float(spec["beta_enc1"]), int(spec["t_enc1"]),
-    )
+    try:
+        if isotropic:
+            return SmoothnessProfile.isotropic(float(spec["beta"]), int(spec["t"]))
+        return SmoothnessProfile(
+            float(spec["beta_dec"]), int(spec["t_dec"]),
+            float(spec["beta_enc0"]), int(spec["t_enc0"]),
+            float(spec["beta_enc1"]), int(spec["t_enc1"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"profile: {exc}") from None
 
 
 def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
@@ -428,13 +442,13 @@ def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
     profile = _profile_from_spec(cfg["profile"])
     grid_cfg = cfg.get("x_grid", {})
     _check_keys(grid_cfg, "x_grid", [], ["min", "max", "points"])
-    x_lo = float(grid_cfg.get("min", 1e-6))
-    x_hi = float(grid_cfg.get("max", 1.0))
-    points = int(grid_cfg.get("points", 25))
+    x_lo = _read(float, grid_cfg.get("min", 1e-6), "x_grid.min")
+    x_hi = _read(float, grid_cfg.get("max", 1.0), "x_grid.max")
+    points = _read(int, grid_cfg.get("points", 25), "x_grid.points")
     if not (0 < x_lo < x_hi) or points < 2:
         raise ConfigError("x_grid: need 0 < min < max and points >= 2")
     xs = np.logspace(math.log10(x_lo), math.log10(x_hi), points)
-    run_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
     prov = _provenance(cfg, run_seed)
 
     if spec.kind == "independent":
@@ -450,15 +464,20 @@ def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
     out_lambda = out_dir / cfg.get("out_lambda_csv", "lambda.csv")
     write_csv(out_lambda, ["x", "lambda", "envelope"], zip(xs, lam, env), prov)
 
-    n_values = [int(v) for v in cfg.get("n_values", [1000, 10000, 100000])]
-    alpha = spec.alpha if spec.alpha is not None else 2.0
+    n_values = _read(_ints, cfg.get("n_values", [1000, 10000, 100000]), "n_values")
     out_rates = out_dir / cfg.get("out_rates_csv", "rates.csv")
+    alpha, rates_prov = spec.alpha, prov
+    if alpha is None:
+        # choose_N and predicted_rate need an alpha; say which one is used
+        alpha, note = 2.0, "2.0 (assumed: kind has no alpha)"
+        rates_prov = {**prov, "rate_alpha": note}
+        print(f"{out_rates}: rate_alpha={note}")
     rows = []
     for n in n_values:
         N = choose_N(n, alpha, profile)
         rows.append((n, N, predicted_rate(n, alpha, profile),
                      oracle_bound(spec, n, N, profile)))
-    write_csv(out_rates, ["n", "N", "predicted_rate", "bound_at_N"], rows, prov)
+    write_csv(out_rates, ["n", "N", "predicted_rate", "bound_at_N"], rows, rates_prov)
     print(f"wrote {out_lambda} and {out_rates}")
     return 0
 
@@ -506,9 +525,6 @@ def main(argv=None) -> int:
     except (TrainingDiverged, UnstableModelError, RateComputationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

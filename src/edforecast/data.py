@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ConfigError
 
-class DegenerateScaleError(ValueError):
-    """A coordinate is constant, so min-max normalization is undefined."""
+
+class DegenerateScaleError(ConfigError):
+    """A coordinate is constant, so min-max normalization is undefined; a
+    config error (exit code 2), as the config asks for normalization."""
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,9 @@ def lag_embed(series: np.ndarray, r: int, normalize: bool = False,
         series = series[:, None]
     n, d = series.shape
     if n <= r:
-        raise ValueError(f"series length {n} too short for lag count r={r}")
+        raise ConfigError(f"series length {n} too short for lag count r={r}")
     if not np.all(np.isfinite(series)):
-        raise ValueError("series contains non-finite values")
+        raise ConfigError("series contains non-finite values")
     if normalize or scaler is not None:
         if scaler is None:
             scaler = fit_scaler(series)
@@ -133,7 +136,7 @@ def save_series_csv(path, series: np.ndarray, provenance: dict | None = None) ->
 def load_series_csv(path) -> np.ndarray:
     """Read a series CSV written by :func:`save_series_csv`; a row with the
     wrong field count, a non-numeric field or a non-finite value raises
-    ValueError naming its line."""
+    ConfigError naming its line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         width = None
@@ -144,22 +147,22 @@ def load_series_csv(path) -> np.ndarray:
             if width is None:
                 header = line.split(",")
                 if header[0] != "t":
-                    raise ValueError(f"unexpected series header {header!r}")
+                    raise ConfigError(f"{path}: unexpected series header {header!r}")
                 width = len(header)
                 continue
             parts = line.split(",")
             if len(parts) != width:
-                raise ValueError(f"{path}: line {lineno} has {len(parts)} fields, not {width}")
+                raise ConfigError(f"{path}: line {lineno} has {len(parts)} fields, not {width}")
             try:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError:
-                raise ValueError(f"{path}: line {lineno} has a non-numeric field") from None
+                raise ConfigError(f"{path}: line {lineno} has a non-numeric field") from None
     if not rows:
-        raise ValueError(f"no data rows in {path}")
+        raise ConfigError(f"no data rows in {path}")
     series = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(series).all(axis=1)
     if not finite.all():
         with open(path, "r", encoding="utf-8") as fh:  # header and data lines
             lines = [i for i, ln in enumerate(fh, start=1) if ln.strip()[:1] not in ("", "#")]
-        raise ValueError(f"{path}: line {lines[1 + int(np.argmin(finite))]} is not finite")
+        raise ConfigError(f"{path}: line {lines[1 + int(np.argmin(finite))]} is not finite")
     return series

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ConfigError
+
 SERIAL_FORMAT = "ednet-v1"
 
 
@@ -418,15 +420,20 @@ def to_dict(net: Network) -> dict:
 
 
 def from_dict(doc: dict) -> Network:
+    """The network a :func:`to_dict` document describes; a malformed
+    document raises ConfigError naming what is wrong."""
     if doc.get("format") != SERIAL_FORMAT:
-        raise ValueError(f"unsupported network format {doc.get('format')!r}")
-    a = doc["arch"]
-    arch = Architecture(int(a["L"]), tuple(a["p"]), L1=a.get("L1"))
-    net = Network(arch, doc["weights"], doc["biases"])
+        raise ConfigError(f"unsupported network format {doc.get('format')!r}")
+    try:
+        a = doc["arch"]
+        arch = Architecture(int(a["L"]), tuple(a["p"]), L1=a.get("L1"))
+        net = Network(arch, doc["weights"], doc["biases"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"network document: {exc!r}") from None
     for kind, arrays in (("weight", net.weights), ("bias", net.biases)):
         for i, arr in enumerate(arrays):
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{kind} {i} has non-finite entries")
+                raise ConfigError(f"{kind} {i} has non-finite entries")
     return net
 
 
@@ -438,4 +445,8 @@ def save_json(net: Network, path) -> None:
 
 def load_json(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    return from_dict(doc)

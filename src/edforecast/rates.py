@@ -10,9 +10,12 @@ network estimator:
   where ``ybar`` is the minimal positive solution of
   ``V(sqrt(x) y) <= y`` and ``V(z) = sqrt(z) + sum_j min(sqrt(z), Delta(j))``.
 
-Both are evaluated exactly where closed forms exist and by bracketed
-bisection / ternary search otherwise.  All oracle-level bounds are
-reported up to their unspecified constant (taken as 1).
+Both are evaluated exactly where closed forms exist.  Otherwise
+``lambda_mix`` searches the integers k for the first with psi(k) >= 1/x,
+taking each phi_star(k) at the root of phi'(z) = k, and ``lambda_dep``
+bisects for ybar; every bisection runs until its midpoint rounds onto a
+bracket end.  All oracle-level bounds are reported up to their
+unspecified constant (taken as 1).
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+from . import ConfigError
 
 
 class RateComputationError(RuntimeError):
@@ -160,30 +165,17 @@ def beta_mix(spec: DependenceSpec, k: int) -> float:
     raise ValueError(f"{spec.kind} has no mixing coefficients")
 
 
-def conjugate(phi: Callable[[float], float], y: float, tol: float = 1e-12) -> float:
-    """Convex conjugate phi*(y) = sup_z (y z - phi(z)) by ternary search.
-
-    phi must be convex with phi(0) = 0 and superlinear growth, so the inner
-    objective is concave with a bracketable maximizer.
+def conjugate(phi: Callable[[float], float], dphi: Callable[[float], float],
+              y: float) -> float:
+    """Convex conjugate phi*(y) = sup_z (y z - phi(z)), taken at the root of
+    phi'(z) = y (Rio 2017, "Asymptotic Theory of Weakly Dependent Random
+    Processes"): phi must be convex on [0, inf) with phi(0) = 0 and an
+    unbounded derivative ``dphi``.
     """
     if y <= 0.0:
         return 0.0
-    hi = 1.0
-    while phi(2.0 * hi) - phi(hi) < y * hi:
-        hi *= 2.0
-        if hi > 1e200:
-            raise RateComputationError("conjugate bracket failed: phi grows too slowly")
-    # the secant test certifies the maximizer below 2*hi, not below hi
-    hi *= 2.0
-    lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if y * m1 - phi(m1) < y * m2 - phi(m2):
-            lo = m1
-        else:
-            hi = m2
-    z = 0.5 * (lo + hi)
+    z = _root(lambda z: dphi(z) >= y, 0.0, 1.0,
+              "conjugate bracket failed: phi grows too slowly")
     return max(0.0, y * z - phi(z))
 
 
@@ -192,19 +184,19 @@ def c_alpha(alpha: float) -> float:
     return (1.0 - 1.0 / alpha) ** alpha / (alpha - 1.0)
 
 
-def phi_polynomial(alpha: float) -> Callable[[float], float]:
-    expo = alpha / (alpha - 1.0)
-    return lambda z: z ** expo
-
-
-def phi_exponential(rho: float) -> Callable[[float], float]:
+def phi_exponential(rho: float):
+    """The compatibility function phi(z) = z log(1+z) / log(a) of exponential
+    mixing, a = (rho+1)/(2 rho), and its derivative
+    phi'(z) = (log(1+z) + z/(1+z)) / log(a)."""
     a = (rho + 1.0) / (2.0 * rho)
     log_a = math.log(a)
-    return lambda z: z * math.log(z + 1.0) / log_a
+    return (lambda z: z * math.log(z + 1.0) / log_a,
+            lambda z: (math.log1p(z) + z / (1.0 + z)) / log_a)
 
 
 def lambda_mix(spec: DependenceSpec, x: float) -> float:
-    """Mixing rate function ceil(psi^{-1}(1/x)) * x."""
+    """Mixing rate function ceil(psi^{-1}(1/x)) * x: closed form for
+    polynomial decay, an integer search over k for exponential decay."""
     if x <= 0.0:
         raise ValueError("x must be positive")
     if spec.kind == "independent":
@@ -214,27 +206,16 @@ def lambda_mix(spec: DependenceSpec, x: float) -> float:
         psi_inv = (1.0 / (x * c_alpha(spec.alpha))) ** (1.0 / (spec.alpha + 1.0))
         return math.ceil(psi_inv) * x
     if spec.kind == "mixing_exponential":
-        phi = phi_exponential(spec.rho)
-        psi = lambda z: conjugate(phi, z) * z
-        return math.ceil(_increasing_inverse(psi, 1.0 / x)) * x
+        return _psi_ceil_inverse(*phi_exponential(spec.rho), 1.0 / x) * x
     raise ValueError(f"lambda_mix undefined for kind {spec.kind!r}")
 
 
-def _increasing_inverse(fn: Callable[[float], float], target: float,
-                        tol: float = 1e-12) -> float:
-    hi = 1.0
-    while fn(hi) < target:
-        hi *= 2.0
-        if hi > 1e200:
-            raise RateComputationError("inverse bracket failed")
-    lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _psi_ceil_inverse(phi: Callable[[float], float], dphi: Callable[[float], float],
+                      target: float) -> int:
+    """ceil(psi^{-1}(target)) for the increasing psi(z) = phi*(z) z: the
+    smallest integer k >= 1 with psi(k) >= target."""
+    return _first_index(lambda k: conjugate(phi, dphi, k) * k >= target, 1, 2 ** 60,
+                        "psi stays below 1/x for every k below 2^60")
 
 
 def mix_envelope(spec: DependenceSpec, x: float) -> float:
@@ -315,6 +296,28 @@ def _first_index(pred: Callable[[int], bool], start: int, limit: int,
     return hi
 
 
+def _root(pred: Callable[[float], bool], lo: float, hi: float, error: str) -> float:
+    """Where pred turns true above lo, for a pred false at lo that stays true
+    once true.
+
+    Doubles hi until pred(hi) (raising RateComputationError(error) past
+    1e200), then bisects [lo, hi] until the midpoint rounds onto an end, when
+    no further step could move either; returns that hi.
+    """
+    while not pred(hi):
+        hi *= 2.0
+        if hi > 1e200:
+            raise RateComputationError(error)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def v_tilde(spec: DependenceSpec, z: float) -> float:
     """Variance proxy sqrt(z) + sum_j min(sqrt(z), Delta(j))."""
     if z < 0.0:
@@ -334,34 +337,15 @@ def lambda_dep(spec: DependenceSpec, x: float) -> float:
     """Functional-dependence rate function sqrt(x) * ybar(x).
 
     ybar is the minimal positive fixed point of V(sqrt(x) y) <= y, located
-    by bisection; the returned bracket end satisfies the inequality.  The
-    bisection stops once the midpoint of the bracket rounds onto one of its
-    ends (after at most 200 halvings): further steps could not move it.
+    by bisection; the returned bracket end satisfies the inequality.
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
     sqx = math.sqrt(x)
-
-    def excess(y: float) -> float:
-        return v_tilde(spec, sqx * y) - y
-
     # V(z) >= sqrt(z) forces the positive fixed point ybar >= sqrt(x), so
-    # sqrt(x)/2 always sits strictly below it with positive excess
-    lo = 0.5 * sqx
-    hi = max(1.0, 2.0 * lo)
-    while excess(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e200:
-            raise RateComputationError("no fixed point found; Delta not summable?")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if excess(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return sqx * hi
+    # sqrt(x)/2 always sits strictly below it, where V(sqrt(x) y) > y
+    return sqx * _root(lambda y: v_tilde(spec, sqx * y) <= y, 0.5 * sqx, max(1.0, sqx),
+                       "no fixed point found; Delta not summable?")
 
 
 def dep_envelope(spec: DependenceSpec, x: float) -> float:
@@ -383,10 +367,6 @@ def q_star(beta_fn: Callable[[int], float], x: float) -> int:
         raise ValueError("x must be positive")
     return _first_index(lambda q: float(beta_fn(q)) <= q * x, 1, 2 ** 32,
                         "no block length below 2^32 satisfies beta(q) <= q x")
-
-
-def q_star_mix(spec: DependenceSpec, x: float) -> int:
-    return q_star(lambda q: beta_mix(spec, q), x)
 
 
 def block_rate_constant(spec: DependenceSpec, horizon: int = 200_000) -> float:
@@ -441,12 +421,13 @@ class SmoothnessProfile:
     t_enc1: int
 
     def __post_init__(self):
-        for b in (self.beta_dec, self.beta_enc0, self.beta_enc1):
-            if b < 1:
-                raise ValueError("smoothness indices must be >= 1")
-        for t in (self.t_dec, self.t_enc0, self.t_enc1):
+        for name in ("beta_dec", "beta_enc0", "beta_enc1"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("t_dec", "t_enc0", "t_enc1"):
+            t = getattr(self, name)
             if int(t) != t or t < 1:
-                raise ValueError("argument counts must be integers >= 1")
+                raise ConfigError(f"{name} must be an integer >= 1, got {t}")
 
     @classmethod
     def isotropic(cls, beta: float, t: int) -> "SmoothnessProfile":
@@ -465,12 +446,6 @@ def choose_N(n: int, alpha: float, profile: SmoothnessProfile) -> int:
     q = alpha / (alpha + 1.0)
     val = float(n) ** (q / (2.0 * profile.A + q))
     return max(1, math.ceil(val - 1e-12 * max(1.0, val)))
-
-
-def choose_N_reduced(n: int, alpha: float, beta: float, d_tilde: int) -> int:
-    """The compressed-dimension specialization (A = beta / d_tilde)."""
-    profile = SmoothnessProfile(beta, d_tilde, beta, d_tilde, beta, d_tilde)
-    return choose_N(n, alpha, profile)
 
 
 def predicted_rate(n: int, alpha: float, profile: SmoothnessProfile) -> float:

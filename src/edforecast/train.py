@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ConfigError
 from .data import LagDataset, push_lag
 from .network import Architecture, Network
 
@@ -38,9 +39,9 @@ class WeightFn:
 
     def __post_init__(self):
         if self.kind not in ("constant_one", "box_ramp"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+            raise ConfigError(f"unknown weight kind {self.kind!r}")
         if self.kind == "box_ramp" and not (0.0 < self.varsigma < 0.5):
-            raise ValueError(
+            raise ConfigError(
                 f"box_ramp needs 0 < varsigma < 1/2, got {self.varsigma}"
             )
 
@@ -52,10 +53,6 @@ class WeightFn:
         hi = np.maximum(X - (1.0 - self.varsigma), 0.0)
         dist = np.max(np.maximum(lo, hi), axis=1)
         return 1.0 - np.clip(dist / self.varsigma, 0.0, 1.0)
-
-
-def weight_eval(w: WeightFn, x) -> float:
-    return float(w(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -79,14 +76,16 @@ class TrainConfig:
         sched = tuple((int(e), float(r)) for e, r in self.lr_schedule)
         object.__setattr__(self, "lr_schedule", sched)
         if not sched or sched[0][0] != 0:
-            raise ValueError("lr_schedule must start at epoch threshold 0")
+            raise ConfigError("lr_schedule must start at epoch threshold 0")
         thresholds = [e for e, _ in sched]
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("lr_schedule thresholds must be strictly increasing")
+            raise ConfigError("lr_schedule thresholds must be strictly increasing")
         if any(r < 0 for _, r in sched):
-            raise ValueError("learning rates must be nonnegative")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+            raise ConfigError("lr_schedule learning rates must be nonnegative")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
     def rate_at(self, epoch: int) -> float:
         rate = self.lr_schedule[0][1]
@@ -267,7 +266,7 @@ def multi_step_forecast(net: Network, x0, k: int) -> np.ndarray:
     forecasts of a single state, or (m, k, d) for a batch.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError(f"k must be >= 1, got {k}")
     d = net.arch.out_dim
     dr = net.arch.in_dim
     if dr % d != 0:

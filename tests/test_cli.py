@@ -196,6 +196,26 @@ def test_evaluate_lag_mismatch_is_config_error(tmp_path):
     assert run(["evaluate", "--config", ev, "--out", tmp_path]) == 2
 
 
+def test_evaluate_output_dim_mismatch_is_config_error(tmp_path, capsys):
+    # input dim 4 divides the series dimension 2, but the 4 outputs cannot match it
+    sim = write_cfg(tmp_path, "sim.json", {"model": {"kind": "zero", "d": 4}, "n": 40})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
+    train = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"),
+        "arch": {"p": [4, 3, 4]}, "train": {"epochs": 0},
+    })
+    assert run(["train", "--config", train, "--out", tmp_path]) == 0
+    sim2 = write_cfg(tmp_path, "sim2.json",
+                     {"model": {"kind": "zero", "d": 2}, "n": 40, "out_csv": "s2.csv"})
+    assert run(["simulate", "--config", sim2, "--out", tmp_path]) == 0
+    ev = write_cfg(tmp_path, "eval.json", {
+        "model_json": str(tmp_path / "model.json"), "test_csv": str(tmp_path / "s2.csv"),
+    })
+    capsys.readouterr()
+    assert run(["evaluate", "--config", ev, "--out", tmp_path]) == 2
+    assert "network dims 4 -> 4 do not match series dimension 2" in capsys.readouterr().err
+
+
 def test_evaluate_rejects_non_finite_model(tmp_path):
     sim = write_cfg(tmp_path, "sim.json", {"model": {"kind": "zero", "d": 2}, "n": 40})
     assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
@@ -291,6 +311,63 @@ def test_rates_rejects_negative_kappa(tmp_path, capsys):
     })
     assert run(["rates", "--config", cfg, "--out", tmp_path]) == 2
     assert "dependence: kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dependence, assumed", [
+    ({"kind": "mixing_exponential", "rho": 0.5}, True),
+    ({"kind": "fdm_exponential", "rho": 0.5}, True),
+    ({"kind": "independent"}, True),
+    ({"kind": "mixing_polynomial", "alpha": 2.0}, False),
+], ids=["mixing_exponential", "fdm_exponential", "independent", "mixing_polynomial"])
+def test_rates_states_assumed_alpha(tmp_path, capsys, dependence, assumed):
+    cfg = write_cfg(tmp_path, "rates.json", {
+        "dependence": dependence, "profile": {"beta": 1.0, "t": 1},
+        "x_grid": {"min": 1e-3, "max": 0.5, "points": 2}, "n_values": [10000],
+    })
+    assert run(["rates", "--config", cfg, "--out", tmp_path]) == 0
+    line = "rate_alpha=2.0 (assumed: kind has no alpha)"
+    lines = (tmp_path / "rates.csv").read_text().splitlines()
+    assert (f"# {line}" in lines) == assumed
+    assert (line in capsys.readouterr().out) == assumed
+    # the data rows keep the alpha = 2 figures: N(10^4) = 10 at A = 1
+    assert [ln for ln in lines if not ln.startswith("#")][1].startswith("10000,10,")
+
+
+def test_unreadable_config_value_names_its_field(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": "fifty"})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
+    assert "n: invalid value 'fifty'" in capsys.readouterr().err
+
+
+def test_normalizing_a_constant_coordinate_is_config_error(tmp_path, capsys):
+    sim = write_cfg(tmp_path, "sim.json",
+                    {"model": {"kind": "zero", "d": 2, "noise_sd": 0.0}, "n": 40})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
+    train = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"), "normalize": True,
+        "arch": {"p": [2, 3, 2]}, "train": {"epochs": 1},
+    })
+    assert run(["train", "--config", train, "--out", tmp_path]) == 2
+    assert "coordinate 0 is constant" in capsys.readouterr().err
+
+
+def test_internal_shape_error_exits_1_with_traceback(tmp_path):
+    # a ShapeError from inside the library is a bug, not a config error
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfg = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 50})
+    code = (
+        "import sys, edforecast.cli as cli\n"
+        "from edforecast.network import ShapeError\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ShapeError('forced internal shape mismatch')\n"
+        "cli.generate = broken\n"
+        f"sys.exit(cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "forced internal shape mismatch" in proc.stderr
+    assert "config error" not in proc.stderr
 
 
 def test_sweep_emits_grid_table(tmp_path):

@@ -10,12 +10,12 @@ from edforecast.rates import (
     RateComputationError,
     SmoothnessProfile,
     _hurwitz_zeta,
+    _psi_ceil_inverse,
     beta_dep,
     beta_mix,
     oracle_bound,
     c_alpha,
     choose_N,
-    choose_N_reduced,
     conjugate,
     dep_envelope,
     entropy_bound,
@@ -29,10 +29,9 @@ from edforecast.rates import (
     mix_envelope,
     mixing_exponential,
     mixing_polynomial,
-    phi_polynomial,
+    phi_exponential,
     predicted_rate,
     q_star,
-    q_star_mix,
     v_tilde,
 )
 
@@ -40,13 +39,80 @@ from edforecast.rates import (
 # -- conjugate calculus -----------------------------------------------------
 
 
+def ternary_conjugate(phi, y, tol=1e-12):
+    # the former conjugate: a 1e-12 ternary search for the maximizer of y z - phi(z)
+    if y <= 0.0:
+        return 0.0
+    hi = 1.0
+    while phi(2.0 * hi) - phi(hi) < y * hi:
+        hi *= 2.0
+    hi *= 2.0
+    lo = 0.0
+    while hi - lo > tol * max(1.0, hi):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if y * m1 - phi(m1) < y * m2 - phi(m2):
+            lo = m1
+        else:
+            hi = m2
+    z = 0.5 * (lo + hi)
+    return max(0.0, y * z - phi(z))
+
+
+def increasing_inverse(fn, target, tol=1e-12):
+    # the former psi^{-1}: a 1e-12 bisection on the continuous argument
+    hi = 1.0
+    while fn(hi) < target:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def lambda_mix_oracle(rho, x):
+    # ceil(psi^{-1}(1/x)) x through the two nested numeric solvers above
+    phi, _ = phi_exponential(rho)
+    psi = lambda z: ternary_conjugate(phi, z) * z
+    return math.ceil(increasing_inverse(psi, 1.0 / x)) * x
+
+
 def test_conjugate_matches_polynomial_closed_form():
     for alpha in (1.5, 2.0, 3.0):
-        phi = phi_polynomial(alpha)
+        expo = alpha / (alpha - 1.0)
+        phi = lambda z: z ** expo
+        dphi = lambda z: expo * z ** (expo - 1.0)
         for y in (0.1, 1.0, 7.3):
             closed = c_alpha(alpha) * y ** alpha
-            num = conjugate(phi, y)
+            num = conjugate(phi, dphi, y)
             assert abs(num - closed) <= 1e-9 * max(1.0, closed)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.99])
+def test_conjugate_matches_ternary_search(rho):
+    phi, dphi = phi_exponential(rho)
+    for y in (1e-3, 0.5, 1.0, 3.0, 17.0, 250.0):
+        assert conjugate(phi, dphi, y) == pytest.approx(ternary_conjugate(phi, y),
+                                                        rel=1e-12)
+
+
+# the rates benchmark's lambda grids: 3 points from 10^-e to 0.5 for each of
+# its four grid lower ends, and the x of its oracle bound at n = 10^5
+BENCH_XS = [float(x) for e in (5.0, 5.25, 5.5, 5.75)
+            for x in np.logspace(math.log10(10.0 ** -e), math.log10(0.5), 3)]
+BENCH_XS.append(18 * math.log(100_000) ** 3 / 100_000)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.99])
+def test_lambda_mix_exponential_matches_nested_solvers(rho):
+    spec = mixing_exponential(rho)
+    xs = [float(x) for x in np.logspace(-9, 0, 60)] + BENCH_XS + [2.0, 10.0]
+    for x in xs:
+        assert lambda_mix(spec, x) == lambda_mix_oracle(rho, x)
 
 
 def test_lambda_mix_hand_value_alpha2():
@@ -77,15 +143,15 @@ def test_exponential_envelope_pointwise(rho):
 
 
 def test_numeric_psi_inverse_agrees_with_polynomial_route():
-    # evaluate the polynomial case through the generic numeric machinery
+    # the integer search of the exponential branch, run on the polynomial
+    # phi, lands on the ceiling of the closed-form inverse
     alpha = 2.0
-    phi = phi_polynomial(alpha)
-    from edforecast.rates import _increasing_inverse
-    psi = lambda z: conjugate(phi, z) * z
-    for x in (0.03, 0.4, 2.0):
+    expo = alpha / (alpha - 1.0)
+    phi = lambda z: z ** expo
+    dphi = lambda z: expo * z ** (expo - 1.0)
+    for x in (0.03, 0.4, 2.0, 5.0, 10.0):
         closed = (1.0 / (x * c_alpha(alpha))) ** (1.0 / (alpha + 1.0))
-        num = _increasing_inverse(psi, 1.0 / x)
-        assert abs(num - closed) <= 1e-8 * max(1.0, closed)
+        assert _psi_ceil_inverse(phi, dphi, 1.0 / x) == math.ceil(closed)
 
 
 # -- functional dependence --------------------------------------------------
@@ -168,6 +234,16 @@ def test_lambda_dep_early_stop_is_exact():
     for spec in specs:
         for x in np.logspace(-8, 1, 40):
             assert lambda_dep(spec, float(x)) == _lambda_dep_200_steps(spec, float(x))
+
+
+def test_lambda_dep_converges_at_tiny_x():
+    # the bisection runs until it converges, however many halvings that takes:
+    # the value stays on the envelope shape x log(1/x)^2 far below x = 1e-8
+    spec = fdm_exponential(0.5)
+    for x in (1e-100, 1e-200):
+        lam = lambda_dep(spec, x)
+        assert 0.1 < lam / dep_envelope(spec, x) < 10.0
+        assert v_tilde(spec, lam) <= lam / math.sqrt(x) * (1 + 1e-9)
 
 
 def test_lambda_dep_envelope_shapes_bounded():
@@ -274,7 +350,7 @@ def test_q_star_times_x_below_lambda():
     C = block_rate_constant(spec)
     assert np.isfinite(C) and C > 0
     for x in np.logspace(-6, 0, 40):
-        assert q_star_mix(spec, x) * x <= 2 * C * lambda_mix(spec, x) * (1 + 1e-9)
+        assert q_star(lambda q: beta_mix(spec, q), x) * x <= 2 * C * lambda_mix(spec, x) * (1 + 1e-9)
 
 
 def test_beta_mix_sequences():
@@ -350,10 +426,13 @@ def test_choose_n_decreases_with_smoothness():
 
 
 def test_reduced_dimension_selector_matches_choose_n():
+    # the compressed-dimension specialization: only A = beta / d_tilde counts
     for n in (10 ** 3, 10 ** 4, 10 ** 5):
         for beta, d_tilde in ((1.0, 1), (2.0, 3), (1.5, 2)):
             prof = SmoothnessProfile.isotropic(beta, d_tilde)
-            assert choose_N_reduced(n, 2.0, beta, d_tilde) == choose_N(n, 2.0, prof)
+            smoother = SmoothnessProfile(beta, d_tilde, 4 * beta, d_tilde, 4 * beta, d_tilde)
+            assert prof.A == beta / d_tilde
+            assert choose_N(n, 2.0, smoother) == choose_N(n, 2.0, prof)
 
 
 def test_oracle_bound_independent_formula():

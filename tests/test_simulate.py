@@ -1,5 +1,7 @@
 """Series generation, lag embedding, and Monte Carlo estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from edforecast.simulate import (
     prediction_error_mc,
     seasonal_model,
     zero_model,
+    TimeSeriesModel,
     UnstableModelError,
 )
 
@@ -77,6 +80,58 @@ def test_unstable_model_raises_with_diagnostic():
     model = linear_model(np.array([[2.0]]), np.array([[1.5]]), noise_sd=1.0)
     with pytest.raises(UnstableModelError, match="spectral radius"):
         generate(model, 100, burn_in=5000)
+
+
+def reference_generate(model, n, burn_in=1000, seed=None):
+    # the former generate: the divergence check runs after every step
+    rng = np.random.default_rng(model.seed if seed is None else seed)
+    d, r = model.d, model.r
+    state = np.zeros(d * r)
+    out = np.empty((n, d))
+    total = burn_in + n
+    noise = rng.standard_normal((total, d)) * model.noise_sd
+    for step in range(total):
+        x = model.f0(state[None, :])[0] + noise[step]
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e12:
+            raise UnstableModelError(f"path diverged at step {step}")
+        if step >= burn_in:
+            out[step - burn_in] = x
+        state = push_lag(state, x)
+    return out
+
+
+def test_generate_matches_per_step_reference():
+    r2 = linear_model(np.array([[0.5], [0.3]]), np.array([[0.4, 0.2, -0.3, 0.1]]),
+                      noise_sd=0.7, r=2, seed=3)
+    for model, n, burn_in in ((low_d_model(seed=1), 9000, 1000),
+                              (high_d_model(seed=2), 3000, 5000),
+                              (seasonal_model(seed=4), 4096, 0),
+                              (r2, 5000, 4095)):
+        assert np.array_equal(generate(model, n, burn_in=burn_in),
+                              reference_generate(model, n, burn_in=burn_in))
+
+
+def _blows_past_threshold(X):
+    # non-finite once the state leaves [-40, 40]
+    return np.where(np.abs(X) > 40.0, np.nan, 0.9 * X)
+
+
+@pytest.mark.parametrize("model, n, burn_in", [
+    (linear_model(np.array([[2.0]]), np.array([[1.5]]), noise_sd=1.0), 100, 5000),
+    (linear_model(np.array([[1.0]]), np.array([[1.005]]), noise_sd=1.0, seed=1),
+     20000, 100),
+    (TimeSeriesModel(d=1, r=1, f0=_blows_past_threshold, noise_sd=12.0, seed=2),
+     20000, 10),
+], ids=["in_burn_in", "second_chunk", "non_finite"])
+def test_generate_reports_first_diverged_step_without_warnings(model, n, burn_in):
+    with pytest.raises(UnstableModelError) as ref:
+        reference_generate(model, n, burn_in=burn_in)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnstableModelError) as got:
+            generate(model, n, burn_in=burn_in)
+    step = str(ref.value).split(" step ")[1]
+    assert str(got.value).startswith(f"path diverged at step {step}")
 
 
 def test_ar1_autocovariance_matches_closed_form():

@@ -15,7 +15,6 @@ from edforecast.train import (
     naive_predict,
     prune_to_sparsity,
     train_sgd,
-    weight_eval,
 )
 
 
@@ -30,20 +29,20 @@ def make_dataset(X, Y, r=1, n=None):
 
 def test_box_ramp_inside_inner_box():
     w = WeightFn(kind="box_ramp", varsigma=0.1)
-    assert weight_eval(w, np.full(3, 0.5)) == 1.0
+    assert w(np.full(3, 0.5))[0] == 1.0
 
 
 def test_box_ramp_outside_unit_box():
     w = WeightFn(kind="box_ramp", varsigma=0.1)
     x = np.array([0.5, -0.2, 0.5])
-    assert weight_eval(w, x) == 0.0
+    assert w(x)[0] == 0.0
 
 
 def test_box_ramp_linear_between():
     w = WeightFn(kind="box_ramp", varsigma=0.1)
     # sup-distance 0.05 from the inner box [0.1, 0.9]^2
     x = np.array([0.05, 0.5])
-    assert weight_eval(w, x) == pytest.approx(0.5, abs=1e-12)
+    assert w(x)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_box_ramp_lipschitz_property():
