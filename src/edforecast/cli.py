@@ -8,9 +8,9 @@ output except the network file ``model.json`` carries a provenance header
 ``.meta.json`` sidecar.  Nothing carries a timestamp, so re-runs with the
 same inputs are byte-identical.
 
-Exit codes: 0 success, 2 config error (malformed config, series or model
-file; the message names the field or line), 3 numeric failure.  Any other
-error is a bug and exits 1 with its traceback.
+Exit codes: 0 success, 2 config error (a malformed config, series or model
+file, or a missing one; the message names the field or line), 3 numeric
+failure.  Any other error is a bug and exits 1 with its traceback.
 """
 
 from __future__ import annotations
@@ -27,24 +27,22 @@ import numpy as np
 
 from . import ConfigError, __version__
 from .approx import ApproxPlan, build_approximator, catalog
-from .data import Scaler, fit_scaler, lag_embed, load_series_csv, save_series_csv, write_csv
-from .network import Architecture, ShapeError, load_json as load_net, save_json as save_net
+from .data import Scaler, lag_embed, load_series_csv, save_series_csv, write_csv
+from .network import Architecture, load_json as load_net, save_json as save_net
 from .rates import (
     DependenceSpec,
     RateComputationError,
     SmoothnessProfile,
     oracle_bound,
     choose_N,
-    dep_envelope,
     fdm_exponential,
     fdm_polynomial,
     independent,
-    lambda_dep,
-    lambda_mix,
-    mix_envelope,
     mixing_exponential,
     mixing_polynomial,
     predicted_rate,
+    rate_envelope,
+    rate_function,
 )
 from .simulate import (
     TimeSeriesModel,
@@ -98,14 +96,54 @@ def _ints(values):
     return [int(v) for v in values]
 
 
+def _section(spec, path: str, build, casts: dict, required=(), **fixed):
+    """build(**values) for the config section at ``path``.
+
+    ``casts`` maps each key the section may hold to the function that reads
+    its value, and ``required`` names the keys it must hold.  ``fixed``
+    values that are not None are passed to build too, over the section's
+    own.  A TypeError or ValueError from a cast or from build (a ConfigError
+    among them) becomes a ConfigError naming the section.
+    """
+    _check_keys(spec, path, required, casts)
+    try:
+        values = {k: casts[k](v) for k, v in spec.items()}
+        values.update((k, v) for k, v in fixed.items() if v is not None)
+        return build(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _kinded(table: dict):
+    """A section constructor that calls table[kind] with the section's other
+    keys, so a key the kind does not take is an error."""
+    def build(kind, **params):
+        if kind not in table:
+            raise ConfigError(f"unknown kind {kind!r}; choose from {sorted(table)}")
+        return table[kind](**params)
+    return build
+
+
+def _load(loader, path, field: str):
+    """loader(path) for a file named by a config field; a missing file is a
+    ConfigError naming the field."""
+    try:
+        return loader(path)
+    except FileNotFoundError:
+        raise ConfigError(f"{field}: file not found: {path}") from None
+
+
 def _config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _provenance(cfg: dict, seed: int) -> dict:
-    return {"tool": f"edforecast-{__version__}", "config_hash": _config_hash(cfg),
-            "seed": seed}
+def _seed_and_provenance(cfg: dict, seed: int | None):
+    """The run's seed (the --seed override, else the config's seed, default
+    0) and the provenance stamp of its artifacts."""
+    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
+    return run_seed, {"tool": f"edforecast-{__version__}",
+                      "config_hash": _config_hash(cfg), "seed": run_seed}
 
 
 def _write_json(path: Path, payload: dict, provenance: dict) -> None:
@@ -132,38 +170,16 @@ def _model_from_spec(spec, seed: int) -> TimeSeriesModel:
                 f"model: unknown preset {spec!r}; choose from {sorted(presets)}"
             )
         return presets[spec](seed=seed)
-    _check_keys(spec, "model", ["kind"],
-                ["d", "r", "noise_sd", "v", "a", "period", "decay"])
-    kind = spec["kind"]
-    if kind == "linear" and ("v" not in spec or "a" not in spec):
-        raise ConfigError("model: linear kind needs 'v' and 'a' matrices")
-    try:
-        if kind == "zero":
-            return zero_model(d=int(spec.get("d", 1)), r=int(spec.get("r", 1)),
-                              noise_sd=float(spec.get("noise_sd", 1.0)), seed=seed)
-        if kind == "linear":
-            return linear_model(np.asarray(spec["v"], dtype=float),
-                                np.asarray(spec["a"], dtype=float),
-                                noise_sd=float(spec.get("noise_sd", 1.0)),
-                                r=int(spec.get("r", 1)), seed=seed)
-        if kind == "seasonal":
-            return seasonal_model(d=int(spec.get("d", 8)),
-                                  period=int(spec.get("period", 24)),
-                                  decay=float(spec.get("decay", 0.95)),
-                                  noise_sd=float(spec.get("noise_sd", 0.5)), seed=seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from None
-    raise ConfigError(f"model.kind: unknown kind {kind!r}")
+    kinds = {"zero": zero_model, "linear": linear_model, "seasonal": seasonal_model}
+    casts = {"kind": str, "d": int, "r": int, "noise_sd": float, "v": np.asarray,
+             "a": np.asarray, "period": int, "decay": float}
+    return _section(spec, "model", _kinded(kinds), casts, ["kind"], seed=seed)
 
 
 def _weight_from_spec(spec) -> WeightFn:
     if spec is None:
         return WeightFn()
-    _check_keys(spec, "weight", ["kind"], ["varsigma"])
-    try:
-        return WeightFn(kind=spec["kind"], varsigma=float(spec.get("varsigma", 0.1)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"weight: {exc}") from None
+    return _section(spec, "weight", WeightFn, {"kind": str, "varsigma": float}, ["kind"])
 
 
 # -- commands --------------------------------------------------------------
@@ -171,14 +187,13 @@ def _weight_from_spec(spec) -> WeightFn:
 
 def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     _check_keys(cfg, "config", ["model", "n"], ["burn_in", "out_csv", "seed"])
-    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
+    run_seed, prov = _seed_and_provenance(cfg, seed)
     model = _model_from_spec(cfg["model"], run_seed)
     n = _read(int, cfg["n"], "n")
     if n < model.r + 1:
         raise ConfigError(f"n: need n >= r+1 = {model.r + 1}, got {n}")
     burn_in = _read(int, cfg.get("burn_in", 1000), "burn_in")
     series = generate(model, n, burn_in=burn_in, seed=run_seed)
-    prov = _provenance(cfg, run_seed)
     out_csv = out_dir / cfg.get("out_csv", "series.csv")
     save_series_csv(out_csv, series, provenance=prov)
     sidecar = {"model": model.describe(), "n": n, "burn_in": burn_in}
@@ -190,7 +205,7 @@ def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
 def _split_series(series, cfg):
     test_csv = cfg.get("test_csv")
     if test_csv is not None:
-        return series, load_series_csv(test_csv)
+        return series, _load(load_series_csv, test_csv, "test_csv")
     frac = _read(float, cfg.get("train_fraction", 1.0), "train_fraction")
     if not 0.0 < frac <= 1.0:
         raise ConfigError(f"train_fraction: must be in (0,1], got {frac}")
@@ -203,64 +218,48 @@ def _split_series(series, cfg):
 
 
 def _train_config_from(spec, seed: int | None) -> TrainConfig:
-    _check_keys(spec, "train", ["epochs"],
-                ["lr_schedule", "l2_lambda", "batch_size", "seed",
-                 "project_entries", "prune_to_s"])
-    try:
-        return TrainConfig(
-            epochs=int(spec["epochs"]),
-            lr_schedule=tuple(tuple(pair) for pair in spec.get("lr_schedule", [[0, 1e-3]])),
-            l2_lambda=float(spec.get("l2_lambda", 0.0)),
-            batch_size=int(spec.get("batch_size", 1)),
-            seed=seed if seed is not None else int(spec.get("seed", 0)),
-            project_entries=bool(spec.get("project_entries", False)),
-            prune_to_s=spec.get("prune_to_s"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}") from None
+    """The train section; a --seed override replaces its seed."""
+    casts = {"epochs": int, "lr_schedule": tuple, "l2_lambda": float, "batch_size": int,
+             "seed": int, "project_entries": bool, "prune_to_s": lambda s: s}
+    return _section(spec, "train", TrainConfig, casts, ["epochs"], seed=seed)
 
 
-def _run_single_training(series_train, series_test, r, arch_p, arch_l1,
-                         tc: TrainConfig, weight_spec, normalize):
+def _run_single_training(series_train, series_test, r, arch: Architecture,
+                         tc: TrainConfig, w: WeightFn, normalize):
     data = lag_embed(series_train, r, normalize=normalize)
     test_data = None
     if series_test is not None:
         test_data = lag_embed(series_test, r, scaler=data.scaler)
-    d = data.d
-    if arch_p[0] != d * r or arch_p[-1] != d:
-        raise ConfigError(
-            f"arch.p: expects input dim {d * r} and output dim {d}, got {arch_p}"
-        )
-    w = _weight_from_spec(weight_spec)
-    try:
-        arch = Architecture(len(arch_p) - 2, tuple(arch_p), L1=arch_l1)
-    except ShapeError as exc:
-        raise ConfigError(f"arch: {exc}") from None
     net0 = init_network(arch, tc.seed)
     net, curve = train_sgd(net0, data, tc, w, test_data=test_data)
-    return net, curve, data, test_data, w
+    return net, curve, data, test_data
 
 
 def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
     _check_keys(cfg, "config", ["train_csv"],
                 ["test_csv", "train_fraction", "r", "normalize", "arch",
                  "train", "weight", "out_model", "out_curve", "sweep", "seed"])
-    series = load_series_csv(cfg["train_csv"])
+    series = _load(load_series_csv, cfg["train_csv"], "train_csv")
     series_train, series_test = _split_series(series, cfg)
-    base_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
-    prov = _provenance(cfg, base_seed)
+    base_seed, prov = _seed_and_provenance(cfg, seed)
+    w = _weight_from_spec(cfg.get("weight"))
 
     if "sweep" in cfg:
-        return _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, out_dir)
+        return _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, w, out_dir)
 
     if "arch" not in cfg or "train" not in cfg:
         raise ConfigError("config: training needs 'arch' and 'train' sections")
-    _check_keys(cfg["arch"], "arch", ["p"], ["L1"])
     r = _read(int, cfg.get("r", 1), "r")
+    arch = _section(cfg["arch"], "arch", lambda p, L1=None: Architecture(len(p) - 2, p, L1=L1),
+                    {"p": tuple, "L1": lambda L1: L1}, ["p"])
+    d = series_train.shape[1]
+    if arch.in_dim != d * r or arch.out_dim != d:
+        raise ConfigError(
+            f"arch.p: expects input dim {d * r} and output dim {d}, got {list(arch.p)}"
+        )
     tc = _train_config_from(cfg["train"], seed)
-    net, curve, data, test_data, w = _run_single_training(
-        series_train, series_test, r, list(cfg["arch"]["p"]),
-        cfg["arch"].get("L1"), tc, cfg.get("weight"), bool(cfg.get("normalize", False)),
+    net, curve, data, _ = _run_single_training(
+        series_train, series_test, r, arch, tc, w, bool(cfg.get("normalize", False)),
     )
     out_model = out_dir / cfg.get("out_model", "model.json")
     out_curve = out_dir / cfg.get("out_curve", "curve.csv")
@@ -280,7 +279,7 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, out_dir) -> int:
+def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, w, out_dir) -> int:
     sweep = cfg["sweep"]
     _check_keys(sweep, "sweep", [], ["r_values", "m_values", "runs", "out_table"])
     if series_test is None:
@@ -290,6 +289,9 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, out_dir) -
     r_values = _read(_ints, sweep.get("r_values", [1, 2, 3, 5]), "sweep.r_values")
     m_values = _read(_ints, sweep.get("m_values", [4, 6, 8, 10]), "sweep.m_values")
     runs = _read(int, sweep.get("runs", 1), "sweep.runs")
+    if runs < 1 or not r_values or not m_values or min(r_values + m_values) < 1:
+        raise ConfigError("sweep: needs runs >= 1 and r_values and m_values that are "
+                          "non-empty and >= 1")
     normalize = bool(cfg.get("normalize", False))
     d = series_train.shape[1]
     tc = _train_config_from(cfg["train"], None)
@@ -299,23 +301,22 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, out_dir) -
         for m in m_values:
             risks = []
             for run in range(runs):
-                p = (r * d, r * d, 24, m, 24, d, d)
-                net, curve, data, test_data, w = _run_single_training(
-                    series_train, series_test, r, list(p), 3,
-                    replace(tc, seed=base_seed + 1000 * run), cfg.get("weight"), normalize,
+                arch = Architecture(5, (r * d, r * d, 24, m, 24, d, d), L1=3)
+                net, _, _, test_data = _run_single_training(
+                    series_train, series_test, r, arch,
+                    replace(tc, seed=base_seed + 1000 * run), w, normalize,
                 )
                 risk = empirical_risk(net, test_data, w)
                 risks.append(risk)
                 if best is None or risk < best[0]:
-                    best = (risk, r, m, run)
+                    best = (risk, r, m, run, test_data)
             rows.append((r, m, risks))
             print(f"sweep r={r} m={m}: " + " ".join(f"{v:.4g}" for v in risks))
     out_table = out_dir / sweep.get("out_table", "sweep.csv")
     write_csv(out_table, ["r", "m"] + [f"run{i + 1}" for i in range(runs)],
               ([r, m, *risks] for r, m, risks in rows), prov)
-    # naive baseline on the test stretch, on the same scale as the sweep risks
-    scaler = fit_scaler(series_train) if normalize else None
-    naive = naive_predict(lag_embed(series_test, best[1], scaler=scaler))
+    # naive baseline on the best run's test data, weighted like its risk
+    naive = naive_predict(best[4], w)
     summary = {
         "best": {"risk": best[0], "r": best[1], "m": best[2], "run": best[3]},
         "naive_risk": naive,
@@ -332,10 +333,10 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, out_dir) -
 def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     _check_keys(cfg, "config", ["model_json", "test_csv"],
                 ["k_steps", "weight", "out_json", "seed"])
-    net = load_net(cfg["model_json"])
+    net = _load(load_net, cfg["model_json"], "model_json")
     meta_path = Path(cfg["model_json"]).with_suffix(".meta.json")
     meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-    series = load_series_csv(cfg["test_csv"])
+    series = _load(load_series_csv, cfg["test_csv"], "test_csv")
     d = series.shape[1]
     if net.arch.in_dim % d != 0 or net.arch.out_dim != d:
         raise ConfigError(
@@ -351,7 +352,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
                         hi=np.asarray(meta["scaler"]["hi"]))
     data = lag_embed(series, r, scaler=scaler)
     w = _weight_from_spec(cfg.get("weight"))
-    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
+    _, prov = _seed_and_provenance(cfg, seed)
     metrics = {
         "empirical_risk": empirical_risk(net, data, w),
         "naive_risk": naive_predict(data, w),
@@ -364,13 +365,11 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
         if k > n:
             raise ConfigError(f"k_steps: horizon {k} exceeds test sample count {n}")
         m = n - (k - 1)
-        preds = multi_step_forecast(net, data.X[:m], k)
         k_errors[str(k)] = [
-            float(np.mean(np.sum((preds[:, j] - data.Y[j : j + m]) ** 2, axis=1) / d))
-            for j in range(k)
+            float(np.mean(np.sum((pred - data.Y[j : j + m]) ** 2, axis=1) / d))
+            for j, pred in enumerate(multi_step_forecast(net, data.X[:m], k))
         ]
     metrics["k_step_mse"] = k_errors
-    prov = _provenance(cfg, run_seed)
     out_json = out_dir / cfg.get("out_json", "metrics.json")
     _write_json(out_json, metrics, prov)
     print(f"wrote {out_json}; risk {metrics['empirical_risk']:.6g}, "
@@ -386,11 +385,14 @@ def cmd_certify(cfg: dict, seed: int | None, out_dir: Path) -> int:
     if name not in cat:
         raise ConfigError(f"target: unknown catalog entry {name!r}; "
                           f"choose from {sorted(cat)}")
-    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
+    run_seed, prov = _seed_and_provenance(cfg, seed)
     plan = ApproxPlan(N=_read(int, cfg["N"], "N"), m=_read(int, cfg["m"], "m"))
-    net, cert = build_approximator(cat[name], plan, f_bound=cfg.get("f_bound"),
-                                   seed=run_seed)
-    prov = _provenance(cfg, run_seed)
+    f_bound = cfg.get("f_bound")
+    if f_bound is not None:
+        f_bound = _read(float, f_bound, "f_bound")
+        if not (math.isfinite(f_bound) and f_bound > 0):
+            raise ConfigError(f"f_bound: must be finite and > 0, got {f_bound}")
+    net, cert = build_approximator(cat[name], plan, f_bound=f_bound, seed=run_seed)
     out_json = out_dir / cfg.get("out_json", "certificate.json")
     _write_json(out_json, cert, prov)
     ok = (cert["measured_sup"] <= cert["sup_bound"]
@@ -401,38 +403,20 @@ def cmd_certify(cfg: dict, seed: int | None, out_dir: Path) -> int:
 
 
 def _dependence_from_spec(spec) -> DependenceSpec:
-    _check_keys(spec, "dependence", ["kind"], ["alpha", "kappa", "rho"])
-    kind = spec["kind"]
-    try:
-        if kind == "independent":
-            return independent()
-        if kind == "mixing_polynomial":
-            return mixing_polynomial(float(spec["alpha"]), float(spec.get("kappa", 1.0)))
-        if kind == "mixing_exponential":
-            return mixing_exponential(float(spec["rho"]), float(spec.get("kappa", 1.0)))
-        if kind == "fdm_polynomial":
-            return fdm_polynomial(float(spec["alpha"]), float(spec.get("kappa", 1.0)))
-        if kind == "fdm_exponential":
-            return fdm_exponential(float(spec["rho"]), float(spec.get("kappa", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"dependence: {exc}") from None
-    raise ConfigError(f"dependence.kind: unknown kind {kind!r}")
+    kinds = {"independent": independent, "mixing_polynomial": mixing_polynomial,
+             "mixing_exponential": mixing_exponential, "fdm_polynomial": fdm_polynomial,
+             "fdm_exponential": fdm_exponential}
+    casts = {"kind": str, "alpha": float, "kappa": float, "rho": float}
+    return _section(spec, "dependence", _kinded(kinds), casts, ["kind"])
 
 
 def _profile_from_spec(spec) -> SmoothnessProfile:
-    isotropic = isinstance(spec, dict) and "beta" in spec
-    _check_keys(spec, "profile", ["beta", "t"] if isotropic else
-                ["beta_dec", "t_dec", "beta_enc0", "t_enc0", "beta_enc1", "t_enc1"], [])
-    try:
-        if isotropic:
-            return SmoothnessProfile.isotropic(float(spec["beta"]), int(spec["t"]))
-        return SmoothnessProfile(
-            float(spec["beta_dec"]), int(spec["t_dec"]),
-            float(spec["beta_enc0"]), int(spec["t_enc0"]),
-            float(spec["beta_enc1"]), int(spec["t_enc1"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"profile: {exc}") from None
+    if isinstance(spec, dict) and "beta" in spec:
+        casts = {"beta": float, "t": int}
+        return _section(spec, "profile", SmoothnessProfile.isotropic, casts, casts)
+    casts = {"beta_dec": float, "t_dec": int, "beta_enc0": float, "t_enc0": int,
+             "beta_enc1": float, "t_enc1": int}
+    return _section(spec, "profile", SmoothnessProfile, casts, casts)
 
 
 def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
@@ -448,18 +432,9 @@ def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
     if not (0 < x_lo < x_hi) or points < 2:
         raise ConfigError("x_grid: need 0 < min < max and points >= 2")
     xs = np.logspace(math.log10(x_lo), math.log10(x_hi), points)
-    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
-    prov = _provenance(cfg, run_seed)
-
-    if spec.kind == "independent":
-        lam = [float(x) for x in xs]
-        env = lam
-    elif spec.is_mixing:
-        lam = [float(lambda_mix(spec, float(x))) for x in xs]
-        env = [float(mix_envelope(spec, float(x))) for x in xs]
-    else:
-        lam = [float(lambda_dep(spec, float(x))) for x in xs]
-        env = [float(dep_envelope(spec, float(x))) for x in xs]
+    _, prov = _seed_and_provenance(cfg, seed)
+    lam = [float(rate_function(spec, float(x))) for x in xs]
+    env = [float(rate_envelope(spec, float(x))) for x in xs]
 
     out_lambda = out_dir / cfg.get("out_lambda_csv", "lambda.csv")
     write_csv(out_lambda, ["x", "lambda", "envelope"], zip(xs, lam, env), prov)

@@ -69,10 +69,6 @@ class Architecture:
     def out_dim(self) -> int:
         return self.p[-1]
 
-    @property
-    def bottleneck_width(self) -> int | None:
-        return None if self.L1 is None else self.p[self.L1]
-
 
 # Rows per block of the forward kernel: one block's activations stay in
 # cache across all layers.
@@ -128,9 +124,6 @@ class Network:
                 f"input layer expects dim {self.arch.in_dim}, got dim {x.shape[0]}"
             )
         return self.eval_batch(x[None, :])[0]
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def encoder_batch(self, X: np.ndarray) -> np.ndarray:
         """Activations of the bottleneck hidden layer L1, dim p[L1]."""

@@ -67,10 +67,6 @@ class DependenceSpec:
         if self.kind == "functional_delta" and self.delta is None:
             raise ValueError("functional_delta needs a Delta sequence")
 
-    @property
-    def is_mixing(self) -> bool:
-        return self.kind.startswith("mixing")
-
 
 def independent() -> DependenceSpec:
     return DependenceSpec(kind="independent")
@@ -361,6 +357,22 @@ def dep_envelope(spec: DependenceSpec, x: float) -> float:
     raise ValueError("envelope shape needs a polynomial or exponential spec")
 
 
+def rate_function(spec: DependenceSpec, x: float) -> float:
+    """The oracle inequality's rate function Lambda(x): ``lambda_dep`` under
+    the functional dependence measure, else ``lambda_mix`` (x itself for
+    independent data)."""
+    if spec.kind == "functional_delta":
+        return lambda_dep(spec, x)
+    return lambda_mix(spec, x)
+
+
+def rate_envelope(spec: DependenceSpec, x: float) -> float:
+    """The envelope shape that goes with ``rate_function(spec, x)``."""
+    if spec.kind == "functional_delta":
+        return dep_envelope(spec, x)
+    return mix_envelope(spec, x)
+
+
 def q_star(beta_fn: Callable[[int], float], x: float) -> int:
     """Smallest q with beta(q) <= q x (monotone bracket + binary search)."""
     if x <= 0.0:
@@ -464,10 +476,4 @@ def oracle_bound(spec: DependenceSpec, n: int, N: int,
     if n < 2 or N < 1:
         raise ValueError("need n >= 2 and N >= 1")
     x = N * math.log(n) ** 3 / n
-    if spec.kind == "independent":
-        lam = x
-    elif spec.is_mixing:
-        lam = lambda_mix(spec, x)
-    else:
-        lam = lambda_dep(spec, x)
-    return lam + float(N) ** (-2.0 * profile.A)
+    return rate_function(spec, x) + float(N) ** (-2.0 * profile.A)

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import LagDataset, lag_embed, push_lag  # noqa: F401  (re-exported)
+from .data import push_lag
 
 
 class UnstableModelError(RuntimeError):
@@ -38,7 +38,7 @@ class TimeSeriesModel:
         return out
 
 
-def zero_model(d: int, r: int = 1, noise_sd: float = 1.0, seed: int = 0) -> TimeSeriesModel:
+def zero_model(d: int = 1, r: int = 1, noise_sd: float = 1.0, seed: int = 0) -> TimeSeriesModel:
     return TimeSeriesModel(d=d, r=r, f0=lambda X: np.zeros((X.shape[0], d)),
                            noise_sd=noise_sd, seed=seed, name="zero",
                            spectral_radius=0.0)
@@ -55,7 +55,7 @@ def companion_spectral_radius(v: np.ndarray, a: np.ndarray, r: int, d: int) -> f
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def linear_model(v, a, noise_sd: float, r: int = 1, seed: int = 0,
+def linear_model(v, a, noise_sd: float = 1.0, r: int = 1, seed: int = 0,
                  name: str = "linear") -> TimeSeriesModel:
     """Rank-reduced linear evolution f0(x) = v (a x) with v: d x k, a: k x dr."""
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))

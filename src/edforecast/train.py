@@ -258,12 +258,13 @@ def prune_to_sparsity(net: Network, s: int):
     return pruned, pruned_sq
 
 
-def multi_step_forecast(net: Network, x0, k: int) -> np.ndarray:
-    """Iterate the one-step predictor k steps ahead.
+def multi_step_forecast(net: Network, x0, k: int):
+    """Iterate the one-step predictor k steps ahead, one horizon at a time.
 
     ``x0`` is one lag state or an (m, r*d) batch of them.  The newest
-    forecast is rotated into the front of each lag state; returns the (k, d)
-    forecasts of a single state, or (m, k, d) for a batch.
+    forecast is rotated into the front of each lag state.  Returns an
+    iterator over the j-step forecasts, j = 1..k: a (d,) array each for a
+    single state, (m, d) for a batch.  The arguments are checked at the call.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -275,10 +276,11 @@ def multi_step_forecast(net: Network, x0, k: int) -> np.ndarray:
     states = np.atleast_2d(x0)
     if states.ndim != 2 or states.shape[1] != dr:
         raise ValueError(f"lag states have shape {states.shape}, expected (m, {dr})")
-    outs = np.empty((states.shape[0], k, d))
-    for j in range(k):
-        y = net.eval_batch(states)
-        outs[:, j] = y
-        states = push_lag(states, y)
-    return outs[0] if x0.ndim < 2 else outs
+
+    def steps(states):
+        for _ in range(k):
+            y = net.eval_batch(states)
+            yield y[0] if x0.ndim < 2 else y
+            states = push_lag(states, y)
+    return steps(states)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from edforecast.cli import main
-from edforecast.data import lag_embed, load_series_csv
+from edforecast.data import fit_scaler, lag_embed, load_series_csv
 from edforecast.network import load_json as load_net
 from edforecast.train import WeightFn, naive_predict
 
@@ -130,6 +130,21 @@ def test_train_rejects_malformed_series_row_with_its_line(tmp_path, capsys, bad_
     assert run(["train", "--config", train, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert "line 6 " in err and reason in err
+
+
+@pytest.mark.parametrize("field", ["train_csv", "test_csv", "model_json"])
+def test_missing_input_file_is_config_error_naming_its_field(tmp_path, capsys, field):
+    rows = ["t,x1,x2"] + [f"{i},{0.1 * i},{0.2 * i}" for i in range(1, 9)]
+    (tmp_path / "series.csv").write_text("\n".join(rows) + "\n")
+    series, missing = str(tmp_path / "series.csv"), str(tmp_path / "nope.file")
+    if field == "model_json":
+        command, payload = "evaluate", {"model_json": missing, "test_csv": series}
+    else:
+        command, payload = "train", {"train_csv": series, "arch": {"p": [2, 3, 2]},
+                                     "train": {"epochs": 0}, field: missing}
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    assert run([command, "--config", cfg, "--out", tmp_path]) == 2
+    assert f"{field}: file not found: {missing}" in capsys.readouterr().err
 
 
 def test_train_and_evaluate_roundtrip(tmp_path, capsys):
@@ -262,6 +277,32 @@ def test_certify_small_n_cites_requirement(tmp_path, capsys):
     assert "(beta+1)^t" in err and "(K+1) e^t" in err
 
 
+@pytest.mark.parametrize("f_bound, message", [
+    (-5, "f_bound: must be finite and > 0, got -5.0"),
+    (0, "f_bound: must be finite and > 0, got 0.0"),
+    ("five", "f_bound: invalid value 'five'"),
+])
+def test_certify_rejects_bad_f_bound(tmp_path, capsys, f_bound, message):
+    cfg = write_cfg(tmp_path, "cert.json",
+                    {"target": "linear", "N": 10, "m": 6, "f_bound": f_bound})
+    assert run(["certify", "--config", cfg, "--out", tmp_path]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_certify_reads_f_bound_as_a_number(tmp_path):
+    certs = []
+    for name, f_bound in (("text", "5"), ("number", 5.0)):
+        cfg = write_cfg(tmp_path, f"{name}.json", {"target": "linear", "N": 10, "m": 6,
+                                                   "f_bound": f_bound,
+                                                   "out_json": f"{name}.out.json"})
+        assert run(["certify", "--config", cfg, "--out", tmp_path]) == 0
+        certs.append(json.loads((tmp_path / f"{name}.out.json").read_text()))
+    for cert in certs:
+        del cert["_provenance"]
+    assert certs[0] == certs[1]
+
+
 def test_certify_unknown_target(tmp_path):
     cfg = write_cfg(tmp_path, "cert.json", {"target": "mystery", "N": 10, "m": 6})
     assert run(["certify", "--config", cfg, "--out", tmp_path]) == 2
@@ -311,6 +352,28 @@ def test_rates_rejects_negative_kappa(tmp_path, capsys):
     })
     assert run(["rates", "--config", cfg, "--out", tmp_path]) == 2
     assert "dependence: kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, spec, message", [
+    ("dependence", {"kind": "mixing_polynomial", "alpha": 2.0, "rho": 0.5},
+     "mixing_polynomial() got an unexpected keyword argument 'rho'"),
+    ("dependence", {"kind": "independent", "alpha": 2.0},
+     "independent() got an unexpected keyword argument 'alpha'"),
+    ("dependence", {"kind": "fdm_exponential", "rho": 0.5, "alpha": 2.0},
+     "fdm_exponential() got an unexpected keyword argument 'alpha'"),
+    ("dependence", {"kind": "mixing_weird"}, "unknown kind 'mixing_weird'; choose from"),
+    ("model", {"kind": "zero", "d": 2, "period": 5},
+     "zero_model() got an unexpected keyword argument 'period'"),
+], ids=["rho_on_mixing_polynomial", "alpha_on_independent", "alpha_on_fdm_exponential",
+        "unknown_dependence_kind", "period_on_zero_model"])
+def test_key_the_kind_does_not_take_is_config_error(tmp_path, capsys, section, spec, message):
+    if section == "dependence":
+        command, payload = "rates", {"dependence": spec, "profile": {"beta": 1.0, "t": 1}}
+    else:
+        command, payload = "simulate", {"model": spec, "n": 20}
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    assert run([command, "--config", cfg, "--out", tmp_path]) == 2
+    assert f"config error: {section}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dependence, assumed", [
@@ -388,6 +451,41 @@ def test_sweep_emits_grid_table(tmp_path):
     assert len(lines) == 1 + 4
     summary = json.loads((tmp_path / "sweep.summary.json").read_text())
     assert {"best", "naive_risk"} <= set(summary)
+
+
+def test_sweep_naive_baseline_uses_the_sweep_weight(tmp_path):
+    sim = write_cfg(tmp_path, "sim.json",
+                    {"model": "seasonal", "n": 120, "burn_in": 100, "seed": 4})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
+    weight = {"kind": "box_ramp", "varsigma": 0.2}
+    train = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"), "train_fraction": 0.5,
+        "normalize": True, "weight": weight,
+        "train": {"epochs": 1, "lr_schedule": [[0, 0.001]]},
+        "sweep": {"r_values": [1, 2], "m_values": [2]},
+    })
+    assert run(["train", "--config", train, "--out", tmp_path]) == 0
+    summary = json.loads((tmp_path / "sweep.summary.json").read_text())
+    series = load_series_csv(tmp_path / "series.csv")
+    test = lag_embed(series[60:], summary["best"]["r"], scaler=fit_scaler(series[:60]))
+    weighted = naive_predict(test, WeightFn(**weight))
+    assert weighted != naive_predict(test, WeightFn())
+    assert summary["naive_risk"] == weighted
+
+
+@pytest.mark.parametrize("sweep", [
+    {"r_values": [], "m_values": [2]},
+    {"r_values": [1], "m_values": [0]},
+    {"r_values": [1], "m_values": [2], "runs": 0},
+], ids=["no_r_values", "zero_width_bottleneck", "no_runs"])
+def test_sweep_without_a_run_is_config_error(tmp_path, capsys, sweep):
+    rows = ["t,x1,x2"] + [f"{i},{0.1 * i},{0.2 * i}" for i in range(1, 9)]
+    (tmp_path / "series.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"), "train_fraction": 0.5,
+        "train": {"epochs": 1}, "sweep": sweep})
+    assert run(["train", "--config", cfg, "--out", tmp_path]) == 2
+    assert "sweep: needs runs >= 1" in capsys.readouterr().err
 
 
 def test_fetch_note_flag(capsys):

@@ -32,6 +32,8 @@ from edforecast.rates import (
     phi_exponential,
     predicted_rate,
     q_star,
+    rate_envelope,
+    rate_function,
     v_tilde,
 )
 
@@ -440,6 +442,27 @@ def test_oracle_bound_independent_formula():
     n, N = 10_000, 10
     expect = N * math.log(n) ** 3 / n + N ** -2.0
     assert oracle_bound(independent(), n, N, prof) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, lam, env", [
+    (independent(), lambda_mix, mix_envelope),
+    (mixing_polynomial(2.0), lambda_mix, mix_envelope),
+    (mixing_exponential(0.5), lambda_mix, mix_envelope),
+    (fdm_polynomial(2.0), lambda_dep, dep_envelope),
+    (fdm_exponential(0.5), lambda_dep, dep_envelope),
+], ids=["independent", "mixing_polynomial", "mixing_exponential", "fdm_polynomial",
+        "fdm_exponential"])
+def test_rate_function_is_the_kinds_lambda(spec, lam, env):
+    # one dispatch serves the rates tables and oracle_bound alike
+    prof = SmoothnessProfile.isotropic(2.0, 2)
+    n, N = 10 ** 5, 18
+    x = N * math.log(n) ** 3 / n
+    for point in (1e-5, 1e-3, 0.5, x):
+        assert rate_function(spec, point) == lam(spec, point)
+        assert rate_envelope(spec, point) == env(spec, point)
+    assert oracle_bound(spec, n, N, prof) == lam(spec, x) + N ** (-2.0 * prof.A)
+    if spec.kind == "independent":
+        assert rate_function(spec, 1e-3) == 1e-3 == rate_envelope(spec, 1e-3)
 
 
 def test_bound_minimizer_near_choose_n():
