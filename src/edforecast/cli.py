@@ -96,6 +96,13 @@ def _ints(values):
     return [int(v) for v in values]
 
 
+def _bool(value):
+    """A JSON true or false; any other value, "false" among them, is refused."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
 def _section(spec, path: str, build, casts: dict, required=(), **fixed):
     """build(**values) for the config section at ``path``.
 
@@ -103,11 +110,11 @@ def _section(spec, path: str, build, casts: dict, required=(), **fixed):
     its value, and ``required`` names the keys it must hold.  ``fixed``
     values that are not None are passed to build too, over the section's
     own.  A TypeError or ValueError from a cast or from build (a ConfigError
-    among them) becomes a ConfigError naming the section.
+    among them) becomes a ConfigError naming the section (and a cast's key).
     """
     _check_keys(spec, path, required, casts)
     try:
-        values = {k: casts[k](v) for k, v in spec.items()}
+        values = {k: _read(casts[k], v, k) for k, v in spec.items()}
         values.update((k, v) for k, v in fixed.items() if v is not None)
         return build(**values)
     except (TypeError, ValueError) as exc:
@@ -220,7 +227,7 @@ def _split_series(series, cfg):
 def _train_config_from(spec, seed: int | None) -> TrainConfig:
     """The train section; a --seed override replaces its seed."""
     casts = {"epochs": int, "lr_schedule": tuple, "l2_lambda": float, "batch_size": int,
-             "seed": int, "project_entries": bool, "prune_to_s": lambda s: s}
+             "seed": int, "project_entries": _bool, "prune_to_s": lambda s: s}
     return _section(spec, "train", TrainConfig, casts, ["epochs"], seed=seed)
 
 
@@ -258,15 +265,16 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
             f"arch.p: expects input dim {d * r} and output dim {d}, got {list(arch.p)}"
         )
     tc = _train_config_from(cfg["train"], seed)
+    normalize = _read(_bool, cfg.get("normalize", False), "normalize")
     net, curve, data, _ = _run_single_training(
-        series_train, series_test, r, arch, tc, w, bool(cfg.get("normalize", False)),
+        series_train, series_test, r, arch, tc, w, normalize,
     )
     out_model = out_dir / cfg.get("out_model", "model.json")
     out_curve = out_dir / cfg.get("out_curve", "curve.csv")
     save_net(net, out_model)
     write_csv(out_curve, ["epoch", "train_risk", "test_risk"],
               ((rec.epoch, rec.train_risk, rec.test_risk) for rec in curve), prov)
-    meta = {"r": r, "d": data.d, "normalize": bool(cfg.get("normalize", False))}
+    meta = {"r": r, "d": data.d, "normalize": normalize}
     if data.scaler is not None:
         meta["scaler"] = {"lo": data.scaler.lo.tolist(), "hi": data.scaler.hi.tolist()}
     meta["final_train_risk"] = curve[-1].train_risk if curve else None
@@ -292,7 +300,7 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, w, out_dir
     if runs < 1 or not r_values or not m_values or min(r_values + m_values) < 1:
         raise ConfigError("sweep: needs runs >= 1 and r_values and m_values that are "
                           "non-empty and >= 1")
-    normalize = bool(cfg.get("normalize", False))
+    normalize = _read(_bool, cfg.get("normalize", False), "normalize")
     d = series_train.shape[1]
     tc = _train_config_from(cfg["train"], None)
     rows = []

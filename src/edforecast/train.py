@@ -86,6 +86,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        s = self.prune_to_s
+        if s is not None and (isinstance(s, bool) or not isinstance(s, int) or s < 0):
+            raise ConfigError(f"prune_to_s must be an integer >= 0, got {s!r}")
 
     def rate_at(self, epoch: int) -> float:
         rate = self.lr_schedule[0][1]
@@ -129,34 +132,43 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
              l2_lambda: float = 0.0, out=None):
     """Exact gradient of the batch-mean weighted loss plus L2 penalty.
 
-    ``wts`` are the batch rows' sample weights W(x).  Returns (weight
-    gradients, bias gradients) in the network layout, written into the
-    arrays of ``out=(g_w, g_b)`` when given.  ReLU'(0) is taken as 0.
+    Takes one sample or a batch, told apart by the rank of ``X``: one sample
+    is ``X`` of shape (p0,), ``Y`` of shape (d,) and a scalar weight W(x); a
+    batch is ``X`` of shape (nb, p0), ``Y`` of shape (nb, d) and the rows'
+    weights of shape (nb,).  Returns (weight gradients, bias gradients) in
+    the network layout, written into the arrays of ``out=(g_w, g_b)`` when
+    given.  ReLU'(0) is taken as 0.
     """
     L = net.arch.L
-    nb = X.shape[0]
+    W = net.weights
+    X = np.asarray(X, dtype=np.float64)
+    one = X.ndim == 1
+    nb = 1 if one else X.shape[0]
     if nb == 0:
         raise ValueError("empty batch")
-    acts = [np.asarray(X, dtype=np.float64)]
-    pre = []
+    acts, pre = [X], []
     for i in range(L):
-        z = acts[-1] @ net.weights[i].T - net.biases[i]
+        z = acts[i] @ W[i].T  # a matrix-vector product for one sample
+        z -= net.biases[i]
         pre.append(z)
         acts.append(np.maximum(z, 0.0))
-    pred = acts[-1] @ net.weights[L].T
-
-    g_out = (2.0 / (net.arch.out_dim * nb)) * (pred - Y) * wts[:, None]
-
-    g_w, g_b = out or ([np.empty_like(wm) for wm in net.weights],
+    g_z = ((2.0 / (net.arch.out_dim * nb)) * (acts[L] @ W[L].T - Y)
+           * (wts if one else wts[:, None]))
+    g_w, g_b = out or ([np.empty_like(wm) for wm in W],
                        [np.empty_like(bv) for bv in net.biases])
-    np.matmul(g_out.T, acts[L], out=g_w[L])
-    g_a = g_out @ net.weights[L]
-    for i in range(L - 1, -1, -1):
-        g_z = g_a * (pre[i] > 0.0)
-        np.negative(np.sum(g_z, axis=0, out=g_b[i]), out=g_b[i])
-        np.matmul(g_z.T, acts[i], out=g_w[i])
-        if i > 0:
-            g_a = g_z @ net.weights[i]
+    if one:
+        # outer products, and no sum over a batch axis
+        np.multiply(g_z[:, None], acts[L], out=g_w[L])
+        for i in range(L - 1, -1, -1):
+            g_z = (g_z @ W[i + 1]) * (pre[i] > 0.0)
+            np.negative(g_z, out=g_b[i])
+            np.multiply(g_z[:, None], acts[i], out=g_w[i])
+    else:
+        np.matmul(g_z.T, acts[L], out=g_w[L])
+        for i in range(L - 1, -1, -1):
+            g_z = (g_z @ W[i + 1]) * (pre[i] > 0.0)
+            np.negative(np.sum(g_z, axis=0, out=g_b[i]), out=g_b[i])
+            np.matmul(g_z.T, acts[i], out=g_w[i])
     if l2_lambda:
         for g, p in zip(g_w + g_b, net.weights + net.biases):
             g += (2.0 * l2_lambda) * p
@@ -207,10 +219,12 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
         lr = cfg.rate_at(epoch)
         order = rng.permutation(n_samples)
         X, Y, wts = data.X[order], data.Y[order], sample_wts[order]
-        for start in range(0, n_samples, cfg.batch_size):
-            stop = start + cfg.batch_size
-            gradient(current, X[start:stop], Y[start:stop], wts[start:stop], 0.0,
-                     out=g_views)
+        # batch_size 1 passes row views, which gradient steps as one sample
+        bs = cfg.batch_size
+        batches = zip(X, Y, wts) if bs == 1 else (
+            (X[s : s + bs], Y[s : s + bs], wts[s : s + bs]) for s in range(0, n_samples, bs))
+        for xb, yb, wb in batches:
+            gradient(current, xb, yb, wb, 0.0, out=g_views)
             if cfg.l2_lambda:
                 g += (2.0 * cfg.l2_lambda) * theta
             g *= lr

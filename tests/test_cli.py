@@ -491,3 +491,26 @@ def test_sweep_without_a_run_is_config_error(tmp_path, capsys, sweep):
 def test_fetch_note_flag(capsys):
     assert run(["train", "--fetch-note"]) == 0
     assert "opendata.dwd.de" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("top, train, message", [
+    ({}, {"prune_to_s": 4.5}, "train: prune_to_s must be an integer >= 0, got 4.5"),
+    ({}, {"prune_to_s": -1}, "train: prune_to_s must be an integer >= 0, got -1"),
+    ({}, {"prune_to_s": True}, "train: prune_to_s must be an integer >= 0, got True"),
+    ({}, {"project_entries": "false"}, "train: project_entries: invalid value 'false'"),
+    ({"normalize": "false"}, {}, "normalize: invalid value 'false'"),
+    ({"normalize": 1}, {}, "normalize: invalid value 1"),
+    ({"normalize": "false", "train_fraction": 0.5, "sweep": {"r_values": [1], "m_values": [2]}},
+     {}, "normalize: invalid value 'false'"),
+], ids=["fractional_prune", "negative_prune", "boolean_prune", "string_project_entries",
+        "string_normalize", "integer_normalize", "string_normalize_in_sweep"])
+def test_bad_train_value_is_config_error_before_training(tmp_path, capsys, top, train,
+                                                         message):
+    rows = ["t,x1,x2"] + [f"{i},{0.1 * i},{0.2 * i}" for i in range(1, 9)]
+    (tmp_path / "series.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"), "arch": {"p": [2, 3, 2]},
+        "train": {"epochs": 1, **train}, **top})
+    assert run(["train", "--config", cfg, "--out", tmp_path]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "sweep.csv").exists()

@@ -339,6 +339,64 @@ def test_gradient_into_out_arrays_matches_allocating_call():
             assert np.array_equal(a, b)
 
 
+def one_sample_case(kind, seed):
+    """(net, x, y) for the one-sample gradient tests."""
+    rng = np.random.default_rng(seed)
+    if kind == "depth0":
+        net = Network(Architecture(0, (3, 2)), [rng.uniform(-1, 1, size=(2, 3))], [])
+        return net, rng.uniform(0, 1, 3), rng.uniform(-1, 1, 2)
+    arch = Architecture(3, (4, 6, 2, 5, 3), L1=2)
+    net = init_network(arch, seed)
+    x, y = rng.uniform(0, 1, 4), rng.uniform(-1, 1, 3)
+    if kind == "relu_kink":
+        # hidden unit 0 of layer 0 sits exactly at pre-activation 0, where ReLU'(0) = 0
+        b0 = net.biases[0].copy()
+        b0[0] = (net.weights[0] @ x)[0]
+        net = Network(arch, net.weights, [b0] + net.biases[1:])
+        z = net.weights[0] @ x - b0
+        assert z[0] == 0.0 and np.any(z < 0.0)
+    return net, x, y
+
+
+@pytest.mark.parametrize("kind, seed", [("random", 1), ("random", 2), ("random", 3),
+                                        ("depth0", 4), ("relu_kink", 5)])
+@pytest.mark.parametrize("weight", ["one", "zero", "box_ramp"])
+@pytest.mark.parametrize("lam", [0.0, 0.2])
+def test_one_sample_gradient_matches_batch_of_one(kind, seed, weight, lam):
+    net, x, y = one_sample_case(kind, seed)
+    wfn = {"one": WeightFn(), "zero": lambda X: np.zeros(len(X)),
+           "box_ramp": WeightFn(kind="box_ramp", varsigma=0.45)}[weight]
+    wt = wfn(x[None])[0]
+    if weight == "box_ramp":
+        assert 0.0 < wt < 1.0
+    out = ([np.full_like(a, np.nan) for a in net.weights],
+           [np.full_like(b, np.nan) for b in net.biases])
+    one_w, one_b = gradient(net, x, y, wt, lam)
+    o_w, o_b = gradient(net, x, y, wt, lam, out=out)
+    assert o_w is out[0] and o_b is out[1]
+    batch_w, batch_b = gradient(net, x[None], y[None], np.array([wt]), lam)
+    ref_w, ref_b = reference_gradient(net, x[None], y[None], wfn, lam)
+    for a, b, c, d in zip(one_w + one_b, o_w + o_b, batch_w + batch_b, ref_w + ref_b):
+        assert a.shape == c.shape
+        assert np.array_equal(a, b) and np.array_equal(a, c) and np.array_equal(a, d)
+    if weight == "zero" and lam == 0.0:
+        assert not any(np.any(a) for a in one_w + one_b)
+    if kind == "relu_kink" and lam == 0.0:
+        assert one_b[0][0] == 0.0 and not np.any(one_w[0][0])
+
+
+def test_one_sample_gradient_rejects_a_sample_of_the_wrong_length():
+    net, x, y = one_sample_case("random", 5)
+    out = ([np.empty_like(a) for a in net.weights], [np.empty_like(b) for b in net.biases])
+    for bad in (np.append(x, 0.5), x[:-1]):
+        with pytest.raises(ValueError):
+            gradient(net, bad, y, 1.0)
+        with pytest.raises(ValueError):
+            gradient(net, bad, y, 1.0, out=out)
+    with pytest.raises(ValueError):
+        gradient(net, x, np.append(y, 0.5), 1.0)
+
+
 def dense_risk(net, data, w):
     """Reference risk through the row-major dense evaluation loop."""
     A = data.X
