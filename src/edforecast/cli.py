@@ -1,12 +1,12 @@
 """Command-line front end: simulate, train, evaluate, certify, rates.
 
-Every command reads a JSON config (strictly validated: unknown keys are
-rejected with their field path), takes an optional --seed override and an
---out directory, and writes deterministic artifacts.  Every CSV and JSON
-output except the network file ``model.json`` carries a provenance header
-(config hash, seed, tool version); the network's provenance is in its
-``.meta.json`` sidecar.  Nothing carries a timestamp, so re-runs with the
-same inputs are byte-identical.
+Every command reads a JSON config (strictly validated: an unknown key or a
+value of the wrong type is rejected with its field path), takes an optional
+--seed override and an --out directory, and writes deterministic artifacts.
+Every CSV and JSON output except the network file ``model.json`` carries a
+provenance header (config hash, seed, tool version); the network's
+provenance is in its ``.meta.json`` sidecar.  Nothing carries a timestamp,
+so re-runs with the same inputs are byte-identical.
 
 Exit codes: 0 success, 2 config error (a malformed config, series or model
 file, or a missing one; the message names the field or line), 3 numeric
@@ -72,53 +72,75 @@ WEATHER_DATA_NOTE = (
 )
 
 
-def _check_keys(cfg: dict, path: str, required, optional):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = set(required) | set(optional)
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(cfg))
-    if missing:
-        raise ConfigError(f"{path}: missing required keys {missing}")
+def _typed(kind):
+    """A cast that takes a value of JSON type ``kind`` as it is, and no other."""
+    def cast(value):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+    return cast
 
 
-def _read(cast, value, field: str):
-    """cast(value) for a config value, or a ConfigError naming its field."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: invalid value {value!r}") from None
+# _object reads a key that holds a section, which its own _section call reads
+_str, _bool, _list, _object = _typed(str), _typed(bool), _typed(list), _typed(dict)
 
 
-def _ints(values):
-    return [int(v) for v in values]
+def _int(value):
+    """A finite, integral JSON number (60.0 and 1e3 read as 60 and 1000); a
+    bool, a string or a fraction is refused, never truncated."""
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
+        raise ValueError(value)
+    return int(value)
 
 
-def _bool(value):
-    """A JSON true or false; any other value, "false" among them, is refused."""
-    if not isinstance(value, bool):
-        raise TypeError(value)
-    return value
+def _ints(value):
+    return [_int(v) for v in _list(value)]
+
+
+def _float(value):
+    """A finite number, or a numeric string ("5" reads as 5.0); a bool is refused."""
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(value)
+    return float(value)
+
+
+def _or_none(cast):
+    return lambda value: None if value is None else cast(value)
+
+
+def _schedule(value):
+    """A learning-rate schedule: a list of [epoch threshold, rate] pairs."""
+    return [(_int(e), _float(r)) for e, r in map(_list, _list(value))]
 
 
 def _section(spec, path: str, build, casts: dict, required=(), **fixed):
-    """build(**values) for the config section at ``path``.
+    """build(**values) for the config object at ``path`` ("" for the top level).
 
-    ``casts`` maps each key the section may hold to the function that reads
-    its value, and ``required`` names the keys it must hold.  ``fixed``
-    values that are not None are passed to build too, over the section's
-    own.  A TypeError or ValueError from a cast or from build (a ConfigError
-    among them) becomes a ConfigError naming the section (and a cast's key).
-    """
-    _check_keys(spec, path, required, casts)
+    ``casts`` maps each key the object may hold to the function that reads
+    its value, or to a ``(cast, default)`` pair whose default is the value
+    of an absent key; ``required`` names the keys it must hold.  ``fixed``
+    values that are not None override the object's own.  A TypeError or
+    ValueError from a cast or from build becomes a ConfigError naming the
+    object and a cast's key."""
+    name = path or "config"
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name}: expected an object")
+    for problem, keys in (("unknown", set(spec) - set(casts)),
+                          ("missing required", set(required) - set(spec))):
+        if keys:
+            raise ConfigError(f"{name}: {problem} keys {sorted(keys)}")
+    values = {k: c[1] for k, c in casts.items() if isinstance(c, tuple)}
     try:
-        values = {k: _read(casts[k], v, k) for k, v in spec.items()}
+        for key, value in spec.items():
+            cast = casts[key][0] if isinstance(casts[key], tuple) else casts[key]
+            try:
+                values[key] = cast(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{key}: invalid value {value!r}") from None
         values.update((k, v) for k, v in fixed.items() if v is not None)
         return build(**values)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def _kinded(table: dict):
@@ -140,32 +162,25 @@ def _load(loader, path, field: str):
         raise ConfigError(f"{field}: file not found: {path}") from None
 
 
-def _config_hash(cfg: dict) -> str:
+def _load_json(path):
+    """The JSON document in the file at ``path``; malformed JSON is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _provenance(cfg: dict, seed: int) -> dict:
+    """The stamp of a run's artifacts: tool version, config hash and seed."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _seed_and_provenance(cfg: dict, seed: int | None):
-    """The run's seed (the --seed override, else the config's seed, default
-    0) and the provenance stamp of its artifacts."""
-    run_seed = seed if seed is not None else _read(int, cfg.get("seed", 0), "seed")
-    return run_seed, {"tool": f"edforecast-{__version__}",
-                      "config_hash": _config_hash(cfg), "seed": run_seed}
+    return {"tool": f"edforecast-{__version__}",
+            "config_hash": hashlib.sha256(canon.encode()).hexdigest()[:16], "seed": seed}
 
 
 def _write_json(path: Path, payload: dict, provenance: dict) -> None:
     doc = dict(payload)
     doc["_provenance"] = provenance
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _load_config(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
 
 
 def _model_from_spec(spec, seed: int) -> TimeSeriesModel:
@@ -178,30 +193,31 @@ def _model_from_spec(spec, seed: int) -> TimeSeriesModel:
             )
         return presets[spec](seed=seed)
     kinds = {"zero": zero_model, "linear": linear_model, "seasonal": seasonal_model}
-    casts = {"kind": str, "d": int, "r": int, "noise_sd": float, "v": np.asarray,
-             "a": np.asarray, "period": int, "decay": float}
+    casts = {"kind": _str, "d": _int, "r": _int, "noise_sd": _float, "v": np.asarray,
+             "a": np.asarray, "period": _int, "decay": _float}
     return _section(spec, "model", _kinded(kinds), casts, ["kind"], seed=seed)
 
 
 def _weight_from_spec(spec) -> WeightFn:
     if spec is None:
         return WeightFn()
-    return _section(spec, "weight", WeightFn, {"kind": str, "varsigma": float}, ["kind"])
+    return _section(spec, "weight", WeightFn, {"kind": _str, "varsigma": _float}, ["kind"])
 
 
 # -- commands --------------------------------------------------------------
 
 
 def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
-    _check_keys(cfg, "config", ["model", "n"], ["burn_in", "out_csv", "seed"])
-    run_seed, prov = _seed_and_provenance(cfg, seed)
-    model = _model_from_spec(cfg["model"], run_seed)
-    n = _read(int, cfg["n"], "n")
+    c = _section(cfg, "", dict, {
+        "model": _typed((str, dict)), "n": _int, "burn_in": (_int, 1000),
+        "out_csv": (_str, "series.csv"), "seed": (_int, 0)}, ["model", "n"], seed=seed)
+    prov = _provenance(cfg, c["seed"])
+    model = _model_from_spec(c["model"], c["seed"])
+    n, burn_in = c["n"], c["burn_in"]
     if n < model.r + 1:
         raise ConfigError(f"n: need n >= r+1 = {model.r + 1}, got {n}")
-    burn_in = _read(int, cfg.get("burn_in", 1000), "burn_in")
-    series = generate(model, n, burn_in=burn_in, seed=run_seed)
-    out_csv = out_dir / cfg.get("out_csv", "series.csv")
+    series = generate(model, n, burn_in=burn_in, seed=c["seed"])
+    out_csv = out_dir / c["out_csv"]
     save_series_csv(out_csv, series, provenance=prov)
     sidecar = {"model": model.describe(), "n": n, "burn_in": burn_in}
     _write_json(out_csv.with_suffix(out_csv.suffix + ".json"), sidecar, prov)
@@ -209,11 +225,10 @@ def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     return 0
 
 
-def _split_series(series, cfg):
-    test_csv = cfg.get("test_csv")
-    if test_csv is not None:
-        return series, _load(load_series_csv, test_csv, "test_csv")
-    frac = _read(float, cfg.get("train_fraction", 1.0), "train_fraction")
+def _split_series(series, c: dict):
+    if c["test_csv"] is not None:
+        return series, _load(load_series_csv, c["test_csv"], "test_csv")
+    frac = c["train_fraction"]
     if not 0.0 < frac <= 1.0:
         raise ConfigError(f"train_fraction: must be in (0,1], got {frac}")
     if frac == 1.0:
@@ -224,11 +239,20 @@ def _split_series(series, cfg):
     return series[:n_train], series[n_train:]
 
 
-def _train_config_from(spec, seed: int | None) -> TrainConfig:
-    """The train section; a --seed override replaces its seed."""
-    casts = {"epochs": int, "lr_schedule": tuple, "l2_lambda": float, "batch_size": int,
-             "seed": int, "project_entries": _bool, "prune_to_s": lambda s: s}
-    return _section(spec, "train", TrainConfig, casts, ["epochs"], seed=seed)
+def _train_config_from(spec, cli_seed: int | None, top_seed: int | None) -> TrainConfig:
+    """The train section.  The run's seed is the --seed override, else
+    train.seed, else the top-level seed, else 0; if train.seed and the
+    top-level seed are both set, they must agree."""
+    def build(seed=top_seed, **values):
+        if top_seed not in (None, seed):
+            raise ConfigError(f"seed {seed} differs from the top-level seed {top_seed}")
+        return TrainConfig(seed=next(s for s in (cli_seed, seed, 0) if s is not None),
+                           **values)
+    # prune_to_s is read as it is: TrainConfig checks it and names it
+    casts = {"epochs": _int, "lr_schedule": _schedule, "l2_lambda": _float,
+             "batch_size": _int, "seed": _int, "project_entries": _bool,
+             "prune_to_s": lambda s: s}
+    return _section(spec, "train", build, casts, ["epochs"])
 
 
 def _run_single_training(series_train, series_test, r, arch: Architecture,
@@ -243,38 +267,38 @@ def _run_single_training(series_train, series_test, r, arch: Architecture,
 
 
 def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
-    _check_keys(cfg, "config", ["train_csv"],
-                ["test_csv", "train_fraction", "r", "normalize", "arch",
-                 "train", "weight", "out_model", "out_curve", "sweep", "seed"])
-    series = _load(load_series_csv, cfg["train_csv"], "train_csv")
-    series_train, series_test = _split_series(series, cfg)
-    base_seed, prov = _seed_and_provenance(cfg, seed)
-    w = _weight_from_spec(cfg.get("weight"))
-
-    if "sweep" in cfg:
-        return _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, w, out_dir)
-
-    if "arch" not in cfg or "train" not in cfg:
-        raise ConfigError("config: training needs 'arch' and 'train' sections")
-    r = _read(int, cfg.get("r", 1), "r")
-    arch = _section(cfg["arch"], "arch", lambda p, L1=None: Architecture(len(p) - 2, p, L1=L1),
-                    {"p": tuple, "L1": lambda L1: L1}, ["p"])
+    c = _section(cfg, "", dict, {
+        "train_csv": _str, "test_csv": (_or_none(_str), None),
+        "train_fraction": (_float, 1.0), "r": (_int, 1), "normalize": (_bool, False),
+        "arch": (_object, None), "train": _object, "weight": (_or_none(_object), None),
+        "sweep": (_object, None), "out_model": (_str, "model.json"),
+        "out_curve": (_str, "curve.csv"), "seed": (_int, None)}, ["train_csv", "train"])
+    series = _load(load_series_csv, c["train_csv"], "train_csv")
+    series_train, series_test = _split_series(series, c)
+    w = _weight_from_spec(c["weight"])
+    tc = _train_config_from(c["train"], seed, c["seed"])
+    prov = _provenance(cfg, tc.seed)
+    if c["sweep"] is not None:
+        return _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir)
+    if c["arch"] is None:
+        raise ConfigError("config: training needs an 'arch' section")
+    r = c["r"]
+    arch = _section(c["arch"], "arch", lambda p, L1=None: Architecture(len(p) - 2, p, L1=L1),
+                    {"p": _ints, "L1": _or_none(_int)}, ["p"])
     d = series_train.shape[1]
     if arch.in_dim != d * r or arch.out_dim != d:
         raise ConfigError(
             f"arch.p: expects input dim {d * r} and output dim {d}, got {list(arch.p)}"
         )
-    tc = _train_config_from(cfg["train"], seed)
-    normalize = _read(_bool, cfg.get("normalize", False), "normalize")
     net, curve, data, _ = _run_single_training(
-        series_train, series_test, r, arch, tc, w, normalize,
+        series_train, series_test, r, arch, tc, w, c["normalize"],
     )
-    out_model = out_dir / cfg.get("out_model", "model.json")
-    out_curve = out_dir / cfg.get("out_curve", "curve.csv")
+    out_model = out_dir / c["out_model"]
+    out_curve = out_dir / c["out_curve"]
     save_net(net, out_model)
     write_csv(out_curve, ["epoch", "train_risk", "test_risk"],
               ((rec.epoch, rec.train_risk, rec.test_risk) for rec in curve), prov)
-    meta = {"r": r, "d": data.d, "normalize": normalize}
+    meta = {"r": r, "d": data.d, "normalize": c["normalize"]}
     if data.scaler is not None:
         meta["scaler"] = {"lo": data.scaler.lo.tolist(), "hi": data.scaler.hi.tolist()}
     meta["final_train_risk"] = curve[-1].train_risk if curve else None
@@ -287,22 +311,17 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, w, out_dir) -> int:
-    sweep = cfg["sweep"]
-    _check_keys(sweep, "sweep", [], ["r_values", "m_values", "runs", "out_table"])
+def _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir) -> int:
+    sweep = _section(c["sweep"], "sweep", dict, {
+        "r_values": (_ints, [1, 2, 3, 5]), "m_values": (_ints, [4, 6, 8, 10]),
+        "runs": (_int, 1), "out_table": (_str, "sweep.csv")})
     if series_test is None:
         raise ConfigError("sweep: needs test data (test_csv or train_fraction < 1)")
-    if "train" not in cfg:
-        raise ConfigError("config: sweep needs a 'train' section")
-    r_values = _read(_ints, sweep.get("r_values", [1, 2, 3, 5]), "sweep.r_values")
-    m_values = _read(_ints, sweep.get("m_values", [4, 6, 8, 10]), "sweep.m_values")
-    runs = _read(int, sweep.get("runs", 1), "sweep.runs")
+    r_values, m_values, runs = sweep["r_values"], sweep["m_values"], sweep["runs"]
     if runs < 1 or not r_values or not m_values or min(r_values + m_values) < 1:
         raise ConfigError("sweep: needs runs >= 1 and r_values and m_values that are "
                           "non-empty and >= 1")
-    normalize = _read(_bool, cfg.get("normalize", False), "normalize")
     d = series_train.shape[1]
-    tc = _train_config_from(cfg["train"], None)
     rows = []
     best = None
     for r in r_values:
@@ -312,7 +331,7 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, w, out_dir
                 arch = Architecture(5, (r * d, r * d, 24, m, 24, d, d), L1=3)
                 net, _, _, test_data = _run_single_training(
                     series_train, series_test, r, arch,
-                    replace(tc, seed=base_seed + 1000 * run), w, normalize,
+                    replace(tc, seed=tc.seed + 1000 * run), w, c["normalize"],
                 )
                 risk = empirical_risk(net, test_data, w)
                 risks.append(risk)
@@ -320,7 +339,7 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, w, out_dir
                     best = (risk, r, m, run, test_data)
             rows.append((r, m, risks))
             print(f"sweep r={r} m={m}: " + " ".join(f"{v:.4g}" for v in risks))
-    out_table = out_dir / sweep.get("out_table", "sweep.csv")
+    out_table = out_dir / sweep["out_table"]
     write_csv(out_table, ["r", "m"] + [f"run{i + 1}" for i in range(runs)],
               ([r, m, *risks] for r, m, risks in rows), prov)
     # naive baseline on the best run's test data, weighted like its risk
@@ -339,12 +358,14 @@ def _cmd_train_sweep(cfg, series_train, series_test, base_seed, prov, w, out_dir
 
 
 def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
-    _check_keys(cfg, "config", ["model_json", "test_csv"],
-                ["k_steps", "weight", "out_json", "seed"])
-    net = _load(load_net, cfg["model_json"], "model_json")
-    meta_path = Path(cfg["model_json"]).with_suffix(".meta.json")
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-    series = _load(load_series_csv, cfg["test_csv"], "test_csv")
+    c = _section(cfg, "", dict, {
+        "model_json": _str, "test_csv": _str, "k_steps": (_ints, [1]),
+        "weight": (_or_none(_object), None), "out_json": (_str, "metrics.json"),
+        "seed": (_int, 0)}, ["model_json", "test_csv"], seed=seed)
+    net = _load(load_net, c["model_json"], "model_json")
+    meta_path = Path(c["model_json"]).with_suffix(".meta.json")
+    meta = _load_json(meta_path) if meta_path.exists() else {}
+    series = _load(load_series_csv, c["test_csv"], "test_csv")
     d = series.shape[1]
     if net.arch.in_dim % d != 0 or net.arch.out_dim != d:
         raise ConfigError(
@@ -359,8 +380,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
         scaler = Scaler(lo=np.asarray(meta["scaler"]["lo"]),
                         hi=np.asarray(meta["scaler"]["hi"]))
     data = lag_embed(series, r, scaler=scaler)
-    w = _weight_from_spec(cfg.get("weight"))
-    _, prov = _seed_and_provenance(cfg, seed)
+    w = _weight_from_spec(c["weight"])
     metrics = {
         "empirical_risk": empirical_risk(net, data, w),
         "naive_risk": naive_predict(data, w),
@@ -368,7 +388,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     }
     n = len(data)
     k_errors = {}
-    for k in _read(_ints, cfg.get("k_steps", [1]), "k_steps"):
+    for k in c["k_steps"]:
         # per-coordinate squared error of the j-step forecast from every start, j = 1..k
         if k > n:
             raise ConfigError(f"k_steps: horizon {k} exceeds test sample count {n}")
@@ -378,31 +398,30 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
             for j, pred in enumerate(multi_step_forecast(net, data.X[:m], k))
         ]
     metrics["k_step_mse"] = k_errors
-    out_json = out_dir / cfg.get("out_json", "metrics.json")
-    _write_json(out_json, metrics, prov)
+    out_json = out_dir / c["out_json"]
+    _write_json(out_json, metrics, _provenance(cfg, c["seed"]))
     print(f"wrote {out_json}; risk {metrics['empirical_risk']:.6g}, "
           f"naive {metrics['naive_risk']:.6g}")
     return 0
 
 
 def cmd_certify(cfg: dict, seed: int | None, out_dir: Path) -> int:
-    _check_keys(cfg, "config", ["target", "N", "m"],
-                ["f_bound", "out_json", "seed"])
+    c = _section(cfg, "", dict, {
+        "target": _str, "N": _int, "m": _int, "f_bound": (_or_none(_float), None),
+        "out_json": (_str, "certificate.json"), "seed": (_int, 0),
+    }, ["target", "N", "m"], seed=seed)
     cat = catalog()
-    name = cfg["target"]
+    name = c["target"]
     if name not in cat:
         raise ConfigError(f"target: unknown catalog entry {name!r}; "
                           f"choose from {sorted(cat)}")
-    run_seed, prov = _seed_and_provenance(cfg, seed)
-    plan = ApproxPlan(N=_read(int, cfg["N"], "N"), m=_read(int, cfg["m"], "m"))
-    f_bound = cfg.get("f_bound")
-    if f_bound is not None:
-        f_bound = _read(float, f_bound, "f_bound")
-        if not (math.isfinite(f_bound) and f_bound > 0):
-            raise ConfigError(f"f_bound: must be finite and > 0, got {f_bound}")
-    net, cert = build_approximator(cat[name], plan, f_bound=f_bound, seed=run_seed)
-    out_json = out_dir / cfg.get("out_json", "certificate.json")
-    _write_json(out_json, cert, prov)
+    plan = ApproxPlan(N=c["N"], m=c["m"])
+    f_bound = c["f_bound"]
+    if f_bound is not None and f_bound <= 0:
+        raise ConfigError(f"f_bound: must be finite and > 0, got {f_bound}")
+    net, cert = build_approximator(cat[name], plan, f_bound=f_bound, seed=c["seed"])
+    out_json = out_dir / c["out_json"]
+    _write_json(out_json, cert, _provenance(cfg, c["seed"]))
     ok = (cert["measured_sup"] <= cert["sup_bound"]
           and cert["measured_lip"] <= cert["lip_bound"])
     print(f"wrote {out_json}; measured sup {cert['measured_sup']:.4g} "
@@ -414,41 +433,40 @@ def _dependence_from_spec(spec) -> DependenceSpec:
     kinds = {"independent": independent, "mixing_polynomial": mixing_polynomial,
              "mixing_exponential": mixing_exponential, "fdm_polynomial": fdm_polynomial,
              "fdm_exponential": fdm_exponential}
-    casts = {"kind": str, "alpha": float, "kappa": float, "rho": float}
+    casts = {"kind": _str, "alpha": _float, "kappa": _float, "rho": _float}
     return _section(spec, "dependence", _kinded(kinds), casts, ["kind"])
 
 
 def _profile_from_spec(spec) -> SmoothnessProfile:
-    if isinstance(spec, dict) and "beta" in spec:
-        casts = {"beta": float, "t": int}
+    if "beta" in spec:
+        casts = {"beta": _float, "t": _int}
         return _section(spec, "profile", SmoothnessProfile.isotropic, casts, casts)
-    casts = {"beta_dec": float, "t_dec": int, "beta_enc0": float, "t_enc0": int,
-             "beta_enc1": float, "t_enc1": int}
+    casts = {"beta_dec": _float, "t_dec": _int, "beta_enc0": _float, "t_enc0": _int,
+             "beta_enc1": _float, "t_enc1": _int}
     return _section(spec, "profile", SmoothnessProfile, casts, casts)
 
 
 def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
-    _check_keys(cfg, "config", ["dependence", "profile"],
-                ["x_grid", "n_values", "out_lambda_csv", "out_rates_csv", "seed"])
-    spec = _dependence_from_spec(cfg["dependence"])
-    profile = _profile_from_spec(cfg["profile"])
-    grid_cfg = cfg.get("x_grid", {})
-    _check_keys(grid_cfg, "x_grid", [], ["min", "max", "points"])
-    x_lo = _read(float, grid_cfg.get("min", 1e-6), "x_grid.min")
-    x_hi = _read(float, grid_cfg.get("max", 1.0), "x_grid.max")
-    points = _read(int, grid_cfg.get("points", 25), "x_grid.points")
-    if not (0 < x_lo < x_hi) or points < 2:
+    c = _section(cfg, "", dict, {
+        "dependence": _object, "profile": _object, "x_grid": (_object, {}),
+        "n_values": (_ints, [1000, 10000, 100000]),
+        "out_lambda_csv": (_str, "lambda.csv"), "out_rates_csv": (_str, "rates.csv"),
+        "seed": (_int, 0)}, ["dependence", "profile"], seed=seed)
+    spec = _dependence_from_spec(c["dependence"])
+    profile = _profile_from_spec(c["profile"])
+    grid = _section(c["x_grid"], "x_grid", dict,
+                    {"min": (_float, 1e-6), "max": (_float, 1.0), "points": (_int, 25)})
+    if not (0 < grid["min"] < grid["max"]) or grid["points"] < 2:
         raise ConfigError("x_grid: need 0 < min < max and points >= 2")
-    xs = np.logspace(math.log10(x_lo), math.log10(x_hi), points)
-    _, prov = _seed_and_provenance(cfg, seed)
+    xs = np.logspace(math.log10(grid["min"]), math.log10(grid["max"]), grid["points"])
+    prov = _provenance(cfg, c["seed"])
     lam = [float(rate_function(spec, float(x))) for x in xs]
     env = [float(rate_envelope(spec, float(x))) for x in xs]
 
-    out_lambda = out_dir / cfg.get("out_lambda_csv", "lambda.csv")
+    out_lambda = out_dir / c["out_lambda_csv"]
     write_csv(out_lambda, ["x", "lambda", "envelope"], zip(xs, lam, env), prov)
 
-    n_values = _read(_ints, cfg.get("n_values", [1000, 10000, 100000]), "n_values")
-    out_rates = out_dir / cfg.get("out_rates_csv", "rates.csv")
+    out_rates = out_dir / c["out_rates_csv"]
     alpha, rates_prov = spec.alpha, prov
     if alpha is None:
         # choose_N and predicted_rate need an alpha; say which one is used
@@ -456,7 +474,7 @@ def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
         rates_prov = {**prov, "rate_alpha": note}
         print(f"{out_rates}: rate_alpha={note}")
     rows = []
-    for n in n_values:
+    for n in c["n_values"]:
         N = choose_N(n, alpha, profile)
         rows.append((n, N, predicted_rate(n, alpha, profile),
                      oracle_bound(spec, n, N, profile)))
@@ -498,7 +516,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        cfg = _load_config(args.config)
+        cfg = _load(_load_json, args.config, "--config")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args.seed, out_dir)

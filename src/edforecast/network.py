@@ -33,20 +33,15 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer-count, width vector and optional class constraints.
+    """Layer count and width vector.
 
     ``L`` hidden layers, widths ``p = (p0, ..., p_{L+1})``.  ``L1`` marks the
-    bottleneck position (the L1-th hidden layer); ``s_budget``, ``F_bound``
-    and ``lip_bound`` are the optional sparsity / sup-norm / Lipschitz caps
-    of the constrained network class.
+    bottleneck position (the L1-th hidden layer).
     """
 
     L: int
     p: tuple
     L1: int | None = None
-    s_budget: int | None = None
-    F_bound: float | None = None
-    lip_bound: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(int(v) for v in self.p))
@@ -212,12 +207,8 @@ class Network:
         return bound
 
     def with_l1(self, L1: int | None) -> "Network":
-        arch = Architecture(
-            self.arch.L, self.arch.p, L1=L1,
-            s_budget=self.arch.s_budget, F_bound=self.arch.F_bound,
-            lip_bound=self.arch.lip_bound,
-        )
-        return Network(arch, self.weights, self.biases)
+        return Network(Architecture(self.arch.L, self.arch.p, L1=L1),
+                       self.weights, self.biases)
 
 
 def lipschitz_empirical(net: Network, X: np.ndarray, Xp: np.ndarray) -> float:
@@ -235,8 +226,10 @@ def lipschitz_empirical(net: Network, X: np.ndarray, Xp: np.ndarray) -> float:
     return float(np.max(num[keep] / den[keep]))
 
 
-def is_in_class(net: Network, arch: Architecture, sample_inputs=None) -> dict:
-    """Check membership of ``net`` in the class described by ``arch``.
+def is_in_class(net: Network, arch: Architecture, sample_inputs=None, *,
+                s_budget=None, F_bound=None, lip_bound=None) -> dict:
+    """Check membership of ``net`` in the class shaped like ``arch``, under
+    the optional sparsity / sup-norm / Lipschitz caps given as keywords.
 
     Entry, sparsity and bottleneck checks are exact.  The Lipschitz check is
     conservative (uses the certified upper bound, so True is a proof).  The
@@ -250,16 +243,14 @@ def is_in_class(net: Network, arch: Architecture, sample_inputs=None) -> dict:
     report["bottleneck_ok"] = (
         arch.L1 is None or (net.arch.p[arch.L1] == arch.p[arch.L1])
     )
-    report["sparsity_ok"] = (
-        arch.s_budget is None or report["sparsity"] <= arch.s_budget
-    )
-    if arch.lip_bound is not None:
+    report["sparsity_ok"] = s_budget is None or report["sparsity"] <= s_budget
+    if lip_bound is not None:
         report["lip_upper"] = net.lipschitz_upper()
-        report["lip_ok"] = report["lip_upper"] <= arch.lip_bound
-    if arch.F_bound is not None and sample_inputs is not None:
+        report["lip_ok"] = report["lip_upper"] <= lip_bound
+    if F_bound is not None and sample_inputs is not None:
         sup = float(np.max(np.abs(net.eval_batch(sample_inputs))))
         report["sup_sampled"] = sup
-        report["sup_ok"] = sup <= arch.F_bound
+        report["sup_ok"] = sup <= F_bound
     report["ok"] = all(v for k, v in report.items() if k.endswith("_ok"))
     return report
 

@@ -514,3 +514,137 @@ def test_bad_train_value_is_config_error_before_training(tmp_path, capsys, top, 
     assert run(["train", "--config", cfg, "--out", tmp_path]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists() and not (tmp_path / "sweep.csv").exists()
+
+
+STRICT_BASE = {
+    "simulate": {"model": {"kind": "zero", "d": 2}, "n": 40},
+    "train": {"train_csv": "series.csv", "arch": {"p": [2, 3, 2]}, "train": {"epochs": 1}},
+    "evaluate": {"model_json": "model.json", "test_csv": "series.csv"},
+    "certify": {"target": "linear", "N": 10, "m": 6},
+    "rates": {"dependence": {"kind": "independent"}, "profile": {"beta": 1.0, "t": 1},
+              "x_grid": {"min": 1e-3, "max": 0.5, "points": 2}, "n_values": [1000]},
+}
+
+
+def strict_setup(tmp_path, monkeypatch, command, key, value):
+    """A run directory with a small series and model, and the base config of
+    ``command`` with the dotted ``key`` set to ``value``."""
+    monkeypatch.chdir(tmp_path)
+    rows = ["t,x1,x2"] + [f"{i},{0.1 * i},{0.2 * i}" for i in range(1, 9)]
+    Path("series.csv").write_text("\n".join(rows) + "\n")
+    if command == "evaluate":
+        net = {**STRICT_BASE["train"], "train": {"epochs": 0}}
+        Path("net.json").write_text(json.dumps(net))
+        assert run(["train", "--config", "net.json", "--out", "."]) == 0
+    payload = json.loads(json.dumps(STRICT_BASE[command]))
+    *sections, leaf = key.split(".")
+    target = payload
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[leaf] = value
+    Path("cfg.json").write_text(json.dumps(payload))
+    return ["--config", "cfg.json", "--out", "out"]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "n", 60.9),
+    ("simulate", "burn_in", 10.7),
+    ("simulate", "seed", 1.5),
+    ("simulate", "n", float("inf")),
+    ("simulate", "out_csv", 5),
+    ("train", "train.epochs", 2.7),
+    ("train", "train.batch_size", True),
+    ("train", "train.lr_schedule", [[0, 0.01], [2.5, 0.001]]),
+    ("train", "arch.p", "232"),
+    ("train", "arch.L1", 1.5),
+    ("train", "train_csv", 7),
+    ("evaluate", "k_steps", "12"),
+    ("rates", "n_values", "55"),
+    ("rates", "n_values", "100"),
+    ("rates", "x_grid.points", 3.9),
+])
+def test_malformed_value_is_config_error_naming_its_key(tmp_path, monkeypatch, capsys,
+                                                        command, key, value):
+    args = strict_setup(tmp_path, monkeypatch, command, key, value)
+    capsys.readouterr()
+    assert run([command, *args]) == 2
+    assert f"config error: {key.replace('.', ': ')}: invalid value" in capsys.readouterr().err
+    assert list(Path("out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "n", 60.0),
+    ("rates", "n_values", [1e3]),
+    ("certify", "f_bound", "5"),
+])
+def test_integral_float_and_numeric_string_are_read(tmp_path, monkeypatch, command, key,
+                                                    value):
+    args = strict_setup(tmp_path, monkeypatch, command, key, value)
+    assert run([command, *args]) == 0
+    if command == "simulate":
+        assert load_series_csv(Path("out", "series.csv")).shape == (60, 2)
+    if command == "rates":
+        rows = [ln for ln in Path("out", "rates.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows[1].startswith("1000,")
+
+
+def provenance_seed(path):
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["_provenance"]["seed"]
+    line = next(ln for ln in path.read_text().splitlines() if ln.startswith("# seed="))
+    return int(line[len("# seed="):])
+
+
+def test_train_seed_rule_and_its_provenance(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--config", write_cfg(tmp_path, "sim.json", {
+        "model": {"kind": "zero", "d": 2}, "n": 40}), "--out", "."]) == 0
+    single = {"train_csv": "series.csv", "train_fraction": 0.5,
+              "arch": {"p": [2, 3, 2]}, "train": {"epochs": 1, "lr_schedule": [[0, 0.01]]}}
+    sweep = {**single, "sweep": {"r_values": [1], "m_values": [2], "runs": 2}}
+    del sweep["arch"]
+
+    def train(name, base, top=None, inner=None, cli=None):
+        payload = json.loads(json.dumps(base))
+        if top is not None:
+            payload["seed"] = top
+        if inner is not None:
+            payload["train"]["seed"] = inner
+        Path(name).mkdir()
+        cfg = write_cfg(tmp_path, f"{name}.json", payload)
+        return run(["train", "--config", cfg, "--out", name]
+                   + (["--seed", cli] if cli is not None else []))
+
+    # --seed, else train.seed, else seed, else 0; every artifact stamps the seed used
+    cases = [("top", {"top": 5}, 5), ("inner", {"inner": 5}, 5),
+             ("both", {"top": 5, "inner": 5}, 5), ("cli", {"inner": 3, "cli": 5}, 5),
+             ("none", {}, 0)]
+    for name, seeds, used in cases:
+        assert train(name, single, **seeds) == 0
+        assert provenance_seed(Path(name, "curve.csv")) == used
+        assert provenance_seed(Path(name, "model.meta.json")) == used
+        assert (Path(name, "model.json").read_bytes()
+                == Path("top" if used == 5 else "none", "model.json").read_bytes())
+    assert Path("top/model.json").read_bytes() != Path("none/model.json").read_bytes()
+    # the sweep's base seed follows the same rule
+    for name, seeds in [("sweep_top", {"top": 5}), ("sweep_inner", {"inner": 5})]:
+        assert train(name, sweep, **seeds) == 0
+        assert provenance_seed(Path(name, "sweep.csv")) == 5
+    rows = [[ln for ln in Path(name, "sweep.csv").read_text().splitlines()
+             if not ln.startswith("#")] for name in ("sweep_top", "sweep_inner")]
+    assert rows[0] == rows[1]
+    # two different seeds are a config error, before any artifact is written
+    capsys.readouterr()
+    assert train("clash", single, top=5, inner=3) == 2
+    assert "train: seed 3 differs from the top-level seed 5" in capsys.readouterr().err
+    assert list(Path("clash").iterdir()) == []
+
+
+def test_malformed_model_sidecar_is_config_error(tmp_path, monkeypatch, capsys):
+    args = strict_setup(tmp_path, monkeypatch, "evaluate", "k_steps", [1])
+    Path("model.meta.json").write_text('{"r": 1')
+    capsys.readouterr()
+    assert run(["evaluate", *args]) == 2
+    assert "model.meta.json: not valid JSON" in capsys.readouterr().err
+    assert list(Path("out").iterdir()) == []

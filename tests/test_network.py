@@ -256,14 +256,14 @@ def test_deepen_below_depth_rejected():
 def test_class_membership_and_monotone_sparsity():
     rng = np.random.default_rng(41)
     net = random_net(rng, (3, 4, 2), L1=1)
-    arch = Architecture(1, (3, 4, 2), L1=1, s_budget=net.sparsity())
-    report = is_in_class(net, arch)
+    arch, s_budget = Architecture(1, (3, 4, 2), L1=1), net.sparsity()
+    report = is_in_class(net, arch, s_budget=s_budget)
     assert report["sparsity_ok"] and report["entries_ok"]
     # zeroing any entry never violates a satisfied sparsity constraint
     weights = [w.copy() for w in net.weights]
     weights[0][0, 0] = 0.0
     smaller = Network(net.arch, weights, net.biases)
-    assert is_in_class(smaller, arch)["sparsity_ok"]
+    assert is_in_class(smaller, arch, s_budget=s_budget)["sparsity_ok"]
 
 
 def test_serialization_bit_exact_roundtrip():
