@@ -104,6 +104,10 @@ def _float(value):
     return float(value)
 
 
+def _floats(value):
+    return np.array([_float(v) for v in _list(value)])
+
+
 def _or_none(cast):
     return lambda value: None if value is None else cast(value)
 
@@ -279,6 +283,10 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
     tc = _train_config_from(c["train"], seed, c["seed"])
     prov = _provenance(cfg, tc.seed)
     if c["sweep"] is not None:
+        # the sweep builds its own architectures and names its own outputs
+        ignored = [k for k in ("arch", "r", "out_model", "out_curve") if k in cfg]
+        if ignored:
+            raise ConfigError(f"config: {ignored} do not apply with a 'sweep' section")
         return _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir)
     if c["arch"] is None:
         raise ConfigError("config: training needs an 'arch' section")
@@ -364,7 +372,10 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
         "seed": (_int, 0)}, ["model_json", "test_csv"], seed=seed)
     net = _load(load_net, c["model_json"], "model_json")
     meta_path = Path(c["model_json"]).with_suffix(".meta.json")
-    meta = _load_json(meta_path) if meta_path.exists() else {}
+    meta = _section(_load_json(meta_path) if meta_path.exists() else {}, str(meta_path), dict, {
+        "r": (_or_none(_int), None), "d": (_or_none(_int), None), "normalize": (_bool, False),
+        "scaler": (_or_none(_object), None), "final_train_risk": (_or_none(float), None),
+        "final_test_risk": (_or_none(float), None), "_provenance": (_object, None)})
     series = _load(load_series_csv, c["test_csv"], "test_csv")
     d = series.shape[1]
     if net.arch.in_dim % d != 0 or net.arch.out_dim != d:
@@ -373,12 +384,14 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
             f"do not match series dimension {d}"
         )
     r = net.arch.in_dim // d
-    if meta.get("r") not in (None, r):
+    if meta["r"] not in (None, r):
         raise ConfigError(f"model_json: metadata lag count {meta['r']} != {r}")
     scaler = None
-    if meta.get("scaler"):
-        scaler = Scaler(lo=np.asarray(meta["scaler"]["lo"]),
-                        hi=np.asarray(meta["scaler"]["hi"]))
+    if meta["scaler"] is not None:
+        scaler = _section(meta["scaler"], f"{meta_path}: scaler", Scaler,
+                          {"lo": _floats, "hi": _floats}, ["lo", "hi"])
+        if not scaler.lo.shape == scaler.hi.shape == (d,):
+            raise ConfigError(f"{meta_path}: scaler: lo and hi need {d} entries each")
     data = lag_embed(series, r, scaler=scaler)
     w = _weight_from_spec(c["weight"])
     metrics = {

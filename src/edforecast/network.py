@@ -10,8 +10,9 @@ hidden layer ``i+1``.  The output layer is affine-linear with no bias.
 
 Networks are immutable values: construction validates shapes, evaluation is
 pure and thread-safe.  Structural combinators (compose/parallel/deepen)
-return new networks.  Evaluation runs one forward kernel that multiplies
-layers with at most 10% nonzero entries as scipy CSR matrices.
+return new networks.  Evaluation runs one forward kernel: each layer is one
+product with a kernel that carries the bias as a column acting on a constant
+row of ones, a scipy CSR matrix for layers with at most 10% nonzero weights.
 """
 
 from __future__ import annotations
@@ -146,36 +147,50 @@ class Network:
     def _forward(self, A: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Apply layers start..stop-1 to the rows of A.
 
-        Activations are kept transposed, (width, rows), and walked in blocks
-        of _BLOCK_ROWS rows; every layer below L subtracts its bias and takes
-        the ReLU in place.
+        Activations are kept transposed, (width + 1, rows), with a last row of
+        ones, and walked in blocks of _BLOCK_ROWS rows.  A layer is one
+        product with its kernel, which subtracts the bias through that row;
+        every layer below L then takes the ReLU in place.
         """
         if self._kernels is None:
             object.__setattr__(self, "_kernels", self._build_kernels())
-        kernels, biases = self._kernels
-        L = self.arch.L
-        out = np.empty((A.shape[0], self.arch.p[stop]))
+        L, p = self.arch.L, self.arch.p
+        out = np.empty((A.shape[0], p[stop]))
         for r0 in range(0, A.shape[0], _BLOCK_ROWS):
-            Z = np.ascontiguousarray(A[r0 : r0 + _BLOCK_ROWS].T)
+            block = A[r0 : r0 + _BLOCK_ROWS]
+            Z = np.ones((p[start] + 1, block.shape[0]))
+            Z[:-1] = block.T
             for i in range(start, stop):
-                Z = kernels[i] @ Z
+                Z = self._kernels[i] @ Z
                 if i < L:
-                    Z -= biases[i]
                     np.maximum(Z, 0.0, out=Z)
-            out[r0 : r0 + _BLOCK_ROWS] = Z.T
+            out[r0 : r0 + _BLOCK_ROWS] = Z[: p[stop]].T
         return out
 
     def _build_kernels(self):
-        """Per layer, the weight matrix as CSR when at most _SPARSE_DENSITY
-        of it is nonzero, else the dense array; biases as columns."""
+        """Per layer, the matrix that maps a block with its ones row to the
+        next: [[W, -b], [0, 1]] below L and [W, 0] at L.  It is CSR, with
+        sorted column indices so the bias is the last term of each row's sum,
+        when at most _SPARSE_DENSITY of W is nonzero, else a dense array."""
         kernels = []
-        for w in self.weights:
-            if np.count_nonzero(w) <= _SPARSE_DENSITY * w.size:
+        for i, w in enumerate(self.weights):
+            n, m = w.shape
+            hidden = int(i < self.arch.L)
+            col = -self.biases[i] if hidden else np.zeros(n)
+            if np.count_nonzero(w) > _SPARSE_DENSITY * w.size:
+                K = np.zeros((n + hidden, m + 1))
+                K[:n, :m], K[:n, m], K[n:, m] = w, col, 1.0
+            else:  # W's nonzeros row by row, then the bias and ones entries
                 from scipy.sparse import csr_matrix
 
-                w = csr_matrix(w)
-            kernels.append(w)
-        return kernels, [b[:, None] for b in self.biases]
+                r, c = np.nonzero(w)
+                rb = np.flatnonzero(col)
+                K = csr_matrix((np.concatenate([w[r, c], col[rb], np.ones(hidden)]),
+                                (np.concatenate([r, rb, np.full(hidden, n)]),
+                                 np.concatenate([c, np.full(rb.size + hidden, m)]))),
+                               shape=(n + hidden, m + 1))
+            kernels.append(K)
+        return kernels
 
     def _require_l1(self) -> int:
         if self.arch.L1 is None:

@@ -648,3 +648,49 @@ def test_malformed_model_sidecar_is_config_error(tmp_path, monkeypatch, capsys):
     assert run(["evaluate", *args]) == 2
     assert "model.meta.json: not valid JSON" in capsys.readouterr().err
     assert list(Path("out").iterdir()) == []
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ([1], "model.meta.json: expected an object"),
+    ({"r": 1, "scaler": {"lo": [0.0, 0.0]}}, "model.meta.json: scaler: missing required keys ['hi']"),
+    ({"r": 1, "scaler": {"lo": [0.0, 0.0], "hi": ["a", 1.0]}},
+     "model.meta.json: scaler: hi: invalid value ['a', 1.0]"),
+    ({"r": 1, "scaler": {"lo": [0.0], "hi": [1.0]}},
+     "model.meta.json: scaler: lo and hi need 2 entries each"),
+    ({"r": "1"}, "model.meta.json: r: invalid value '1'"),
+    ({"r": 1, "lags": 1}, "model.meta.json: unknown keys ['lags']"),
+], ids=["not_an_object", "scaler_without_hi", "non_numeric_hi", "short_scaler",
+        "string_r", "unknown_key"])
+def test_malformed_sidecar_content_is_config_error(tmp_path, monkeypatch, capsys, sidecar,
+                                                   message):
+    args = strict_setup(tmp_path, monkeypatch, "evaluate", "k_steps", [1])
+    Path("model.meta.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert run(["evaluate", *args]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(Path("out").iterdir()) == []
+
+
+def test_sidecar_written_by_train_reads_back(tmp_path, monkeypatch):
+    # a normalized model's sidecar carries every key evaluate reads
+    args = strict_setup(tmp_path, monkeypatch, "evaluate", "k_steps", [1])
+    net = {**STRICT_BASE["train"], "normalize": True, "train": {"epochs": 1}}
+    Path("net.json").write_text(json.dumps(net))
+    assert run(["train", "--config", "net.json", "--out", "."]) == 0
+    assert "scaler" in json.loads(Path("model.meta.json").read_text())
+    assert run(["evaluate", *args]) == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("arch", {"p": [9, 9]}), ("r", 4), ("out_model", "x.json"), ("out_curve", "x.csv"),
+])
+def test_sweep_refuses_single_run_keys(tmp_path, capsys, key, value):
+    rows = ["t,x1,x2"] + [f"{i},{0.1 * i},{0.2 * i}" for i in range(1, 9)]
+    (tmp_path / "series.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"), "train_fraction": 0.5,
+        "train": {"epochs": 1}, "sweep": {"r_values": [1], "m_values": [2]}, key: value})
+    assert run(["train", "--config", cfg, "--out", tmp_path]) == 2
+    assert (f"config error: config: ['{key}'] do not apply with a 'sweep' section"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sweep.csv").exists()

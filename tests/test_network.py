@@ -320,11 +320,32 @@ def assert_matches_dense(got, ref):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
+def two_pass_forward(net, A, start, stop):
+    """Oracle: the block kernel before the bias fold.  Each layer is the
+    product with W (CSR when at most 10% nonzero), then ``-= b``, then the
+    ReLU, on transposed 256-row blocks."""
+    from scipy.sparse import csr_matrix
+
+    kernels = [csr_matrix(w) if np.count_nonzero(w) <= 0.1 * w.size else w
+               for w in net.weights]
+    A = np.asarray(A, dtype=float)
+    out = np.empty((A.shape[0], net.arch.p[stop]))
+    for r0 in range(0, A.shape[0], 256):
+        Z = np.ascontiguousarray(A[r0 : r0 + 256].T)
+        for i in range(start, stop):
+            Z = kernels[i] @ Z
+            if i < net.arch.L:
+                Z -= net.biases[i][:, None]
+                np.maximum(Z, 0.0, out=Z)
+        out[r0 : r0 + 256] = Z.T
+    return out
+
+
 def has_sparse_layer(net):
     from scipy.sparse import issparse
 
     net.eval_batch(np.zeros((1, net.arch.in_dim)))
-    return any(issparse(k) for k in net._kernels[0])
+    return any(issparse(k) for k in net._kernels)
 
 
 # (target, N, m): the certificate sizes of the benchmark's certify workload
@@ -349,11 +370,37 @@ def test_forward_kernel_matches_dense_on_certificate_nets(cert_nets, target):
     assert all(type(w) is np.ndarray for w in net.weights)
 
 
+@pytest.mark.parametrize("target,N,m", [("product2", 49, 10), ("sinsum", 25, 12)])
+def test_folded_kernel_is_bit_identical_to_two_pass_loop(target, N, m):
+    # a CSR layer sums W's terms in column order and then the bias, exactly
+    # as the product followed by the subtraction did
+    from scipy.sparse import issparse
+
+    net = build_approximator(catalog()[target], ApproxPlan(N=N, m=m))[0]
+    X = np.random.default_rng(61).uniform(0, 1, size=(4000, net.arch.in_dim))
+    assert np.array_equal(net.eval_batch(X), two_pass_forward(net, X, 0, net.arch.L + 1))
+    for i, k in enumerate(net._kernels):
+        rows = net.arch.p[i + 1] + (i < net.arch.L)
+        assert k.shape == (rows, net.arch.p[i] + 1)
+        assert not issparse(k) or k.has_sorted_indices
+
+
+def test_folded_kernel_layout_on_dense_net_with_biases():
+    net = random_net(np.random.default_rng(71), (3, 20, 8, 2))
+    assert all(np.all(b != 0) for b in net.biases)
+    net.eval_batch(np.zeros((1, 3)))
+    K0, K1, K2 = net._kernels
+    assert np.array_equal(K0, np.block([[net.weights[0], -net.biases[0][:, None]],
+                                        [np.zeros((1, 3)), np.ones((1, 1))]]))
+    assert np.array_equal(K1[-1], np.eye(1, 21, 20)[0])
+    assert np.array_equal(K2, np.hstack([net.weights[2], np.zeros((2, 1))]))
+
+
 def _kernel_nets(cert_nets):
     rng = np.random.default_rng(59)
     depth0 = Network(Architecture(0, (3, 4)), [rng.uniform(-1, 1, size=(4, 3))], [])
-    return {"certificate": cert_nets["product2"], "dense": random_net(rng, (3, 20, 8, 20, 3)),
-            "depth0": depth0}
+    return {"certificate": cert_nets["product2"],
+            "dense": random_net(rng, (3, 20, 8, 20, 3), L1=2), "depth0": depth0}
 
 
 @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 4000])
@@ -364,6 +411,12 @@ def test_forward_kernel_block_edges(cert_nets, kind, rows):
     out = net.eval_batch(X)
     assert out.shape == (rows, net.arch.out_dim)
     assert_matches_dense(out, dense_forward(net, X, 0, net.arch.L + 1))
+    if net.arch.L1 is not None:
+        # the encoder drops the ones row at its end, the decoder adds it back
+        L1 = net.arch.L1
+        z = net.encoder_batch(X)
+        assert_matches_dense(z, dense_forward(net, X, 0, L1))
+        assert_matches_dense(net.decoder_batch(z), dense_forward(net, z, L1, net.arch.L + 1))
     assert all(type(w) is np.ndarray for w in net.weights)
 
 
