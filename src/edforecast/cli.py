@@ -16,6 +16,7 @@ failure.  Any other error is a bug and exits 1 with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -505,7 +506,8 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:  # built on first use
     parser = argparse.ArgumentParser(
         prog="edforecast",
         description="Encoder-decoder network forecasting experiments",
@@ -519,7 +521,11 @@ def main(argv=None) -> int:
         if name == "train":
             p.add_argument("--fetch-note", action="store_true",
                            help="print the external weather-data URL and exit")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "train" and args.fetch_note:
         print(WEATHER_DATA_NOTE)

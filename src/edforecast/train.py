@@ -128,6 +128,24 @@ def naive_predict(data: LagDataset, w: WeightFn | None = None) -> float:
     return empirical_risk(lambda X: X[:, : data.d], data, w)
 
 
+class Workspace:
+    """Buffers for ``gradient`` on one network, owned by the caller (a training
+    run), not the network: the gradient arrays (given or new), each layer's
+    pre-activation (reused backward), activation (entry 0 is the step's
+    sample) and ReLU mask, their views, and 0-d constants."""
+
+    def __init__(self, net: Network, out=None):
+        self.net = net
+        self.g_w, self.g_b = out or ([np.empty_like(wm) for wm in net.weights],
+                                     [np.empty_like(bv) for bv in net.biases])
+        self.z = [np.empty(width) for width in net.arch.p[1:]]
+        self.cols = [z[:, None] for z in self.z]
+        self.acts = [None] + [np.empty(width) for width in net.arch.p[1:-1]]
+        self.rows = [None] + [a[None, :] for a in self.acts[1:]]
+        self.masks = [np.empty_like(z) for z in self.z[:-1]]
+        self.zero, self.scale = np.array(0.0), np.array(2.0 / net.arch.out_dim)
+
+
 def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
              l2_lambda: float = 0.0, out=None):
     """Exact gradient of the batch-mean weighted loss plus L2 penalty.
@@ -136,34 +154,47 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
     is ``X`` of shape (p0,), ``Y`` of shape (d,) and a scalar weight W(x); a
     batch is ``X`` of shape (nb, p0), ``Y`` of shape (nb, d) and the rows'
     weights of shape (nb,).  Returns (weight gradients, bias gradients) in
-    the network layout, written into the arrays of ``out=(g_w, g_b)`` when
-    given.  ReLU'(0) is taken as 0.
+    the network layout, written into ``out``: a ``Workspace`` built for
+    ``net``, or the arrays of ``(g_w, g_b)``, or None for new arrays.  The
+    arrays must be C-contiguous float64.  ReLU' is the Heaviside step, 0 at 0.
+
+    One sample runs in the workspace (a throwaway one unless given) through
+    calls with ``out=`` and 0-d constants: the batch-of-one path's operations
+    in the same order (an outer product with one term per entry is exact), so
+    each value is the same, though a zero may change sign.
     """
-    L = net.arch.L
-    W = net.weights
+    L, W, B = net.arch.L, net.weights, net.biases
+    ws = out if isinstance(out, Workspace) else Workspace(net, out)
+    if ws.net is not net:
+        raise ValueError("the workspace was built for another network")
+    g_w, g_b = ws.g_w, ws.g_b
     X = np.asarray(X, dtype=np.float64)
-    one = X.ndim == 1
-    nb = 1 if one else X.shape[0]
-    if nb == 0:
-        raise ValueError("empty batch")
-    acts, pre = [X], []
-    for i in range(L):
-        z = acts[i] @ W[i].T  # a matrix-vector product for one sample
-        z -= net.biases[i]
-        pre.append(z)
-        acts.append(np.maximum(z, 0.0))
-    g_z = ((2.0 / (net.arch.out_dim * nb)) * (acts[L] @ W[L].T - Y)
-           * (wts if one else wts[:, None]))
-    g_w, g_b = out or ([np.empty_like(wm) for wm in W],
-                       [np.empty_like(bv) for bv in net.biases])
-    if one:
-        # outer products, and no sum over a batch axis
-        np.multiply(g_z[:, None], acts[L], out=g_w[L])
+    if X.ndim == 1:
+        z, cols, acts, rows, masks, zero = ws.z, ws.cols, ws.acts, ws.rows, ws.masks, ws.zero
+        acts[0], rows[0] = X, X[None, :]
+        for i in range(L):
+            np.dot(W[i], acts[i], out=z[i])
+            np.subtract(z[i], B[i], out=z[i])
+            np.heaviside(z[i], zero, out=masks[i])
+            np.maximum(z[i], zero, out=acts[i + 1])
+        g_z = np.dot(W[L], acts[L], out=z[L])
+        np.subtract(g_z, Y, out=g_z)
+        np.multiply(g_z, ws.scale, out=g_z)
+        np.multiply(g_z, wts, out=g_z)
+        np.dot(cols[L], rows[L], out=g_w[L])
         for i in range(L - 1, -1, -1):
-            g_z = (g_z @ W[i + 1]) * (pre[i] > 0.0)
-            np.negative(g_z, out=g_b[i])
-            np.multiply(g_z[:, None], acts[i], out=g_w[i])
+            np.dot(z[i + 1], W[i + 1], out=z[i])
+            np.multiply(z[i], masks[i], out=z[i])
+            np.negative(z[i], out=g_b[i])
+            np.dot(cols[i], rows[i], out=g_w[i])
     else:
+        if len(X) == 0:
+            raise ValueError("empty batch")
+        acts, pre = [X], []
+        for i in range(L):
+            pre.append(acts[i] @ W[i].T - B[i])
+            acts.append(np.maximum(pre[i], 0.0))
+        g_z = (2.0 / (net.arch.out_dim * len(X))) * (acts[L] @ W[L].T - Y) * wts[:, None]
         np.matmul(g_z.T, acts[L], out=g_w[L])
         for i in range(L - 1, -1, -1):
             g_z = (g_z @ W[i + 1]) * (pre[i] > 0.0)
@@ -200,15 +231,16 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     the train risk exceeds 1e6 times its initial value.
     """
     rng = np.random.default_rng(cfg.seed)
-    # One parameter vector and one gradient vector, so a step's update is a
-    # few whole-vector operations.  SGD updates theta in place, so ``current``
-    # only feeds gradient (which reads the arrays); every risk is evaluated on
-    # a fresh Network, whose kernels are built from the arrays as they are then
+    # One parameter vector and one gradient vector, so a step's update is a few
+    # in-place whole-vector operations.  SGD updates theta in place, so ``current``
+    # only feeds gradient (which reads the arrays, into this run's workspace); every
+    # risk is evaluated on a fresh Network, whose kernels are built from the arrays then
     theta = np.concatenate([a.ravel() for a in net.weights + net.biases])
-    g = np.empty_like(theta)
+    g, decayed = np.empty_like(theta), np.empty_like(theta)
     weights, biases = _unflatten(theta, net)
-    g_views = _unflatten(g, net)
     current = Network(net.arch, weights, biases)
+    ws = Workspace(current, _unflatten(g, net))
+    decay, lo, hi = np.array(2.0 * cfg.l2_lambda), np.array(-1.0), np.array(1.0)
 
     initial = empirical_risk(Network(net.arch, weights, biases), data, w)
     ceiling = 1e6 * max(initial, 1e-12)
@@ -216,7 +248,7 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     n_samples = len(data)
     sample_wts = w(data.X)
     for epoch in range(cfg.epochs):
-        lr = cfg.rate_at(epoch)
+        lr = np.array(cfg.rate_at(epoch))
         order = rng.permutation(n_samples)
         X, Y, wts = data.X[order], data.Y[order], sample_wts[order]
         # batch_size 1 passes row views, which gradient steps as one sample
@@ -224,13 +256,15 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
         batches = zip(X, Y, wts) if bs == 1 else (
             (X[s : s + bs], Y[s : s + bs], wts[s : s + bs]) for s in range(0, n_samples, bs))
         for xb, yb, wb in batches:
-            gradient(current, xb, yb, wb, 0.0, out=g_views)
+            gradient(current, xb, yb, wb, 0.0, out=ws)
             if cfg.l2_lambda:
-                g += (2.0 * cfg.l2_lambda) * theta
-            g *= lr
-            theta -= g
+                np.multiply(theta, decay, out=decayed)
+                np.add(g, decayed, out=g)
+            np.multiply(g, lr, out=g)
+            np.subtract(theta, g, out=theta)
             if cfg.project_entries:
-                np.clip(theta, -1.0, 1.0, out=theta)
+                np.maximum(theta, lo, out=theta)
+                np.minimum(theta, hi, out=theta)
         snapshot = Network(net.arch, weights, biases)
         train_risk = empirical_risk(snapshot, data, w)
         test_risk = (

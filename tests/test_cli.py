@@ -261,6 +261,33 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_builds_no_parser():
+    # the argument parser is built on the first call to main
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import edforecast.cli as c; assert c._parser.cache_info().currsize == 0"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_main_runs_several_commands_in_one_process(tmp_path, capsys):
+    rates = write_cfg(tmp_path, "rates.json", {
+        "dependence": {"kind": "independent"}, "profile": {"beta": 2.0, "t": 2},
+        "x_grid": {"min": 1e-3, "max": 0.5, "points": 3}, "n_values": [1000]})
+    sim = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 30, "burn_in": 10})
+    assert run(["rates", "--config", rates, "--out", tmp_path / "a"]) == 0
+    assert run(["simulate", "--config", sim, "--out", tmp_path / "a", "--seed", 3]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--config", sim, "--seed", "three"])
+    assert exc.value.code == 2
+    assert "--seed: invalid int value" in capsys.readouterr().err
+    # nothing of one invocation carries into the next
+    assert run(["rates", "--config", rates, "--out", tmp_path / "b"]) == 0
+    assert run(["simulate", "--config", sim, "--out", tmp_path / "b", "--seed", 3]) == 0
+    for name in ("lambda.csv", "rates.csv", "series.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_certify_zero_target(tmp_path):
     cfg = write_cfg(tmp_path, "cert.json",
                     {"target": "zero", "N": 10, "m": 6, "out_json": "cert.json"})

@@ -8,6 +8,7 @@ from edforecast.network import Architecture, Network
 from edforecast.train import (
     TrainConfig,
     WeightFn,
+    Workspace,
     empirical_risk,
     gradient,
     init_network,
@@ -316,6 +317,63 @@ def test_flat_sgd_matches_per_layer_reference(batch_size, l2, project, weight, l
     if weight.kind == "box_ramp":
         wts = weight(data.X)
         assert np.any((wts > 0.0) & (wts < 1.0)) and np.any(wts == 0.0)
+
+
+def flat_sgd_case(kind):
+    """(net, data, weight) for the one-sample SGD shapes the main case lacks."""
+    rng = np.random.default_rng(21)
+    if kind == "depth0":
+        data = lag_embed(rng.uniform(0, 1, size=(40, 2)), 2)
+        arch = Architecture(0, (4, 2))
+        return init_network(arch, 3), data, WeightFn()
+    if kind == "sweep_cell":
+        # the benchmark sweep's cell: d = 8, r = 2, bottleneck m = 8
+        data = lag_embed(rng.normal(size=(50, 8)), 2, normalize=True)
+        arch = Architecture(5, (16, 16, 24, 8, 24, 8, 8), L1=3)
+        return init_network(arch, 4), data, WeightFn(kind="box_ramp", varsigma=0.1)
+    # input and output width 1, so the sample's row view and the output's
+    # column view are width 1, and the first layer is 1 x 1
+    data = lag_embed(small_series(seed=5, n=50), 1, normalize=True)
+    arch = Architecture(2, (1, 1, 5, 1), L1=1)
+    net = init_network(arch, 6)
+    return Network(arch, [np.array([[0.9]])] + net.weights[1:],
+                   [np.array([0.3]), net.biases[1] - 0.05]), data, WeightFn()
+
+
+@pytest.mark.parametrize("kind", ["depth0", "sweep_cell", "width1"])
+def test_flat_sgd_matches_per_layer_reference_on_more_shapes(kind):
+    net, data, weight = flat_sgd_case(kind)
+    cfg = TrainConfig(epochs=3, lr_schedule=((0, 0.3), (2, 0.05)), l2_lambda=1e-4, seed=2)
+    trained, curve = train_sgd(net, data, cfg, weight)
+    ref_w, ref_b, ref_risks = reference_train_sgd(net, data, cfg, weight)
+    for a, b in zip(trained.weights + trained.biases, ref_w + ref_b):
+        assert np.array_equal(a, b)
+    assert [rec.train_risk for rec in curve] == ref_risks
+    assert not np.array_equal(trained.weights[-1], net.weights[-1])
+    if kind == "sweep_cell":
+        wts = weight(data.X)
+        assert np.any((wts > 0.0) & (wts < 1.0))
+
+
+def test_workspace_is_pinned_to_the_network_it_was_built_for():
+    net, x, y = one_sample_case("random", 1)
+    ws = Workspace(net)
+    g_w, g_b = gradient(net, x, y, 1.0, out=ws)
+    assert g_w is ws.g_w and g_b is ws.g_b
+    # the same arrays in another Network object, and another network of the
+    # same architecture, are both refused rather than silently stepped
+    twin = Network(net.arch, net.weights, net.biases)
+    other = init_network(net.arch, 99)
+    for stranger in (twin, other):
+        for X, Y, wts in ((x, y, 1.0), (x[None], y[None], np.ones(1))):
+            with pytest.raises(ValueError, match="another network"):
+                gradient(stranger, X, Y, wts, out=ws)
+    # a batch may also write into the workspace's gradient arrays
+    b_w, b_b = gradient(net, x[None], y[None], np.ones(1), out=ws)
+    assert b_w is ws.g_w
+    ref_w, ref_b = reference_gradient(net, x[None], y[None], WeightFn())
+    for a, b in zip(b_w + b_b, ref_w + ref_b):
+        assert np.array_equal(a, b)
 
 
 def test_gradient_into_out_arrays_matches_allocating_call():
