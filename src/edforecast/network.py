@@ -13,11 +13,18 @@ pure and thread-safe.  Structural combinators (compose/parallel/deepen)
 return new networks.  Evaluation runs one forward kernel: each layer is one
 product with a kernel that carries the bias as a column acting on a constant
 row of ones, a scipy CSR matrix for layers with at most 10% nonzero weights.
+On a network with a CSR layer, a batch of more than one 256-row block is
+split at block boundaries into one chunk per CPU the process may run on; the
+calling thread runs one chunk and a shared thread pool, made on first use,
+runs the others.  Every chunk walks its blocks through two reused buffers,
+writing each product in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -150,21 +157,39 @@ class Network:
         Activations are kept transposed, (width + 1, rows), with a last row of
         ones, and walked in blocks of _BLOCK_ROWS rows.  A layer is one
         product with its kernel, which subtracts the bias through that row;
-        every layer below L then takes the ReLU in place.
+        every layer below L then takes the ReLU in place.  When a kernel is
+        CSR, the rows are split at block boundaries into at most one
+        contiguous chunk per CPU; the calling thread runs the first and the
+        pool the others, each writing its own rows of the result.  A row's
+        values do not depend on the chunk it lands in: a dense block product
+        is the same BLAS call, and a CSR row sums its terms in index order
+        whatever the block width.
         """
         if self._kernels is None:
             object.__setattr__(self, "_kernels", self._build_kernels())
-        L, p = self.arch.L, self.arch.p
-        out = np.empty((A.shape[0], p[stop]))
-        for r0 in range(0, A.shape[0], _BLOCK_ROWS):
-            block = A[r0 : r0 + _BLOCK_ROWS]
-            Z = np.ones((p[start] + 1, block.shape[0]))
-            Z[:-1] = block.T
-            for i in range(start, stop):
-                Z = self._kernels[i] @ Z
-                if i < L:
-                    np.maximum(Z, 0.0, out=Z)
-            out[r0 : r0 + _BLOCK_ROWS] = Z[: p[stop]].T
+        kernels = self._kernels[start:stop]
+        matvecs = None
+        if any(type(K) is not np.ndarray for K in kernels):
+            from scipy.sparse._sparsetools import csr_matvecs as matvecs
+        n, p = A.shape[0], self.arch.p
+        out = np.empty((n, p[stop]))
+        args = (kernels, self.arch.L - start, matvecs, A, out, max(p[start : stop + 1]) + 1)
+        blocks = -(-n // _BLOCK_ROWS)
+        # only CSR layers gain from chunks: scipy runs a CSR product on one
+        # thread, while BLAS already spreads a large dense one over the CPUs
+        # and a small dense net is bound by per-layer calls that hold the GIL
+        cpus, pool = _pool() if blocks > 1 and matvecs is not None else (1, None)
+        k = max(1, min(cpus, blocks))
+        edges = [min(n, _BLOCK_ROWS * (blocks * j // k)) for j in range(k + 1)]
+        futures = [pool.submit(_forward_rows, *args, edges[j], edges[j + 1])
+                   for j in range(1, k)]
+        try:
+            _forward_rows(*args, edges[0], edges[1])
+        finally:
+            for f in futures:  # no chunk may still write into out once we leave
+                f.exception()
+        for f in futures:
+            f.result()
         return out
 
     def _build_kernels(self):
@@ -224,6 +249,69 @@ class Network:
     def with_l1(self, L1: int | None) -> "Network":
         return Network(Architecture(self.arch.L, self.arch.p, L1=L1),
                        self.weights, self.biases)
+
+
+def _forward_rows(kernels, hidden, matvecs, A, out, width, r0, r1):
+    """Rows r0..r1 of A through ``kernels`` into the same rows of ``out``.
+
+    The first ``hidden`` kernels are followed by a ReLU.  Two buffers of
+    ``width`` x _BLOCK_ROWS entries hold a block's activations; each layer
+    reads one and writes the other, a dense kernel by ``np.matmul(out=)``
+    and a CSR kernel by ``matvecs`` (scipy's ``csr_matvecs``, the routine
+    behind ``K @ Z``) into the zeroed buffer.  Pool threads run this, so it
+    calls no public function of the package.
+    """
+    bufs = np.empty((2, width * _BLOCK_ROWS))
+    for b0 in range(r0, r1, _BLOCK_ROWS):
+        b1 = min(b0 + _BLOCK_ROWS, r1)
+        nb = b1 - b0
+        z = bufs[0, : (A.shape[1] + 1) * nb]
+        Z = z.reshape(-1, nb)
+        Z[:-1] = A[b0:b1].T
+        Z[-1] = 1.0
+        for j, K in enumerate(kernels):
+            y = bufs[(j + 1) % 2, : K.shape[0] * nb]
+            Y = y.reshape(-1, nb)
+            if type(K) is np.ndarray:
+                np.matmul(K, Z, out=Y)
+            else:
+                y.fill(0.0)
+                matvecs(K.shape[0], K.shape[1], nb, K.indptr, K.indices, K.data, z, y)
+            if j < hidden:
+                np.maximum(Y, 0.0, out=Y)
+            z, Z = y, Y
+        out[b0:b1] = Z[: out.shape[1]].T
+
+
+_POOL = None  # (CPUs, thread pool or None), made by the first _pool() call
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads: it makes its own pool
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool():
+    """The number of CPUs this process may run on, and a pool of one thread
+    fewer (None on one CPU), shared by every network in the process."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            pool = None
+            if cpus > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="edforecast-forward")
+            _POOL = (cpus, pool)
+        return _POOL
 
 
 def lipschitz_empirical(net: Network, X: np.ndarray, Xp: np.ndarray) -> float:

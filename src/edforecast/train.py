@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ConfigError
 from .data import LagDataset, push_lag
-from .network import Architecture, Network
+from .network import Architecture, Network, ShapeError
 
 
 class TrainingDiverged(RuntimeError):
@@ -153,10 +153,12 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
     Takes one sample or a batch, told apart by the rank of ``X``: one sample
     is ``X`` of shape (p0,), ``Y`` of shape (d,) and a scalar weight W(x); a
     batch is ``X`` of shape (nb, p0), ``Y`` of shape (nb, d) and the rows'
-    weights of shape (nb,).  Returns (weight gradients, bias gradients) in
-    the network layout, written into ``out``: a ``Workspace`` built for
-    ``net``, or the arrays of ``(g_w, g_b)``, or None for new arrays.  The
-    arrays must be C-contiguous float64.  ReLU' is the Heaviside step, 0 at 0.
+    weights of shape (nb,).  A ``Y`` of any other shape raises ShapeError,
+    even one that would broadcast.  Returns (weight gradients, bias
+    gradients) in the network layout, written into ``out``: a ``Workspace``
+    built for ``net``, or the arrays of ``(g_w, g_b)``, or None for new
+    arrays.  The arrays must be C-contiguous float64.  ReLU' is the
+    Heaviside step, 0 at 0.
 
     One sample runs in the workspace (a throwaway one unless given) through
     calls with ``out=`` and 0-d constants: the batch-of-one path's operations
@@ -168,9 +170,11 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
     if ws.net is not net:
         raise ValueError("the workspace was built for another network")
     g_w, g_b = ws.g_w, ws.g_b
-    X = np.asarray(X, dtype=np.float64)
+    X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y)
     if X.ndim == 1:
         z, cols, acts, rows, masks, zero = ws.z, ws.cols, ws.acts, ws.rows, ws.masks, ws.zero
+        if Y.shape != z[L].shape:
+            raise _target_error(net, Y, z[L].shape)
         acts[0], rows[0] = X, X[None, :]
         for i in range(L):
             np.dot(W[i], acts[i], out=z[i])
@@ -190,6 +194,8 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
     else:
         if len(X) == 0:
             raise ValueError("empty batch")
+        if Y.shape != (len(X), net.arch.out_dim):
+            raise _target_error(net, Y, (len(X), net.arch.out_dim))
         acts, pre = [X], []
         for i in range(L):
             pre.append(acts[i] @ W[i].T - B[i])
@@ -204,6 +210,11 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
         for g, p in zip(g_w + g_b, net.weights + net.biases):
             g += (2.0 * l2_lambda) * p
     return g_w, g_b
+
+
+def _target_error(net: Network, Y: np.ndarray, want: tuple) -> ShapeError:
+    return ShapeError(f"target has shape {Y.shape}, expected {want} "
+                      f"for a network with out_dim {net.arch.out_dim}")
 
 
 @dataclass

@@ -270,6 +270,17 @@ def test_cli_import_builds_no_parser():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_neither_scipy_nor_the_thread_pool():
+    # both are imported on first use, so importing the CLI stays cheap
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, edforecast.cli; "
+            "assert 'scipy' not in sys.modules and 'concurrent.futures' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_main_runs_several_commands_in_one_process(tmp_path, capsys):
     rates = write_cfg(tmp_path, "rates.json", {
         "dependence": {"kind": "independent"}, "profile": {"beta": 2.0, "t": 2},

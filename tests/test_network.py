@@ -1,10 +1,17 @@
 """Network representation, evaluation, and structural combinators."""
 
 import json
+import os
+import select
+import signal
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from edforecast import network
 from edforecast.approx import (
     ApproxPlan,
     HolderFunction,
@@ -418,6 +425,163 @@ def test_forward_kernel_block_edges(cert_nets, kind, rows):
         assert_matches_dense(z, dense_forward(net, X, 0, L1))
         assert_matches_dense(net.decoder_batch(z), dense_forward(net, z, L1, net.arch.L + 1))
     assert all(type(w) is np.ndarray for w in net.weights)
+
+
+class CountingPool(ThreadPoolExecutor):
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def chunked(monkeypatch):
+    """``chunked(k)`` makes every later evaluation split its rows into at
+    most k chunks, k - 1 of them on the pool it returns, which counts them;
+    ``chunked(1)`` runs every row on the calling thread."""
+    pools = []
+
+    def use(k):
+        pool = CountingPool(k - 1) if k > 1 else None
+        if pool is not None:
+            pools.append(pool)
+        monkeypatch.setattr(network, "_POOL", (k, pool))
+        return pool
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
+def folded_forward(net, A, start, stop):
+    """Oracle: the bias-folded block loop on one thread, each layer a fresh
+    ``K @ Z`` array, as the forward kernel ran before its buffers and chunks."""
+    has_sparse_layer(net)
+    A = np.asarray(A, dtype=float)
+    out = np.empty((A.shape[0], net.arch.p[stop]))
+    for r0 in range(0, A.shape[0], 256):
+        block = A[r0 : r0 + 256]
+        Z = np.ones((net.arch.p[start] + 1, block.shape[0]))
+        Z[:-1] = block.T
+        for i in range(start, stop):
+            Z = net._kernels[i] @ Z
+            if i < net.arch.L:
+                np.maximum(Z, 0.0, out=Z)
+        out[r0 : r0 + 256] = Z[: net.arch.p[stop]].T
+    return out
+
+
+@pytest.mark.parametrize("rows", [511, 512, 513, 767, 4000])
+@pytest.mark.parametrize("kind", ["certificate", "dense", "depth0"])
+def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows):
+    # a row's values do not depend on the chunk it lands in, so every split
+    # gives the bits of one chunk and of the single-thread loop; a certificate
+    # net also gives the two-pass oracle's bits.  A dense kernel on a
+    # one-column block (row 513) is a matrix-vector product, which may sum the
+    # folded bias in another order than the two passes, so there the two-pass
+    # oracle is met within the dense tolerance.  Only a net with a CSR layer
+    # is split; a dense-only one runs on the calling thread.
+    net = _kernel_nets(cert_nets)[kind]
+    if kind == "certificate":  # a bottleneck, so the encoder and decoder split too
+        net = net.with_l1(net.arch.L // 2)
+    X = np.random.default_rng(rows).uniform(0, 1, size=(rows, net.arch.in_dim))
+    calls = [(net.eval_batch, X, 0, net.arch.L + 1)]
+    if net.arch.L1 is not None:
+        L1 = net.arch.L1
+        z = two_pass_forward(net, X, 0, L1)
+        calls += [(net.encoder_batch, X, 0, L1), (net.decoder_batch, z, L1, net.arch.L + 1)]
+    chunked(1)
+    serial = [fn(A) for fn, A, _, _ in calls]
+    for got, (_, A, start, stop) in zip(serial, calls):
+        assert np.array_equal(got, folded_forward(net, A, start, stop))
+        ref = two_pass_forward(net, A, start, stop)
+        if kind == "certificate":
+            assert np.array_equal(got, ref)
+        else:
+            assert_matches_dense(got, ref)
+    for k in (2, 3, 16):
+        pool = chunked(k)
+        for (fn, A, _, _), ref in zip(calls, serial):
+            assert np.array_equal(fn(A), ref)
+        assert (pool.submitted > 0) == (kind == "certificate")
+
+
+def test_csr_matvecs_call_matches_the_scipy_product(cert_nets):
+    # the forward kernel calls scipy's private routine behind K @ Z directly;
+    # a scipy that changes it must fail here, not drift the results
+    from scipy.sparse import issparse
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    net = cert_nets["sinsum"]
+    has_sparse_layer(net)
+    rng = np.random.default_rng(73)
+    for K in (k for k in net._kernels if issparse(k)):
+        for nb in (1, 7, 256):
+            Z = rng.uniform(-1, 1, size=(K.shape[1], nb))
+            y = np.zeros(K.shape[0] * nb)
+            csr_matvecs(K.shape[0], K.shape[1], nb, K.indptr, K.indices, K.data,
+                        Z.ravel(), y)
+            assert np.array_equal(y.reshape(-1, nb), K @ Z)
+
+
+def test_concurrent_first_evaluations_match_a_serial_one(cert_nets):
+    # user threads race to build the kernel cache of a fresh network and
+    # share the chunk pool; each must get the serial bits
+    base = cert_nets["product2"]
+    X = np.random.default_rng(79).uniform(0, 1, size=(1500, base.arch.in_dim))
+    ref = base.eval_batch(X)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            net = Network(base.arch, base.weights, base.biases)
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(i):
+                barrier.wait(timeout=30)
+                results[i] = net.eval_batch(X)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for got in results:
+                assert got is not None and np.array_equal(got, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_evaluates_on_its_own_pool(cert_nets):
+    # the parent's pool threads do not exist in a forked child; a child that
+    # submitted to that pool would wait forever
+    net = cert_nets["product2"]
+    X = np.random.default_rng(83).uniform(0, 1, size=(1500, net.arch.in_dim))
+    ref = net.eval_batch(X)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: report, and leave without running the parent's cleanup
+        try:
+            os.write(w, b"1" if np.array_equal(net.eval_batch(X), ref) else b"0")
+        finally:
+            os._exit(0)
+    os.close(w)
+    ready = []
+    try:
+        ready, _, _ = select.select([r], [], [], 60)
+        answer = os.read(r, 1) if ready else b""
+    finally:
+        os.close(r)
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert answer == b"1"
 
 
 def test_forward_kernel_encoder_decoder_on_assembled_net():

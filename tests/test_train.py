@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edforecast.data import LagDataset, lag_embed
-from edforecast.network import Architecture, Network
+from edforecast.network import Architecture, Network, ShapeError
 from edforecast.train import (
     TrainConfig,
     WeightFn,
@@ -453,6 +453,26 @@ def test_one_sample_gradient_rejects_a_sample_of_the_wrong_length():
             gradient(net, bad, y, 1.0, out=out)
     with pytest.raises(ValueError):
         gradient(net, x, np.append(y, 0.5), 1.0)
+
+
+def test_one_sample_gradient_rejects_a_target_that_would_broadcast():
+    net, x, y = one_sample_case("random", 6)
+    assert net.arch.out_dim == 3
+    for bad in (y[:1], y[:2], y[None], np.float64(0.7)):
+        with pytest.raises(ShapeError, match="out_dim 3"):
+            gradient(net, x, bad, 1.0)
+        with pytest.raises(ShapeError, match="out_dim 3"):
+            gradient(net, x, bad, 1.0, out=Workspace(net))
+
+
+def test_batch_gradient_rejects_a_target_that_would_broadcast():
+    net, _, _ = one_sample_case("random", 7)
+    rng = np.random.default_rng(7)
+    X, Y = rng.uniform(0, 1, (3, 4)), rng.uniform(-1, 1, (3, 3))
+    for bad in (Y[:, :1], Y[:1], Y[0], Y[:, :, None]):
+        with pytest.raises(ShapeError, match="out_dim 3"):
+            gradient(net, X, bad, np.ones(3))
+    gradient(net, X, Y, np.ones(3))
 
 
 def dense_risk(net, data, w):
