@@ -242,24 +242,21 @@ def multiprod_net(m: int, t: int) -> Network:
         bias[t:] = -1.0
         stages.append(Network(Architecture(1, (t, full, full)),
                               [w0, np.eye(full)], [bias]))
-    width = full
+    width, mult = full, mult_net(m)
     while width > 1:
-        half = width // 2
-        blocks = []
-        for i in range(half):
-            blocks.append(precompose_affine(mult_net(m), _selector([2 * i, 2 * i + 1], width)))
-        stages.append(parallel(blocks))
-        width = half
+        stages.append(parallel([precompose_affine(mult, _selector([2 * i, 2 * i + 1], width))
+                                for i in range(width // 2)]))
+        width //= 2
     net = stages[0]
     for stage in stages[1:]:
         net = compose(stage, net)
     return net
 
 
-def hat_net(center, M: int, m: int, t: int) -> Network:
+def hat_net(center, M: int, m: int, t: int, prod: Network | None = None) -> Network:
     """Localized bump around a grid point: the product of per-coordinate
     tents I_c(z) = (1/M - |z - c|)_+; vanishes (up to t^2 2^-m) outside the
-    sup-ball of radius 1/M."""
+    sup-ball of radius 1/M.  ``prod``, if given, is ``multiprod_net(m, t)``."""
     center = np.asarray(center, dtype=np.float64).reshape(-1)
     if center.shape[0] != t:
         raise PlanError(f"center has dim {center.shape[0]}, expected t={t}")
@@ -283,7 +280,7 @@ def hat_net(center, M: int, m: int, t: int) -> Network:
                     [w0, w1, np.eye(t)], [b0, b1])
     if t == 1:
         return tents
-    return compose(multiprod_net(m, t), tents)
+    return compose(prod or multiprod_net(m, t), tents)
 
 
 def _constant_one_net(in_dim: int, L: int) -> Network:
@@ -385,11 +382,12 @@ def build_approximator(hf: HolderFunction, plan: ApproxPlan,
     gam_pos = [g for g in gammas if sum(g) > 0]
     zero_gamma = tuple(0 for _ in range(t))
 
+    prods = {k: multiprod_net(m, k) for k in {sum(g) for g in gam_pos} | {t}}  # each built once
     monomials = []
     for g in gam_pos:
         reps = [j for j in range(t) for _ in range(g[j])]
-        monomials.append(precompose_affine(multiprod_net(m, len(reps)), _selector(reps, t)))
-    hats = [hat_net(c, M, m, t) for c in centers]
+        monomials.append(precompose_affine(prods[len(reps)], _selector(reps, t)))
+    hats = [hat_net(c, M, m, t, prods[t]) for c in centers]
 
     subs = monomials + hats
     trunk_depth = max(s.arch.L for s in subs)

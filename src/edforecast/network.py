@@ -10,9 +10,12 @@ hidden layer ``i+1``.  The output layer is affine-linear with no bias.
 
 Networks are immutable values: construction validates shapes, evaluation is
 pure and thread-safe.  Structural combinators (compose/parallel/deepen)
-return new networks.  Evaluation runs one forward kernel: each layer is one
-product with a kernel that carries the bias as a column acting on a constant
-row of ones, a scipy CSR matrix for layers with at most 10% nonzero weights.
+return new networks.  A weight is a dense array or scipy CSR, and so is each
+layer's forward kernel, by one rule: CSR when at most 10% is nonzero, which
+``parallel`` applies to the block-diagonal layers it builds.  ``weights`` are
+dense: reading them densifies each CSR layer.  A layer of the one forward
+kernel is one product with a kernel that carries the bias as a column acting
+on a constant row of ones.
 On a network with a CSR layer, a batch of more than one 256-row block is
 split at block boundaries into one chunk per CPU the process may run on; the
 calling thread runs one chunk and a shared thread pool, made on first use,
@@ -23,6 +26,7 @@ writing each product in place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -83,15 +87,16 @@ _SPARSE_DENSITY = 0.10
 class Network:
     """Immutable ReLU network; weights[i] is a (p[i+1], p[i]) matrix.
 
-    The first evaluation caches a kernel per layer, built from the weight
-    arrays, so the arrays must not be mutated once the network has been
-    evaluated; build a new Network over changed arrays instead.
+    A weight given as a scipy sparse matrix is stored as canonical CSR, any
+    other as a float64 array; ``weights`` allocates each CSR layer densely.
+    The first evaluation caches a kernel per layer, so the stored layers must
+    not be mutated after it; build a new Network over changed arrays instead.
     """
 
-    __slots__ = ("arch", "weights", "biases", "_kernels")
+    __slots__ = ("arch", "_w", "_csr", "biases", "_kernels")
 
     def __init__(self, arch: Architecture, weights, biases):
-        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        weights = [_layer(w) for w in weights]
         biases = [np.asarray(b, dtype=np.float64) for b in biases]
         if len(weights) != arch.L + 1:
             raise ShapeError(f"expected {arch.L + 1} weight matrices, got {len(weights)}")
@@ -107,12 +112,17 @@ class Network:
                     f"bias {i} has shape {b.shape}, expected ({arch.p[i + 1]},)"
                 )
         object.__setattr__(self, "arch", arch)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_w", weights)
+        object.__setattr__(self, "_csr", any(type(w) is not np.ndarray for w in weights))
         object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "_kernels", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Network is immutable")
+
+    @property
+    def weights(self) -> list:
+        return [_dense(w) for w in self._w] if self._csr else self._w
 
     # -- evaluation ------------------------------------------------------
 
@@ -121,12 +131,7 @@ class Network:
         return self._forward(self._batch(X, 0, "input layer"), 0, self.arch.L + 1)
 
     def eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.shape[0] != self.arch.in_dim:
-            raise ShapeError(
-                f"input layer expects dim {self.arch.in_dim}, got dim {x.shape[0]}"
-            )
-        return self.eval_batch(x[None, :])[0]
+        return self.eval_batch(np.reshape(x, (1, -1)))[0]
 
     def encoder_batch(self, X: np.ndarray) -> np.ndarray:
         """Activations of the bottleneck hidden layer L1, dim p[L1]."""
@@ -134,8 +139,7 @@ class Network:
         return self._forward(self._batch(X, 0, "input layer"), 0, L1)
 
     def eval_encoder(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        return self.encoder_batch(x[None, :])[0]
+        return self.encoder_batch(np.reshape(x, (1, -1)))[0]
 
     def decoder_batch(self, Z: np.ndarray) -> np.ndarray:
         """Continue evaluation from bottleneck activations to the output."""
@@ -194,23 +198,23 @@ class Network:
 
     def _build_kernels(self):
         """Per layer, the matrix that maps a block with its ones row to the
-        next: [[W, -b], [0, 1]] below L and [W, 0] at L.  It is CSR, with
-        sorted column indices so the bias is the last term of each row's sum,
-        when at most _SPARSE_DENSITY of W is nonzero, else a dense array."""
+        next: [[W, -b], [0, 1]] below L and [W, 0] at L.  It is CSR, built from
+        W's nonzeros (a CSR W's own arrays) with the bias last in each sorted
+        row, when at most _SPARSE_DENSITY of W is nonzero, else a dense array."""
         kernels = []
-        for i, w in enumerate(self.weights):
+        for i, w in enumerate(self._w):
             n, m = w.shape
             hidden = int(i < self.arch.L)
             col = -self.biases[i] if hidden else np.zeros(n)
-            if np.count_nonzero(w) > _SPARSE_DENSITY * w.size:
+            if _nnz(w) > _SPARSE_DENSITY * n * m:
                 K = np.zeros((n + hidden, m + 1))
-                K[:n, :m], K[:n, m], K[n:, m] = w, col, 1.0
+                K[:n, :m], K[:n, m], K[n:, m] = _dense(w), col, 1.0
             else:  # W's nonzeros row by row, then the bias and ones entries
                 from scipy.sparse import csr_matrix
 
-                r, c = np.nonzero(w)
+                r, c, v = _nonzeros(w)
                 rb = np.flatnonzero(col)
-                K = csr_matrix((np.concatenate([w[r, c], col[rb], np.ones(hidden)]),
+                K = csr_matrix((np.concatenate([v, col[rb], np.ones(hidden)]),
                                 (np.concatenate([r, rb, np.full(hidden, n)]),
                                  np.concatenate([c, np.full(rb.size + hidden, m)]))),
                                shape=(n + hidden, m + 1))
@@ -226,14 +230,11 @@ class Network:
 
     def sparsity(self) -> int:
         """Exact count of nonzero weight and bias entries."""
-        total = sum(int(np.count_nonzero(w)) for w in self.weights)
-        total += sum(int(np.count_nonzero(b)) for b in self.biases)
-        return total
+        return sum(_nnz(a) for a in self._w + self.biases)
 
     def max_entry(self) -> float:
-        vals = [np.max(np.abs(w)) if w.size else 0.0 for w in self.weights]
-        vals += [np.max(np.abs(b)) if b.size else 0.0 for b in self.biases]
-        return float(max(vals)) if vals else 0.0
+        arrays = [w if type(w) is np.ndarray else w.data for w in self._w] + self.biases
+        return float(max(np.max(np.abs(a), initial=0.0) for a in arrays))
 
     def lipschitz_upper(self) -> float:
         """Certified upper bound on sup |f(x)-f(x')|_inf / |x-x'|_inf.
@@ -241,14 +242,10 @@ class Network:
         Product of per-layer induced infinity norms (max absolute row sums);
         the shifted ReLU is 1-Lipschitz so the product dominates.
         """
-        bound = 1.0
-        for w in self.weights:
-            bound *= float(np.max(np.sum(np.abs(w), axis=1))) if w.size else 0.0
-        return bound
+        return math.prod(float(np.max(abs(w).sum(axis=1))) for w in self._w)
 
     def with_l1(self, L1: int | None) -> "Network":
-        return Network(Architecture(self.arch.L, self.arch.p, L1=L1),
-                       self.weights, self.biases)
+        return Network(Architecture(self.arch.L, self.arch.p, L1=L1), self._w, self.biases)
 
 
 def _forward_rows(kernels, hidden, matvecs, A, out, width, r0, r1):
@@ -383,15 +380,11 @@ def compose(f: Network, g: Network, interface: str = "split") -> Network:
         )
     if interface == "split":
         p = g.arch.p[:-1] + (2 * q,) + f.arch.p[1:]
-        wg = g.weights[-1]
-        w_if = np.vstack([wg, -wg])
-        wf = f.weights[0]
-        w_out = np.hstack([wf, -wf])
-        weights = g.weights[:-1] + [w_if, w_out] + f.weights[1:]
+        weights = g._w[:-1] + [_plus_minus(g._w[-1], 0), _plus_minus(f._w[0], 1)] + f._w[1:]
         biases = g.biases + [np.zeros(2 * q)] + f.biases
     elif interface == "relu":
         p = g.arch.p[:-1] + (q,) + f.arch.p[1:]
-        weights = g.weights[:-1] + [g.weights[-1]] + f.weights
+        weights = g._w + f._w
         biases = g.biases + [np.zeros(q)] + f.biases
     else:
         raise ValueError(f"unknown interface {interface!r}")
@@ -403,7 +396,8 @@ def parallel(nets: Sequence[Network]) -> Network:
     """Stack networks side by side on a shared input.
 
     All nets must agree on input dimension and depth (deepen first if not);
-    the output is the concatenation of the individual outputs.
+    the output is the concatenation of the individual outputs.  Layers after
+    the first are block-diagonal, CSR when at most 10% nonzero, else dense.
     """
     if not nets:
         raise ShapeError("parallel of empty list")
@@ -419,9 +413,9 @@ def parallel(nets: Sequence[Network]) -> Network:
     p = (d_in,) + tuple(
         sum(n.arch.p[i] for n in nets) for i in range(1, L + 2)
     )
-    weights = [np.vstack([n.weights[0] for n in nets])]
+    weights = [np.vstack([_dense(n._w[0]) for n in nets])]
     for i in range(1, L + 1):
-        weights.append(_block_diag([n.weights[i] for n in nets]))
+        weights.append(_block_diag([n._w[i] for n in nets]))
     biases = [
         np.concatenate([n.biases[i] for n in nets]) for i in range(L)
     ]
@@ -442,7 +436,7 @@ def deepen(net: Network, target_L: int) -> Network:
         return net
     d = net.arch.in_dim
     p = (d,) * (k + 1) + net.arch.p[1:]
-    weights = [np.eye(d) for _ in range(k)] + list(net.weights)
+    weights = [np.eye(d) for _ in range(k)] + net._w
     biases = [np.zeros(d) for _ in range(k)] + list(net.biases)
     return Network(Architecture(net.arch.L + k, p), weights, biases)
 
@@ -454,12 +448,12 @@ def precompose_affine(net: Network, A: np.ndarray, offset=None) -> Network:
         raise ShapeError(
             f"precompose: matrix maps into dim {A.shape[0]}, net expects {net.arch.in_dim}"
         )
-    w0 = net.weights[0] @ A
-    weights = [w0] + list(net.weights[1:])
+    w0 = _dense(net._w[0])
+    weights = [w0 @ A] + net._w[1:]
     biases = list(net.biases)
     if offset is not None:
         offset = np.asarray(offset, dtype=np.float64)
-        shift = net.weights[0] @ offset
+        shift = w0 @ offset
         if net.arch.L == 0:
             if np.any(shift != 0.0):
                 raise ShapeError("depth-0 network cannot absorb an input offset")
@@ -476,21 +470,60 @@ def postcompose_affine(net: Network, C: np.ndarray) -> Network:
         raise ShapeError(
             f"postcompose: matrix expects dim {C.shape[1]}, net outputs {net.arch.out_dim}"
         )
-    weights = list(net.weights[:-1]) + [C @ net.weights[-1]]
+    weights = net._w[:-1] + [C @ _dense(net._w[-1])]
     arch = Architecture(net.arch.L, net.arch.p[:-1] + (C.shape[0],), L1=net.arch.L1)
     return Network(arch, weights, net.biases)
 
 
+def _layer(w):
+    """A float64 array, or a canonical CSR copy of a scipy sparse matrix."""
+    if not hasattr(w, "tocsr"):
+        return np.asarray(w, dtype=np.float64)
+    w = w.tocsr().astype(np.float64)
+    w.sum_duplicates()
+    w.eliminate_zeros()
+    return w
+
+
+def _dense(w) -> np.ndarray:
+    return w if type(w) is np.ndarray else w.toarray()
+
+
+def _nnz(a) -> int:
+    return int(np.count_nonzero(a)) if type(a) is np.ndarray else a.nnz
+
+
+def _nonzeros(w):
+    """Rows, columns and values of the nonzero entries of w, row by row."""
+    if type(w) is np.ndarray:
+        r, c = np.nonzero(w)
+        return r, c, w[r, c]
+    return np.repeat(np.arange(w.shape[0]), np.diff(w.indptr)), w.indices, w.data
+
+
+def _plus_minus(w, axis: int):
+    """[w; -w] on axis 0 or [w, -w] on axis 1, CSR when w is."""
+    if type(w) is np.ndarray:
+        return np.concatenate([w, -w], axis=axis)
+    from scipy.sparse import hstack, vstack
+
+    return (vstack, hstack)[axis]([w, -w], format="csr")
+
+
 def _block_diag(mats):
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
+    """The block-diagonal matrix of ``mats`` from their nonzeros: CSR when at
+    most _SPARSE_DENSITY of it is nonzero, else dense."""
+    offsets = np.cumsum([(0, 0)] + [m.shape for m in mats], axis=0)
+    parts = [(r + r0, c + c0, v) for m, (r0, c0) in zip(mats, offsets)
+             for r, c, v in [_nonzeros(m)]]
+    r, c, v = (np.concatenate(a) for a in zip(*parts))
+    if v.size > _SPARSE_DENSITY * offsets[-1].prod():
+        K = np.zeros(offsets[-1])
+        K[r, c] = v
+        return K
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((v, (r, c)), shape=tuple(offsets[-1]))
 
 
 # -- serialization -------------------------------------------------------
@@ -501,9 +534,19 @@ def to_dict(net: Network) -> dict:
     return {
         "format": SERIAL_FORMAT,
         "arch": arch,
-        "weights": [w.tolist() for w in net.weights],
+        "weights": [_tolist(w) for w in net._w],
         "biases": [b.tolist() for b in net.biases],
     }
+
+
+def _tolist(w) -> list:
+    """w's rows as lists; a CSR layer's are filled from its nonzeros."""
+    if type(w) is np.ndarray:
+        return w.tolist()
+    rows = [[0.0] * w.shape[1] for _ in range(w.shape[0])]
+    for r, c, v in zip(*(a.tolist() for a in _nonzeros(w))):
+        rows[r][c] = v
+    return rows
 
 
 def from_dict(doc: dict) -> Network:
@@ -525,9 +568,8 @@ def from_dict(doc: dict) -> Network:
 
 
 def save_json(net: Network, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(net), fh)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:  # dumps runs the C encoder, dump does not
+        fh.write(json.dumps(to_dict(net)) + "\n")
 
 
 def load_json(path) -> Network:

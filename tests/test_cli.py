@@ -341,6 +341,26 @@ def test_certify_reads_f_bound_as_a_number(tmp_path):
     assert certs[0] == certs[1]
 
 
+def test_certify_large_certificate_stays_small_in_memory(tmp_path):
+    # the block-diagonal layers stay CSR from assembly to the forward kernel;
+    # held densely, as they once were, this command peaked at about 400 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfg = write_cfg(tmp_path, "cert.json", {"target": "sinsum", "N": 200, "m": 12})
+    code = ("import resource, sys\n"
+            "from edforecast.cli import main\n"
+            f"rc = main(['certify', '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    rc, maxrss = proc.stdout.split()[-2:]
+    peak_mb = int(maxrss) / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
+    assert rc == "0"
+    assert peak_mb < 150.0, f"certify sinsum N=200 m=12 peaked at {peak_mb:.1f} MB"
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert (cert["depth"], cert["sparsity"]) == (32, 98423)
+
+
 def test_certify_unknown_target(tmp_path):
     cfg = write_cfg(tmp_path, "cert.json", {"target": "mystery", "N": 10, "m": 6})
     assert run(["certify", "--config", cfg, "--out", tmp_path]) == 2

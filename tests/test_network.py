@@ -527,6 +527,61 @@ def test_csr_matvecs_call_matches_the_scipy_product(cert_nets):
             assert np.array_equal(y.reshape(-1, nb), K @ Z)
 
 
+def dense_block_diag(mats):
+    """Oracle: the block-diagonal matrix of dense ``mats`` as one dense array,
+    the way ``parallel`` stored every assembled layer before it built CSR."""
+    assert all(type(m) is np.ndarray for m in mats)
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r += m.shape[0]
+        c += m.shape[1]
+    return out
+
+
+@pytest.mark.parametrize("target,N,m", sorted((name, *plan) for name, plan in CERT_PLANS.items())
+                         + [("product2", 49, 10)])
+def test_sparse_assembly_gives_the_kernels_of_the_dense_one(monkeypatch, target, N, m):
+    # the same certificate assembled with dense block-diagonal layers: every
+    # kernel keeps its type and its arrays, and so every evaluation its bits
+    from scipy.sparse import issparse
+
+    hf, plan = catalog()[target], ApproxPlan(N=N, m=m)
+    net = build_approximator(hf, plan)[0]
+    monkeypatch.setattr(network, "_block_diag", dense_block_diag)
+    dense = build_approximator(hf, plan)[0]
+    assert any(issparse(w) for w in net._w)
+    assert all(type(w) is np.ndarray for w in dense._w)
+    assert net.arch == dense.arch and net.sparsity() == dense.sparsity()
+    got, want = net._build_kernels(), dense._build_kernels()
+    assert len(got) == len(want)
+    for K, ref in zip(got, want):
+        assert type(K) is type(ref)
+        if issparse(ref):
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(K, name), getattr(ref, name))
+        else:
+            assert np.array_equal(K, ref)
+    for w, ref in zip(net.weights, dense.weights):
+        assert type(w) is np.ndarray and np.array_equal(w, ref)
+
+
+def test_sparse_weight_is_stored_as_canonical_csr():
+    from scipy.sparse import coo_matrix
+
+    # unsorted, with a duplicate that sums to 3.0, an explicit zero and int data
+    w = coo_matrix(([2, 0, 1, 5], ([1, 0, 1, 1], [2, 1, 2, 0])), shape=(2, 3))
+    net = Network(Architecture(1, (3, 2, 1)), [w, np.ones((1, 2))], [np.zeros(2)])
+    stored = net._w[0]
+    assert stored.format == "csr" and stored.dtype == np.float64
+    assert stored.has_canonical_format and stored.nnz == 2
+    assert np.array_equal(stored.indices, [0, 2]) and np.array_equal(stored.data, [5.0, 3.0])
+    assert np.array_equal(net.weights[0], [[0.0, 0.0, 0.0], [5.0, 0.0, 3.0]])
+    assert net.sparsity() == 4 and net.max_entry() == 5.0
+    assert np.array_equal(w.toarray(), [[0, 0, 0], [5, 0, 3]])  # the input is not changed
+
+
 def test_concurrent_first_evaluations_match_a_serial_one(cert_nets):
     # user threads race to build the kernel cache of a fresh network and
     # share the chunk pool; each must get the serial bits
@@ -601,6 +656,13 @@ def test_forward_kernel_encoder_decoder_on_assembled_net():
         assert_matches_dense(net.decoder_batch(z),
                              dense_forward(net, z, L1, net.arch.L + 1))
     assert all(type(w) is np.ndarray for w in net.weights)
+
+
+def test_save_json_writes_the_document_and_a_newline(tmp_path):
+    net = random_net(np.random.default_rng(89), (3, 4, 2), L1=1)
+    path = tmp_path / "net.json"
+    save_json(net, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(to_dict(net)) + "\n"
 
 
 def test_from_dict_rejects_non_finite_entries():

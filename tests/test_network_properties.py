@@ -4,7 +4,9 @@ values on random small networks and inputs."""
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from edforecast.network import (
     Architecture,
@@ -107,3 +109,50 @@ def test_dict_roundtrip_through_json(seed, d_in, d_out, L):
     assert back.arch == net.arch
     X = inputs(rng, d_in)
     assert_close(back.eval_batch(X), net.eval_batch(X))
+
+
+def sparse_net(rng, d: int, L: int) -> Network:
+    """A random d -> d net whose weights keep a random share of their entries,
+    so that some layers fall under the 10% CSR threshold and some do not."""
+    net = random_net(rng, d, d, L)
+    keep = rng.uniform(0.02, 1.0)
+    weights = [np.where(rng.uniform(size=w.shape) < keep, w, 0.0) for w in net.weights]
+    return Network(net.arch, weights, net.biases)
+
+
+@PROPERTY
+@given(seed=seeds, d=dims, L=depths, first_csr=st.booleans())
+def test_combinators_on_csr_layers_match_them_on_the_dense_views(seed, d, L, first_csr):
+    rng = np.random.default_rng(seed)
+    dense = [sparse_net(rng, d, L) for _ in range(3)]
+    # every hidden layer's weight CSR, and the input layer's too if first_csr
+    csr = [Network(n.arch, [csr_matrix(w) if i or first_csr else w
+                            for i, w in enumerate(n.weights)], n.biases) for n in dense]
+    views = [Network(n.arch, n.weights, n.biases) for n in csr]
+    A = rng.uniform(-1.0, 1.0, size=(d, d + 1))
+    offset = rng.uniform(-1.0, 1.0, size=d) if L > 0 else None
+    C = rng.uniform(-1.0, 1.0, size=(2, d))
+    builds = {
+        "compose": lambda nets: compose(nets[0], nets[1]),
+        "compose_relu": lambda nets: compose(nets[0], nets[1], interface="relu"),
+        "parallel": parallel,
+        "deepen": lambda nets: deepen(nets[0], L + 2),
+        "precompose": lambda nets: precompose_affine(nets[0], A, offset),
+        "postcompose": lambda nets: postcompose_affine(nets[0], C),
+        "with_l1": lambda nets: nets[0].with_l1(1 if L > 0 else None),
+    }
+    for name, build in builds.items():
+        got, want = build(csr), build(views)
+        assert got.arch == want.arch, name
+        if L > 0 and name in ("compose_relu", "deepen", "with_l1"):
+            assert got._csr, name  # the CSR layers are passed on as they are
+        assert len(got.weights) == len(want.weights)
+        for w, ref in zip(got.weights, want.weights):
+            assert type(w) is np.ndarray and np.array_equal(w, ref), name
+        X = inputs(rng, got.arch.in_dim)
+        assert np.array_equal(got.eval_batch(X), want.eval_batch(X)), name
+        assert got.sparsity() == want.sparsity(), name
+        assert got.max_entry() == want.max_entry(), name
+        # a CSR row sum and a dense one may add the same terms in another order
+        assert got.lipschitz_upper() == pytest.approx(want.lipschitz_upper(), rel=1e-12, abs=0)
+        assert to_dict(got) == to_dict(want), name
