@@ -29,9 +29,6 @@ class Scaler:
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.lo) / (self.hi - self.lo)
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * (self.hi - self.lo) + self.lo
-
 
 @dataclass(frozen=True)
 class LagDataset:
@@ -137,7 +134,7 @@ def load_series_csv(path) -> np.ndarray:
     """Read a series CSV written by :func:`save_series_csv`; a row with the
     wrong field count, a non-numeric field or a non-finite value raises
     ConfigError naming its line."""
-    rows = []
+    rows, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         width = None
         for lineno, line in enumerate(fh, start=1):
@@ -157,12 +154,11 @@ def load_series_csv(path) -> np.ndarray:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError:
                 raise ConfigError(f"{path}: line {lineno} has a non-numeric field") from None
+            linenos.append(lineno)
     if not rows:
         raise ConfigError(f"no data rows in {path}")
     series = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(series).all(axis=1)
     if not finite.all():
-        with open(path, "r", encoding="utf-8") as fh:  # header and data lines
-            lines = [i for i, ln in enumerate(fh, start=1) if ln.strip()[:1] not in ("", "#")]
-        raise ConfigError(f"{path}: line {lines[1 + int(np.argmin(finite))]} is not finite")
+        raise ConfigError(f"{path}: line {linenos[int(np.argmin(finite))]} is not finite")
     return series

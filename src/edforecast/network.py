@@ -12,23 +12,22 @@ Networks are immutable values: construction validates shapes, evaluation is
 pure and thread-safe.  Structural combinators (compose/parallel/deepen)
 return new networks.  A weight is a dense array or scipy CSR, and so is each
 layer's forward kernel, by one rule: CSR when at most 10% is nonzero, which
-``parallel`` applies to the block-diagonal layers it builds.  ``weights`` are
-dense: reading them densifies each CSR layer.  A layer of the one forward
-kernel is one product with a kernel that carries the bias as a column acting
-on a constant row of ones.
+``parallel`` applies to every layer it builds.  ``weights`` are dense:
+reading them densifies each CSR layer.  A layer of the one forward kernel is
+one product with a kernel that carries the bias as a column acting on a
+constant row of ones.
 On a network with a CSR layer, a batch of more than one 256-row block is
 split at block boundaries into one chunk per CPU the process may run on; the
-calling thread runs one chunk and a shared thread pool, made on first use,
-runs the others.  Every chunk walks its blocks through two reused buffers,
-writing each product in place.
+calling thread runs one chunk and the process's one thread pool, made on
+first use, runs the others.  Every chunk walks its blocks through two reused
+buffers, writing each product in place.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,16 +129,10 @@ class Network:
         """Evaluate on a (n, p0) batch, returning (n, p_{L+1})."""
         return self._forward(self._batch(X, 0, "input layer"), 0, self.arch.L + 1)
 
-    def eval(self, x) -> np.ndarray:
-        return self.eval_batch(np.reshape(x, (1, -1)))[0]
-
     def encoder_batch(self, X: np.ndarray) -> np.ndarray:
         """Activations of the bottleneck hidden layer L1, dim p[L1]."""
         L1 = self._require_l1()
         return self._forward(self._batch(X, 0, "input layer"), 0, L1)
-
-    def eval_encoder(self, x) -> np.ndarray:
-        return self.encoder_batch(np.reshape(x, (1, -1)))[0]
 
     def decoder_batch(self, Z: np.ndarray) -> np.ndarray:
         """Continue evaluation from bottleneck activations to the output."""
@@ -232,18 +225,6 @@ class Network:
         """Exact count of nonzero weight and bias entries."""
         return sum(_nnz(a) for a in self._w + self.biases)
 
-    def max_entry(self) -> float:
-        arrays = [w if type(w) is np.ndarray else w.data for w in self._w] + self.biases
-        return float(max(np.max(np.abs(a), initial=0.0) for a in arrays))
-
-    def lipschitz_upper(self) -> float:
-        """Certified upper bound on sup |f(x)-f(x')|_inf / |x-x'|_inf.
-
-        Product of per-layer induced infinity norms (max absolute row sums);
-        the shifted ReLU is 1-Lipschitz so the product dominates.
-        """
-        return math.prod(float(np.max(abs(w).sum(axis=1))) for w in self._w)
-
     def with_l1(self, L1: int | None) -> "Network":
         return Network(Architecture(self.arch.L, self.arch.p, L1=L1), self._w, self.biases)
 
@@ -280,41 +261,35 @@ def _forward_rows(kernels, hidden, matvecs, A, out, width, r0, r1):
         out[b0:b1] = Z[: out.shape[1]].T
 
 
-_POOL = None  # (CPUs, thread pool or None), made by the first _pool() call
-_POOL_LOCK = threading.Lock()
+@functools.cache
+def _pool():
+    """The number of CPUs this process may run on, and a pool of one thread
+    fewer (None on one CPU), shared by every network in the process.
 
+    Made on the first call; when two first calls race, the losing pool runs
+    its caller's chunks and is dropped, and its threads exit once it is
+    collected.  A forked child, which has none of its parent's threads,
+    makes its own.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus == 1:
+        return 1, None
+    from concurrent.futures import ThreadPoolExecutor
 
-def _forget_pool():
-    # a forked child has none of its parent's threads: it makes its own pool
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+    return cpus, ThreadPoolExecutor(cpus - 1, thread_name_prefix="edforecast-forward")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool():
-    """The number of CPUs this process may run on, and a pool of one thread
-    fewer (None on one CPU), shared by every network in the process."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            pool = None
-            if cpus > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="edforecast-forward")
-            _POOL = (cpus, pool)
-        return _POOL
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def lipschitz_empirical(net: Network, X: np.ndarray, Xp: np.ndarray) -> float:
     """Max observed ratio |f(x)-f(x')|_inf / |x-x'|_inf over sample pairs.
 
-    A lower bound on the true Lipschitz constant; always <= lipschitz_upper.
+    A lower bound on the true Lipschitz constant, which is at most the
+    product of the layers' max absolute row sums (the shifted ReLU is
+    1-Lipschitz).
     """
     X = np.asarray(X, dtype=np.float64)
     Xp = np.asarray(Xp, dtype=np.float64)
@@ -324,35 +299,6 @@ def lipschitz_empirical(net: Network, X: np.ndarray, Xp: np.ndarray) -> float:
     if not np.any(keep):
         return 0.0
     return float(np.max(num[keep] / den[keep]))
-
-
-def is_in_class(net: Network, arch: Architecture, sample_inputs=None, *,
-                s_budget=None, F_bound=None, lip_bound=None) -> dict:
-    """Check membership of ``net`` in the class shaped like ``arch``, under
-    the optional sparsity / sup-norm / Lipschitz caps given as keywords.
-
-    Entry, sparsity and bottleneck checks are exact.  The Lipschitz check is
-    conservative (uses the certified upper bound, so True is a proof).  The
-    sup-norm check samples ``sample_inputs`` and can only refute membership.
-    """
-    report = {
-        "shapes_ok": net.arch.L == arch.L and net.arch.p == arch.p,
-        "entries_ok": net.max_entry() <= 1.0,
-        "sparsity": net.sparsity(),
-    }
-    report["bottleneck_ok"] = (
-        arch.L1 is None or (net.arch.p[arch.L1] == arch.p[arch.L1])
-    )
-    report["sparsity_ok"] = s_budget is None or report["sparsity"] <= s_budget
-    if lip_bound is not None:
-        report["lip_upper"] = net.lipschitz_upper()
-        report["lip_ok"] = report["lip_upper"] <= lip_bound
-    if F_bound is not None and sample_inputs is not None:
-        sup = float(np.max(np.abs(net.eval_batch(sample_inputs))))
-        report["sup_sampled"] = sup
-        report["sup_ok"] = sup <= F_bound
-    report["ok"] = all(v for k, v in report.items() if k.endswith("_ok"))
-    return report
 
 
 # -- builders ------------------------------------------------------------
@@ -397,7 +343,8 @@ def parallel(nets: Sequence[Network]) -> Network:
 
     All nets must agree on input dimension and depth (deepen first if not);
     the output is the concatenation of the individual outputs.  Layers after
-    the first are block-diagonal, CSR when at most 10% nonzero, else dense.
+    the first are block-diagonal; every layer is CSR when at most 10% is
+    nonzero, else dense.
     """
     if not nets:
         raise ShapeError("parallel of empty list")
@@ -410,12 +357,13 @@ def parallel(nets: Sequence[Network]) -> Network:
             raise ShapeError(
                 f"parallel: net {k} has input dim {n.arch.in_dim}, expected {d_in}"
             )
-    p = (d_in,) + tuple(
-        sum(n.arch.p[i] for n in nets) for i in range(1, L + 2)
-    )
-    weights = [np.vstack([_dense(n._w[0]) for n in nets])]
-    for i in range(1, L + 1):
-        weights.append(_block_diag([n._w[i] for n in nets]))
+    # net k's block of layer i starts at row offsets[k][i + 1] and, past the
+    # shared input, at column offsets[k][i]
+    offsets = np.cumsum([[0] * (L + 2)] + [n.arch.p for n in nets], axis=0).tolist()
+    p = (d_in, *offsets[-1][1:])
+    weights = [_assemble([(n._w[i], offsets[k][i + 1], offsets[k][i] if i else 0)
+                          for k, n in enumerate(nets)], (p[i + 1], p[i]))
+               for i in range(L + 1)]
     biases = [
         np.concatenate([n.biases[i] for n in nets]) for i in range(L)
     ]
@@ -510,20 +458,19 @@ def _plus_minus(w, axis: int):
     return (vstack, hstack)[axis]([w, -w], format="csr")
 
 
-def _block_diag(mats):
-    """The block-diagonal matrix of ``mats`` from their nonzeros: CSR when at
-    most _SPARSE_DENSITY of it is nonzero, else dense."""
-    offsets = np.cumsum([(0, 0)] + [m.shape for m in mats], axis=0)
-    parts = [(r + r0, c + c0, v) for m, (r0, c0) in zip(mats, offsets)
-             for r, c, v in [_nonzeros(m)]]
+def _assemble(blocks, shape):
+    """The ``shape`` matrix holding each (matrix, row offset, column offset)
+    of ``blocks`` at its offsets, from their nonzeros: CSR when at most
+    _SPARSE_DENSITY of it is nonzero, else dense."""
+    parts = [(r + r0, c + c0, v) for m, r0, c0 in blocks for r, c, v in [_nonzeros(m)]]
     r, c, v = (np.concatenate(a) for a in zip(*parts))
-    if v.size > _SPARSE_DENSITY * offsets[-1].prod():
-        K = np.zeros(offsets[-1])
+    if v.size > _SPARSE_DENSITY * shape[0] * shape[1]:
+        K = np.zeros(shape)
         K[r, c] = v
         return K
     from scipy.sparse import csr_matrix
 
-    return csr_matrix((v, (r, c)), shape=tuple(offsets[-1]))
+    return csr_matrix((v, (r, c)), shape=shape)
 
 
 # -- serialization -------------------------------------------------------
@@ -534,19 +481,9 @@ def to_dict(net: Network) -> dict:
     return {
         "format": SERIAL_FORMAT,
         "arch": arch,
-        "weights": [_tolist(w) for w in net._w],
+        "weights": [_dense(w).tolist() for w in net._w],
         "biases": [b.tolist() for b in net.biases],
     }
-
-
-def _tolist(w) -> list:
-    """w's rows as lists; a CSR layer's are filled from its nonzeros."""
-    if type(w) is np.ndarray:
-        return w.tolist()
-    rows = [[0.0] * w.shape[1] for _ in range(w.shape[0])]
-    for r, c, v in zip(*(a.tolist() for a in _nonzeros(w))):
-        rows[r][c] = v
-    return rows
 
 
 def from_dict(doc: dict) -> Network:

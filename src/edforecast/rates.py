@@ -147,18 +147,7 @@ def fdm_exponential(rho: float, kappa: float = 1.0) -> DependenceSpec:
     )
 
 
-# -- mixing coefficients and conjugate calculus ---------------------------
-
-
-def beta_mix(spec: DependenceSpec, k: int) -> float:
-    """The concrete mixing sequence represented by a mixing spec."""
-    if spec.kind == "independent":
-        return 0.0 if k >= 1 else 1.0
-    if spec.kind == "mixing_polynomial":
-        return min(1.0, spec.kappa * (k + 1.0) ** (-(spec.alpha + 1.0)))
-    if spec.kind == "mixing_exponential":
-        return min(1.0, spec.kappa * spec.rho ** k)
-    raise ValueError(f"{spec.kind} has no mixing coefficients")
+# -- conjugate calculus -----------------------------------------------------
 
 
 def conjugate(phi: Callable[[float], float], dphi: Callable[[float], float],
@@ -371,29 +360,6 @@ def rate_envelope(spec: DependenceSpec, x: float) -> float:
     if spec.kind == "functional_delta":
         return dep_envelope(spec, x)
     return mix_envelope(spec, x)
-
-
-def q_star(beta_fn: Callable[[int], float], x: float) -> int:
-    """Smallest q with beta(q) <= q x (monotone bracket + binary search)."""
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    return _first_index(lambda q: float(beta_fn(q)) <= q * x, 1, 2 ** 32,
-                        "no block length below 2^32 satisfies beta(q) <= q x")
-
-
-def block_rate_constant(spec: DependenceSpec, horizon: int = 200_000) -> float:
-    """C = sum_k (phi*(k+1) - phi*(k)) beta(k) for the polynomial regime."""
-    if spec.kind != "mixing_polynomial":
-        raise ValueError("constant implemented for polynomial mixing")
-    ca = c_alpha(spec.alpha)
-    total = 0.0
-    for k in range(horizon):
-        inc = ca * ((k + 1.0) ** spec.alpha - float(k) ** spec.alpha)
-        term = inc * beta_mix(spec, k)
-        total += term
-        if k > 10 and term < 1e-14 * total:
-            break
-    return total
 
 
 # -- entropy bound and rate selection -------------------------------------

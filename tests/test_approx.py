@@ -60,11 +60,11 @@ def test_mult_net_is_the_formula():
 
 def test_mult_hand_examples():
     net = mult_net(10)
-    assert abs(net.eval([1.0, 1.0])[0] - 1.0) <= 2.0 ** -10
-    v = net.eval([0.0, 0.0])[0]
+    assert abs(net.eval_batch([[1.0, 1.0]])[0, 0] - 1.0) <= 2.0 ** -10
+    v = net.eval_batch([[0.0, 0.0]])[0, 0]
     assert 0.0 <= v <= 2.0 ** -10
     net3 = mult_net(3)
-    assert net3.eval([0.5, 0.5])[0] == pytest.approx(mult_formula(0.5, 0.5, 3), abs=1e-12)
+    assert net3.eval_batch([[0.5, 0.5]])[0, 0] == pytest.approx(mult_formula(0.5, 0.5, 3), abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [3, 6, 10])
@@ -94,7 +94,7 @@ def test_multiprod_t1_is_identity():
 
 def test_multiprod_hand_point():
     net = multiprod_net(10, 3)
-    val = net.eval([0.5, 0.5, 0.5])[0]
+    val = net.eval_batch([[0.5, 0.5, 0.5]])[0, 0]
     assert abs(val - 0.125) <= 9 * 2.0 ** -10
 
 
@@ -117,7 +117,7 @@ def test_hat_peak_value():
     t, M, m = 2, 3, 8
     center = np.array([1 / 3, 2 / 3])
     net = hat_net(center, M, m, t)
-    peak = net.eval(center)[0]
+    peak = net.eval_batch([center])[0, 0]
     assert abs(peak - (1.0 / M) ** t) <= t * t * 2.0 ** -m
 
 
@@ -135,10 +135,10 @@ def test_hat_vanishes_outside_ball():
 def test_hat_t1_exact_tent():
     M = 4
     net = hat_net([0.5], M, 6, 1)
-    assert net.eval([0.5])[0] == pytest.approx(1.0 / M, abs=1e-15)
-    assert net.eval([0.5 + 1 / (2 * M)])[0] == pytest.approx(1 / (2 * M), abs=1e-15)
-    assert net.eval([0.5 - 1 / (2 * M)])[0] == pytest.approx(1 / (2 * M), abs=1e-15)
-    assert net.eval([0.80])[0] == 0.0
+    assert net.eval_batch([[0.5]])[0, 0] == pytest.approx(1.0 / M, abs=1e-15)
+    assert net.eval_batch([[0.5 + 1 / (2 * M)]])[0, 0] == pytest.approx(1 / (2 * M), abs=1e-15)
+    assert net.eval_batch([[0.5 - 1 / (2 * M)]])[0, 0] == pytest.approx(1 / (2 * M), abs=1e-15)
+    assert net.eval_batch([[0.80]])[0, 0] == 0.0
 
 
 def test_hat_rejects_off_grid_center():

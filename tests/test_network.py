@@ -1,6 +1,7 @@
 """Network representation, evaluation, and structural combinators."""
 
 import json
+import math
 import os
 import select
 import signal
@@ -29,7 +30,6 @@ from edforecast.network import (
     deepen,
     from_dict,
     identity_network,
-    is_in_class,
     lipschitz_empirical,
     load_json,
     parallel,
@@ -46,6 +46,13 @@ def straight_line_eval(weights, biases, x):
     return weights[-1] @ a
 
 
+def lipschitz_upper(net):
+    """Oracle: the product of the layers' induced infinity norms (max absolute
+    row sums), an upper bound on sup |f(x)-f(x')|_inf / |x-x'|_inf because
+    the shifted ReLU is 1-Lipschitz."""
+    return math.prod(float(np.max(np.abs(w).sum(axis=1))) for w in net.weights)
+
+
 def random_net(rng, p, L1=None):
     arch = Architecture(len(p) - 2, tuple(p), L1=L1)
     weights = [rng.uniform(-1, 1, size=(p[i + 1], p[i])) for i in range(len(p) - 1)]
@@ -55,14 +62,13 @@ def random_net(rng, p, L1=None):
 
 def test_eval_identity():
     net = identity_network(3)
-    assert np.array_equal(net.eval([1.0, -2.0, 3.0]), [1.0, -2.0, 3.0])
+    assert np.array_equal(net.eval_batch([[1.0, -2.0, 3.0]]), [[1.0, -2.0, 3.0]])
 
 
 def test_eval_relu_definition():
     arch = Architecture(1, (1, 1, 1))
     net = Network(arch, [np.array([[1.0]]), np.array([[1.0]])], [np.array([0.0])])
-    assert net.eval([-2.0])[0] == 0.0
-    assert net.eval([3.0])[0] == 3.0
+    assert np.array_equal(net.eval_batch([[-2.0], [3.0]]), [[0.0], [3.0]])
 
 
 def test_eval_matches_straight_line_oracle():
@@ -73,13 +79,13 @@ def test_eval_matches_straight_line_oracle():
         net = random_net(rng, p)
         x = rng.uniform(-2, 2, size=p[0])
         ref = straight_line_eval(net.weights, net.biases, x)
-        assert np.max(np.abs(net.eval(x) - ref)) <= 1e-12
+        assert np.max(np.abs(net.eval_batch([x])[0] - ref)) <= 1e-12
 
 
 def test_eval_dimension_mismatch_names_layer():
     net = identity_network(3)
     with pytest.raises(ShapeError, match="input layer"):
-        net.eval([1.0, 2.0])
+        net.eval_batch([[1.0, 2.0]])
 
 
 def test_encoder_is_bottleneck_activation():
@@ -88,8 +94,8 @@ def test_encoder_is_bottleneck_activation():
     x = rng.uniform(-1, 1, size=2)
     # oracle truncated at hidden layer L1
     a = np.maximum(net.weights[0] @ x - net.biases[0], 0.0)
-    assert np.allclose(net.eval_encoder(x), a, atol=1e-12)
-    assert net.eval_encoder(x).shape == (net.arch.p[1],)
+    assert np.allclose(net.encoder_batch([x]), [a], atol=1e-12)
+    assert net.encoder_batch([x]).shape == (1, net.arch.p[1])
 
 
 def test_encoder_identity_propagation():
@@ -97,7 +103,7 @@ def test_encoder_identity_propagation():
     eye = np.eye(3)
     net = Network(arch, [eye, eye, eye], [np.zeros(3), np.zeros(3)])
     x = np.array([0.2, 0.0, 0.9])
-    assert np.allclose(net.eval_encoder(x), x)
+    assert np.allclose(net.encoder_batch([x]), [x])
 
 
 def test_encoder_decoder_composition_identity():
@@ -112,7 +118,7 @@ def test_encoder_decoder_composition_identity():
 def test_encoder_requires_l1():
     net = identity_network(2)
     with pytest.raises(ShapeError, match="L1"):
-        net.eval_encoder([0.0, 0.0])
+        net.encoder_batch([[0.0, 0.0]])
 
 
 def test_sparsity_counts():
@@ -141,10 +147,10 @@ def test_sparsity_matches_entry_scan():
 
 
 def test_lipschitz_upper_examples():
-    assert identity_network(5).lipschitz_upper() == 1.0
+    assert lipschitz_upper(identity_network(5)) == 1.0
     arch = Architecture(0, (2, 2))
     net = Network(arch, [np.array([[2.0, 0.0], [0.0, 3.0]])], [])
-    assert net.lipschitz_upper() == 3.0
+    assert lipschitz_upper(net) == 3.0
 
 
 def test_lipschitz_empirical_below_upper():
@@ -153,7 +159,7 @@ def test_lipschitz_empirical_below_upper():
         net = random_net(rng, (3, 6, 4, 2))
         X = rng.uniform(-1, 1, size=(10000, 3))
         Xp = rng.uniform(-1, 1, size=(10000, 3))
-        assert lipschitz_empirical(net, X, Xp) <= net.lipschitz_upper() + 1e-12
+        assert lipschitz_empirical(net, X, Xp) <= lipschitz_upper(net) + 1e-12
 
 
 def test_lipschitz_upper_finite_for_clipped_deep_net():
@@ -163,7 +169,7 @@ def test_lipschitz_upper_finite_for_clipped_deep_net():
                for i in range(len(p) - 1)]
     biases = [np.zeros(p[i + 1]) for i in range(len(p) - 2)]
     net = Network(Architecture(64, p), weights, biases)
-    bound = net.lipschitz_upper()
+    bound = lipschitz_upper(net)
     assert np.isfinite(bound)
     assert bound <= float(np.prod([float(w) for w in p[1:]]))
 
@@ -263,14 +269,18 @@ def test_deepen_below_depth_rejected():
 def test_class_membership_and_monotone_sparsity():
     rng = np.random.default_rng(41)
     net = random_net(rng, (3, 4, 2), L1=1)
-    arch, s_budget = Architecture(1, (3, 4, 2), L1=1), net.sparsity()
-    report = is_in_class(net, arch, s_budget=s_budget)
-    assert report["sparsity_ok"] and report["entries_ok"]
+    s_budget = net.sparsity()
+
+    def in_class(n):  # entries at most 1 and at most s_budget nonzeros
+        return (max(np.max(np.abs(a)) for a in n.weights + n.biases) <= 1.0
+                and n.sparsity() <= s_budget)
+
+    assert in_class(net)
     # zeroing any entry never violates a satisfied sparsity constraint
     weights = [w.copy() for w in net.weights]
     weights[0][0, 0] = 0.0
     smaller = Network(net.arch, weights, net.biases)
-    assert is_in_class(smaller, arch, s_budget=s_budget)["sparsity_ok"]
+    assert in_class(smaller) and smaller.sparsity() == s_budget - 1
 
 
 def test_serialization_bit_exact_roundtrip():
@@ -448,7 +458,7 @@ def chunked(monkeypatch):
         pool = CountingPool(k - 1) if k > 1 else None
         if pool is not None:
             pools.append(pool)
-        monkeypatch.setattr(network, "_POOL", (k, pool))
+        monkeypatch.setattr(network, "_pool", lambda: (k, pool))
         return pool
 
     yield use
@@ -527,16 +537,14 @@ def test_csr_matvecs_call_matches_the_scipy_product(cert_nets):
             assert np.array_equal(y.reshape(-1, nb), K @ Z)
 
 
-def dense_block_diag(mats):
-    """Oracle: the block-diagonal matrix of dense ``mats`` as one dense array,
-    the way ``parallel`` stored every assembled layer before it built CSR."""
-    assert all(type(m) is np.ndarray for m in mats)
-    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
-    r = c = 0
-    for m in mats:
+def dense_assemble(blocks, shape):
+    """Oracle: each dense (matrix, row offset, column offset) block copied
+    into one dense array, the way ``parallel`` stored every layer before it
+    built CSR."""
+    out = np.zeros(shape)
+    for m, r, c in blocks:
+        assert type(m) is np.ndarray
         out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
     return out
 
 
@@ -549,9 +557,12 @@ def test_sparse_assembly_gives_the_kernels_of_the_dense_one(monkeypatch, target,
 
     hf, plan = catalog()[target], ApproxPlan(N=N, m=m)
     net = build_approximator(hf, plan)[0]
-    monkeypatch.setattr(network, "_block_diag", dense_block_diag)
+    monkeypatch.setattr(network, "_assemble", dense_assemble)
     dense = build_approximator(hf, plan)[0]
     assert any(issparse(w) for w in net._w)
+    # every stored layer is under the 10% rule, compose's interface layer too
+    assert not any(type(w) is np.ndarray and np.count_nonzero(w) <= 0.1 * w.size
+                   for w in net._w)
     assert all(type(w) is np.ndarray for w in dense._w)
     assert net.arch == dense.arch and net.sparsity() == dense.sparsity()
     got, want = net._build_kernels(), dense._build_kernels()
@@ -578,7 +589,7 @@ def test_sparse_weight_is_stored_as_canonical_csr():
     assert stored.has_canonical_format and stored.nnz == 2
     assert np.array_equal(stored.indices, [0, 2]) and np.array_equal(stored.data, [5.0, 3.0])
     assert np.array_equal(net.weights[0], [[0.0, 0.0, 0.0], [5.0, 0.0, 3.0]])
-    assert net.sparsity() == 4 and net.max_entry() == 5.0
+    assert net.sparsity() == 4
     assert np.array_equal(w.toarray(), [[0, 0, 0], [5, 0, 3]])  # the input is not changed
 
 

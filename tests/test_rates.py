@@ -9,10 +9,10 @@ from edforecast.rates import (
     DependenceSpec,
     RateComputationError,
     SmoothnessProfile,
+    _first_index,
     _hurwitz_zeta,
     _psi_ceil_inverse,
     beta_dep,
-    beta_mix,
     oracle_bound,
     c_alpha,
     choose_N,
@@ -25,13 +25,11 @@ from edforecast.rates import (
     independent,
     lambda_dep,
     lambda_mix,
-    block_rate_constant,
     mix_envelope,
     mixing_exponential,
     mixing_polynomial,
     phi_exponential,
     predicted_rate,
-    q_star,
     rate_envelope,
     rate_function,
     v_tilde,
@@ -301,7 +299,34 @@ def test_beta_dep_convergent_walks_unchanged():
             assert beta_dep(spec, q) == _beta_dep_walk(delta, q)
 
 
-# -- block length selector --------------------------------------------------
+# -- block length selector, an oracle for the mixing rate function ----------
+
+
+def beta_mix(spec, k):
+    """The mixing sequence beta(k) a mixing spec stands for."""
+    if spec.kind == "independent":
+        return 0.0 if k >= 1 else 1.0
+    if spec.kind == "mixing_polynomial":
+        return min(1.0, spec.kappa * (k + 1.0) ** (-(spec.alpha + 1.0)))
+    return min(1.0, spec.kappa * spec.rho ** k)
+
+
+def q_star(beta_fn, x):
+    """Smallest block length q with beta(q) <= q x."""
+    return _first_index(lambda q: float(beta_fn(q)) <= q * x, 1, 2 ** 32,
+                        "no block length below 2^32 satisfies beta(q) <= q x")
+
+
+def block_rate_constant(spec, horizon=200_000):
+    """C = sum_k (phi*(k+1) - phi*(k)) beta(k) under polynomial mixing."""
+    ca = c_alpha(spec.alpha)
+    total = 0.0
+    for k in range(horizon):
+        term = ca * ((k + 1.0) ** spec.alpha - float(k) ** spec.alpha) * beta_mix(spec, k)
+        total += term
+        if k > 10 and term < 1e-14 * total:
+            break
+    return total
 
 
 def test_q_star_hand_scan():

