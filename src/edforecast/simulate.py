@@ -124,6 +124,8 @@ def generate(model: TimeSeriesModel, n: int, burn_in: int = 1000,
     """
     if n < model.r + 1:
         raise ValueError(f"n={n} must be at least r+1={model.r + 1}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in={burn_in} must be >= 0")
     rng = np.random.default_rng(model.seed if seed is None else seed)
     d, r = model.d, model.r
     state = np.zeros(d * r)

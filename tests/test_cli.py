@@ -620,6 +620,10 @@ def strict_setup(tmp_path, monkeypatch, command, key, value):
     ("rates", "n_values", "55"),
     ("rates", "n_values", "100"),
     ("rates", "x_grid.points", 3.9),
+    ("simulate", "burn_in", -5),
+    ("rates", "n_values", [0]),
+    ("train", "r", 0),
+    ("evaluate", "k_steps", [4, 0]),
 ])
 def test_malformed_value_is_config_error_naming_its_key(tmp_path, monkeypatch, capsys,
                                                         command, key, value):

@@ -62,6 +62,13 @@ def test_generation_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_generate_rejects_negative_burn_in():
+    model = low_d_model(seed=3)
+    with pytest.raises(ValueError, match="burn_in"):
+        generate(model, 10, burn_in=-5)
+    assert generate(model, 10, burn_in=0).shape == (10, model.d)
+
+
 def test_trained_network_as_evolution_map():
     # a Network is a valid evolution map through its batched evaluator
     from edforecast.network import Architecture, Network

@@ -335,6 +335,11 @@ def flat_sgd_case(kind):
         data = lag_embed(rng.normal(size=(50, 8)), 2, normalize=True)
         arch = Architecture(5, (16, 16, 24, 8, 24, 8, 8), L1=3)
         return init_network(arch, 4), data, WeightFn(kind="box_ramp", varsigma=0.1)
+    if kind == "highd":
+        # the benchmark's high_d train: d = 30, r = 1, every sample weighing 1.0
+        data = lag_embed(rng.normal(size=(40, 30)), 1, normalize=True)
+        arch = Architecture(5, (30, 60, 30, 2, 30, 60, 30), L1=3)
+        return init_network(arch, 5), data, WeightFn()
     # input and output width 1, so the sample's row view and the output's
     # column view are width 1, and the first layer is 1 x 1
     data = lag_embed(small_series(seed=5, n=50), 1, normalize=True)
@@ -344,7 +349,7 @@ def flat_sgd_case(kind):
                    [np.array([0.3]), net.biases[1] - 0.05]), data, WeightFn()
 
 
-@pytest.mark.parametrize("kind", ["depth0", "sweep_cell", "width1"])
+@pytest.mark.parametrize("kind", ["depth0", "sweep_cell", "highd", "width1"])
 def test_flat_sgd_matches_per_layer_reference_on_more_shapes(kind):
     net, data, weight = flat_sgd_case(kind)
     cfg = TrainConfig(epochs=3, lr_schedule=((0, 0.3), (2, 0.05)), l2_lambda=1e-4, seed=2)
@@ -422,13 +427,17 @@ def one_sample_case(kind, seed):
 
 @pytest.mark.parametrize("kind, seed", [("random", 1), ("random", 2), ("random", 3),
                                         ("depth0", 4), ("relu_kink", 5)])
-@pytest.mark.parametrize("weight", ["one", "zero", "box_ramp"])
+@pytest.mark.parametrize("weight", ["one", "zero", "box_ramp", 1.0, 0.0, 0.3])
 @pytest.mark.parametrize("lam", [0.0, 0.2])
 def test_one_sample_gradient_matches_batch_of_one(kind, seed, weight, lam):
     net, x, y = one_sample_case(kind, seed)
-    wfn = {"one": WeightFn(), "zero": lambda X: np.zeros(len(X)),
-           "box_ramp": WeightFn(kind="box_ramp", varsigma=0.45)}[weight]
-    wt = wfn(x[None])[0]
+    if isinstance(weight, float):
+        # a Python float, as a library caller may pass it
+        wfn, wt = (lambda X: np.full(len(X), weight)), weight
+    else:
+        wfn = {"one": WeightFn(), "zero": lambda X: np.zeros(len(X)),
+               "box_ramp": WeightFn(kind="box_ramp", varsigma=0.45)}[weight]
+        wt = wfn(x[None])[0]
     if weight == "box_ramp":
         assert 0.0 < wt < 1.0
     out = ([np.full_like(a, np.nan) for a in net.weights],
@@ -441,10 +450,25 @@ def test_one_sample_gradient_matches_batch_of_one(kind, seed, weight, lam):
     for a, b, c, d in zip(one_w + one_b, o_w + o_b, batch_w + batch_b, ref_w + ref_b):
         assert a.shape == c.shape
         assert np.array_equal(a, b) and np.array_equal(a, c) and np.array_equal(a, d)
-    if weight == "zero" and lam == 0.0:
+    if weight in ("zero", 0.0) and lam == 0.0:
         assert not any(np.any(a) for a in one_w + one_b)
     if kind == "relu_kink" and lam == 0.0:
         assert one_b[0][0] == 0.0 and not np.any(one_w[0][0])
+
+
+@pytest.mark.parametrize("kind, seed", [("random", 1), ("depth0", 4)])
+def test_one_sample_gradient_never_calls_numpy_dot(monkeypatch, kind, seed):
+    # its products go through the ndarray method, which skips np.dot's dispatcher
+    net, x, y = one_sample_case(kind, seed)
+    batch_w, batch_b = gradient(net, x[None], y[None], np.array([0.7]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.dot was called")
+
+    monkeypatch.setattr(np, "dot", refuse)
+    one_w, one_b = gradient(net, x, y, 0.7, out=Workspace(net))
+    for a, b in zip(one_w + one_b, batch_w + batch_b):
+        assert np.array_equal(a, b)
 
 
 def test_one_sample_gradient_rejects_a_sample_of_the_wrong_length():
