@@ -43,6 +43,11 @@ from .network import (
     precompose_affine,
 )
 
+HOLDER_POINTS, FD_STEP = 256, 1e-6  # validate_holder's sample size and difference step
+# build_approximator's largest evaluation lattice (a larger one is replaced by a
+# seeded uniform sample of this many points) and its sample pairs of each kind
+GRID_CAP, PAIR_SAMPLES = 1_000_000, 4000
+
 
 class PlanError(ConfigError):
     """A plan or stage layout that cannot build the requested network."""
@@ -88,19 +93,19 @@ def multi_indices(t: int, beta: float):
     return sorted(out)
 
 
-def validate_holder(hf: HolderFunction, n_points: int = 256, seed: int = 0,
-                    fd_step: float = 1e-6) -> dict:
-    """Spot-check |f| <= K on a sample and first partials by differences.
+def validate_holder(hf: HolderFunction) -> dict:
+    """Spot-check |f| <= K on HOLDER_POINTS seed-0 uniform points and first
+    partials by central differences of step FD_STEP.
 
     The derivative comparison is diagnostic only (1e-3 tolerance on interior
     points); the bound check is authoritative for the sampled points.
     """
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 1.0, size=(n_points, hf.t))
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(0.0, 1.0, size=(HOLDER_POINTS, hf.t))
     vals = np.asarray(hf.f(pts), dtype=np.float64)
     max_abs = float(np.max(np.abs(vals)))
     report = {"max_abs_f": max_abs, "bound_ok": max_abs <= hf.K * (1 + 1e-12)}
-    inner = pts.clip(2 * fd_step, 1 - 2 * fd_step)
+    inner = pts.clip(2 * FD_STEP, 1 - 2 * FD_STEP)
     fd_ok = True
     worst = 0.0
     for j in range(hf.t):
@@ -109,9 +114,9 @@ def validate_holder(hf: HolderFunction, n_points: int = 256, seed: int = 0,
             continue
         hi = inner.copy()
         lo = inner.copy()
-        hi[:, j] += fd_step
-        lo[:, j] -= fd_step
-        fd = (np.asarray(hf.f(hi)) - np.asarray(hf.f(lo))) / (2 * fd_step)
+        hi[:, j] += FD_STEP
+        lo[:, j] -= FD_STEP
+        fd = (np.asarray(hf.f(hi)) - np.asarray(hf.f(lo))) / (2 * FD_STEP)
         exact = np.asarray(hf.partials[alpha](inner))
         err = float(np.max(np.abs(fd - exact)))
         worst = max(worst, err)
@@ -253,10 +258,11 @@ def multiprod_net(m: int, t: int) -> Network:
     return net
 
 
-def hat_net(center, M: int, m: int, t: int, prod: Network | None = None) -> Network:
+def hat_net(center, M: int, m: int, t: int, prod: Network) -> Network:
     """Localized bump around a grid point: the product of per-coordinate
     tents I_c(z) = (1/M - |z - c|)_+; vanishes (up to t^2 2^-m) outside the
-    sup-ball of radius 1/M.  ``prod``, if given, is ``multiprod_net(m, t)``."""
+    sup-ball of radius 1/M.  ``prod`` is ``multiprod_net(m, t)``, which
+    multiplies the tents when t > 1."""
     center = np.asarray(center, dtype=np.float64).reshape(-1)
     if center.shape[0] != t:
         raise PlanError(f"center has dim {center.shape[0]}, expected t={t}")
@@ -280,7 +286,7 @@ def hat_net(center, M: int, m: int, t: int, prod: Network | None = None) -> Netw
                     [w0, w1, np.eye(t)], [b0, b1])
     if t == 1:
         return tents
-    return compose(prod or multiprod_net(m, t), tents)
+    return compose(prod, tents)
 
 
 def _constant_one_net(in_dim: int, L: int) -> Network:
@@ -353,16 +359,14 @@ def size_budget(N: int, m: int, t: int, beta: float) -> float:
 
 
 def build_approximator(hf: HolderFunction, plan: ApproxPlan,
-                       f_bound: float | None = None,
-                       grid_cap: int = 1_000_000,
-                       pair_samples: int = 4000,
-                       seed: int = 0):
+                       f_bound: float | None = None, seed: int = 0):
     """Assemble the network approximant of ``hf`` and verify its bounds.
 
     The network sums, over all grid cells, the approximate product of a
     normalized local Taylor value and a localized hat, then rescales.  The
     returned certificate reports the certified sup-norm and Lipschitz
-    bounds together with values measured on an evaluation grid, plus the
+    bounds together with values measured on an evaluation grid of at most
+    GRID_CAP points and on PAIR_SAMPLES sample pairs of each kind, plus the
     depth/size budgets.
     """
     plan.validate_for(hf)
@@ -413,15 +417,15 @@ def build_approximator(hf: HolderFunction, plan: ApproxPlan,
     head = postcompose_affine(head, out_row)
     net = compose(head, trunk)
 
-    pts, grid_spec = _eval_grid(t, 10 * M + 1, grid_cap, seed=seed)
+    pts, grid_spec = _eval_grid(t, 10 * M + 1, GRID_CAP, seed=seed)
     approx_vals = net.eval_batch(pts)[:, 0]
     true_vals = np.asarray(hf.f(pts), dtype=np.float64)
     measured_sup = float(np.max(np.abs(approx_vals - true_vals)))
 
     rng = np.random.default_rng(seed + 1)
-    X = rng.uniform(0.0, 1.0, size=(pair_samples, t))
+    X = rng.uniform(0.0, 1.0, size=(PAIR_SAMPLES, t))
     Xp = np.clip(X + rng.uniform(-0.5 / M, 0.5 / M, size=X.shape), 0.0, 1.0)
-    Xq = rng.uniform(0.0, 1.0, size=(pair_samples, t))
+    Xq = rng.uniform(0.0, 1.0, size=(PAIR_SAMPLES, t))
     measured_lip = max(lipschitz_empirical(net, X, Xp),
                        lipschitz_empirical(net, X, Xq))
 

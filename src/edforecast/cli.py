@@ -94,10 +94,10 @@ def _int(value):
     return int(value)
 
 
-def _int_from(lo: int):
-    """An integer read as ``_int`` reads it, refused below ``lo``."""
+def _at_least(lo, cast=_int):
+    """A value read by ``cast`` (an integer as ``_int`` reads it), refused below ``lo``."""
     def read(value):
-        out = _int(value)
+        out = cast(value)
         if out < lo:
             raise ValueError(value)
         return out
@@ -228,7 +228,7 @@ def _weight_from_spec(spec) -> WeightFn:
 
 def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     c = _section(cfg, "", dict, {
-        "model": _typed((str, dict)), "n": _int, "burn_in": (_int_from(0), 1000),
+        "model": _typed((str, dict)), "n": _int, "burn_in": (_at_least(0), 1000),
         "out_csv": (_str, "series.csv"), "seed": (_int, 0)}, ["model", "n"], seed=seed)
     prov = _provenance(cfg, c["seed"])
     model = _model_from_spec(c["model"], c["seed"])
@@ -288,7 +288,7 @@ def _run_single_training(series_train, series_test, r, arch: Architecture,
 def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
     c = _section(cfg, "", dict, {
         "train_csv": _str, "test_csv": (_or_none(_str), None),
-        "train_fraction": (_float, 1.0), "r": (_int_from(1), 1), "normalize": (_bool, False),
+        "train_fraction": (_float, 1.0), "r": (_at_least(1), 1), "normalize": (_bool, False),
         "arch": (_object, None), "train": _object, "weight": (_or_none(_object), None),
         "sweep": (_object, None), "out_model": (_str, "model.json"),
         "out_curve": (_str, "curve.csv"), "seed": (_int, None)}, ["train_csv", "train"])
@@ -382,7 +382,7 @@ def _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir) -> int:
 
 def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     c = _section(cfg, "", dict, {
-        "model_json": _str, "test_csv": _str, "k_steps": (_each(_int_from(1)), [1]),
+        "model_json": _str, "test_csv": _str, "k_steps": (_each(_at_least(1)), [1]),
         "weight": (_or_none(_object), None), "out_json": (_str, "metrics.json"),
         "seed": (_int, 0)}, ["model_json", "test_csv"], seed=seed)
     net = _load(load_net, c["model_json"], "model_json")
@@ -466,8 +466,8 @@ def _dependence_from_spec(spec) -> DependenceSpec:
 
 
 def _profile_from_spec(spec) -> SmoothnessProfile:
-    if "beta" in spec:
-        casts = {"beta": _float, "t": _int}
+    if "beta" in spec:  # checked here, as isotropic copies both into every stage
+        casts = {"beta": _at_least(1, _float), "t": _at_least(1)}
         return _section(spec, "profile", SmoothnessProfile.isotropic, casts, casts)
     casts = {"beta_dec": _float, "t_dec": _int, "beta_enc0": _float, "t_enc0": _int,
              "beta_enc1": _float, "t_enc1": _int}
@@ -477,7 +477,7 @@ def _profile_from_spec(spec) -> SmoothnessProfile:
 def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
     c = _section(cfg, "", dict, {
         "dependence": _object, "profile": _object, "x_grid": (_object, {}),
-        "n_values": (_each(_int_from(2)), [1000, 10000, 100000]),
+        "n_values": (_each(_at_least(2)), [1000, 10000, 100000]),
         "out_lambda_csv": (_str, "lambda.csv"), "out_rates_csv": (_str, "rates.csv"),
         "seed": (_int, 0)}, ["dependence", "profile"], seed=seed)
     spec = _dependence_from_spec(c["dependence"])

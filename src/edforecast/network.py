@@ -18,14 +18,13 @@ one product with a kernel that carries the bias as a column acting on a
 constant row of ones.
 On a network with a CSR layer, a batch of more than one 256-row block is
 split at block boundaries into one chunk per CPU the process may run on; the
-calling thread runs one chunk and the process's one thread pool, made on
-first use, runs the others.  Every chunk walks its blocks through two reused
-buffers, writing each product in place.
+calling thread runs one chunk and threads started for that call run the
+others, and all of them have ended when the call returns.  Every chunk walks
+its blocks through two reused buffers, writing each product in place.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from dataclasses import dataclass
@@ -156,8 +155,10 @@ class Network:
         product with its kernel, which subtracts the bias through that row;
         every layer below L then takes the ReLU in place.  When a kernel is
         CSR, the rows are split at block boundaries into at most one
-        contiguous chunk per CPU; the calling thread runs the first and the
-        pool the others, each writing its own rows of the result.  A row's
+        contiguous chunk per CPU; the calling thread runs the first and
+        threads started for this call run the others, each chunk writing its
+        own rows of the result, and every thread has ended before this
+        returns.  A row's
         values do not depend on the chunk it lands in: a dense block product
         is the same BLAS call, and a CSR row sums its terms in index order
         whatever the block width.
@@ -170,22 +171,27 @@ class Network:
             from scipy.sparse._sparsetools import csr_matvecs as matvecs
         n, p = A.shape[0], self.arch.p
         out = np.empty((n, p[stop]))
-        args = (kernels, self.arch.L - start, matvecs, A, out, max(p[start : stop + 1]) + 1)
+        args = (kernels, self.arch.L - start, matvecs, A, out)
         blocks = -(-n // _BLOCK_ROWS)
         # only CSR layers gain from chunks: scipy runs a CSR product on one
         # thread, while BLAS already spreads a large dense one over the CPUs
         # and a small dense net is bound by per-layer calls that hold the GIL
-        cpus, pool = _pool() if blocks > 1 and matvecs is not None else (1, None)
-        k = max(1, min(cpus, blocks))
+        k = min(_cpus(), blocks) if blocks > 1 and matvecs is not None else 1
+        # every chunk's buffers come from this thread: memory a short-lived
+        # thread allocates stays cached in its own malloc arena, and a new
+        # thread may start before the last one has given its arena back
+        bufs = np.empty((k, 2, (max(p[start : stop + 1]) + 1) * _BLOCK_ROWS))
+        if k == 1:
+            _forward_rows(*args, bufs[0], 0, n)
+            return out
+        from concurrent.futures import ThreadPoolExecutor
+
         edges = [min(n, _BLOCK_ROWS * (blocks * j // k)) for j in range(k + 1)]
-        futures = [pool.submit(_forward_rows, *args, edges[j], edges[j + 1])
-                   for j in range(1, k)]
-        try:
-            _forward_rows(*args, edges[0], edges[1])
-        finally:
-            for f in futures:  # no chunk may still write into out once we leave
-                f.exception()
-        for f in futures:
+        with ThreadPoolExecutor(k - 1, thread_name_prefix="edforecast-forward") as pool:
+            futures = [pool.submit(_forward_rows, *args, bufs[j], edges[j], edges[j + 1])
+                       for j in range(1, k)]
+            _forward_rows(*args, bufs[0], edges[0], edges[1])
+        for f in futures:  # leaving the block waited for every chunk
             f.result()
         return out
 
@@ -229,17 +235,16 @@ class Network:
         return Network(Architecture(self.arch.L, self.arch.p, L1=L1), self._w, self.biases)
 
 
-def _forward_rows(kernels, hidden, matvecs, A, out, width, r0, r1):
+def _forward_rows(kernels, hidden, matvecs, A, out, bufs, r0, r1):
     """Rows r0..r1 of A through ``kernels`` into the same rows of ``out``.
 
-    The first ``hidden`` kernels are followed by a ReLU.  Two buffers of
-    ``width`` x _BLOCK_ROWS entries hold a block's activations; each layer
-    reads one and writes the other, a dense kernel by ``np.matmul(out=)``
+    The first ``hidden`` kernels are followed by a ReLU.  The two rows of
+    ``bufs``, each of (max width + 1) x _BLOCK_ROWS entries, hold a block's
+    activations; each layer reads one and writes the other, a dense kernel by ``np.matmul(out=)``
     and a CSR kernel by ``matvecs`` (scipy's ``csr_matvecs``, the routine
-    behind ``K @ Z``) into the zeroed buffer.  Pool threads run this, so it
+    behind ``K @ Z``) into the zeroed buffer.  Chunk threads run this, so it
     calls no public function of the package.
     """
-    bufs = np.empty((2, width * _BLOCK_ROWS))
     for b0 in range(r0, r1, _BLOCK_ROWS):
         b1 = min(b0 + _BLOCK_ROWS, r1)
         nb = b1 - b0
@@ -261,27 +266,10 @@ def _forward_rows(kernels, hidden, matvecs, A, out, width, r0, r1):
         out[b0:b1] = Z[: out.shape[1]].T
 
 
-@functools.cache
-def _pool():
-    """The number of CPUs this process may run on, and a pool of one thread
-    fewer (None on one CPU), shared by every network in the process.
-
-    Made on the first call; when two first calls race, the losing pool runs
-    its caller's chunks and is dropped, and its threads exit once it is
-    collected.  A forked child, which has none of its parent's threads,
-    makes its own.
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if cpus == 1:
-        return 1, None
-    from concurrent.futures import ThreadPoolExecutor
-
-    return cpus, ThreadPoolExecutor(cpus - 1, thread_name_prefix="edforecast-forward")
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def lipschitz_empirical(net: Network, X: np.ndarray, Xp: np.ndarray) -> float:

@@ -261,7 +261,9 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     """Mini-batch SGD with the configured learning-rate schedule.
 
     Deterministic for fixed (seed, config, data).  Returns the trained
-    network and the per-epoch learning curve.  Aborts with diagnostics if
+    network and the per-epoch learning curve; with ``prune_to_s`` the net is
+    pruned after the last epoch, whose record holds the pruned net's risks.
+    Aborts with diagnostics if
     the train risk exceeds 1e6 times its initial value.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -275,6 +277,10 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     current = Network(net.arch, weights, biases)
     ws = Workspace(current, _unflatten(g, net))
     decay, lo, hi = np.array(2.0 * cfg.l2_lambda), np.array(-1.0), np.array(1.0)
+
+    def risks(model):
+        return (empirical_risk(model, data, w),
+                None if test_data is None else empirical_risk(model, test_data, w))
 
     initial = empirical_risk(Network(net.arch, weights, biases), data, w)
     ceiling = 1e6 * max(initial, 1e-12)
@@ -299,11 +305,7 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
             if cfg.project_entries:
                 np.maximum(theta, lo, out=theta)
                 np.minimum(theta, hi, out=theta)
-        snapshot = Network(net.arch, weights, biases)
-        train_risk = empirical_risk(snapshot, data, w)
-        test_risk = (
-            empirical_risk(snapshot, test_data, w) if test_data is not None else None
-        )
+        train_risk, test_risk = risks(Network(net.arch, weights, biases))
         curve.append(EpochRecord(epoch=epoch, train_risk=train_risk, test_risk=test_risk))
         if not np.isfinite(train_risk) or train_risk > ceiling:
             raise TrainingDiverged(
@@ -314,6 +316,8 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     result = Network(net.arch, *_unflatten(theta.copy(), net))
     if cfg.prune_to_s is not None:
         result, _ = prune_to_sparsity(result, cfg.prune_to_s)
+        if curve:  # the last epoch ends with the pruning: record the pruned net's risks
+            curve[-1] = EpochRecord(curve[-1].epoch, *risks(result))
     return result, curve
 
 
@@ -340,13 +344,12 @@ def prune_to_sparsity(net: Network, s: int):
     return pruned, pruned_sq
 
 
-def multi_step_forecast(net: Network, x0, k: int):
+def multi_step_forecast(net: Network, states, k: int):
     """Iterate the one-step predictor k steps ahead, one horizon at a time.
 
-    ``x0`` is one lag state or an (m, r*d) batch of them.  The newest
-    forecast is rotated into the front of each lag state.  Returns an
-    iterator over the j-step forecasts, j = 1..k: a (d,) array each for a
-    single state, (m, d) for a batch.  The arguments are checked at the call.
+    ``states`` is an (m, r*d) batch of lag states.  The newest forecast is
+    rotated into the front of each lag state.  Returns an iterator over the
+    (m, d) j-step forecasts, j = 1..k.  The arguments are checked at the call.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -354,15 +357,14 @@ def multi_step_forecast(net: Network, x0, k: int):
     dr = net.arch.in_dim
     if dr % d != 0:
         raise ValueError(f"input dim {dr} is not a multiple of output dim {d}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    states = np.atleast_2d(x0)
+    states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != dr:
         raise ValueError(f"lag states have shape {states.shape}, expected (m, {dr})")
 
     def steps(states):
         for _ in range(k):
             y = net.eval_batch(states)
-            yield y[0] if x0.ndim < 2 else y
+            yield y
             states = push_lag(states, y)
     return steps(states)
 

@@ -18,25 +18,40 @@ ALLOWED = {
 }
 
 
+# defaulted parameters of reached public functions that no package call
+# passes, keyed by (function, parameter), with the reason each stays
+ALLOWED_PARAMS = {
+    ("main", "argv"): "a caller that runs the CLI in-process passes its own argument list",
+}
+
+
+def _modules():
+    """Each package module's file name, its syntax tree and its public
+    definitions: functions, classes and their methods."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        public = [n for scope in scopes for n in scope.body
+                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not n.name.startswith("_")]
+        yield path.name, tree, public
+
+
 def _walk():
     """Each public definition's name with the (file, first line, last line)
     spans it is defined over, and every (file, line, identifier) a name, an
     attribute or an import of the package uses."""
     defs, uses = {}, []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
-        for node in (n for scope in scopes for n in scope.body):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs.setdefault(node.name, []).append((path.name, node.lineno, node.end_lineno))
+    for name, tree, public in _modules():
+        for node in public:
+            defs.setdefault(node.name, []).append((name, node.lineno, node.end_lineno))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.append((path.name, node.lineno, node.id))
+                uses.append((name, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
-                uses.append((path.name, node.lineno, node.attr))
+                uses.append((name, node.lineno, node.attr))
             elif isinstance(node, ast.alias):
-                uses.append((path.name, node.lineno, node.name))
+                uses.append((name, node.lineno, node.name))
     return defs, uses
 
 
@@ -52,3 +67,49 @@ def test_every_public_name_is_reached_by_other_package_code():
     assert unreached == [], "public but only tests reach it: delete it or move it to tests/"
     # the list holds only names that exist and that nothing reaches yet
     assert sorted(set(ALLOWED) - (set(defs) - reached)) == []
+
+
+def _defaulted(fn):
+    """The defaulted parameters of a function definition, each with the
+    number of positional arguments a call needs to reach it (None for a
+    keyword-only one); a method's call leaves out self or cls."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    skip = int(bool(positional) and positional[0].arg in ("self", "cls"))
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, i + 1 - skip) for i, p in enumerate(positional) if i >= first]
+    return out + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def test_every_defaulted_parameter_is_passed_by_package_code():
+    # a call passes a parameter by keyword or by position, and a call with *
+    # or ** passes every one; a function used as a value (a table entry, a
+    # build= argument) may be called with any of them, so all count as passed
+    defs, calls, values = {}, [], set()
+    for _, tree, public in _modules():
+        for node in public:
+            if not isinstance(node, ast.ClassDef):
+                defs.setdefault(node.name, set()).update(_defaulted(node))
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                calls.append((name, len(node.args), {k.arg for k in node.keywords}, starred))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in called):
+                values.add(getattr(node, "id", getattr(node, "attr", None)))
+    unpassed = sorted(
+        (name, param) for name, params in defs.items()
+        if name not in ALLOWED and name not in values
+        for param, position in params
+        if not any(fn == name and (starred or param in keywords
+                                   or (position is not None and n_args >= position))
+                   for fn, n_args, keywords, starred in calls))
+    assert sorted(set(unpassed) - set(ALLOWED_PARAMS)) == [], \
+        "a setting only tests use: make it a constant or pass it from package code"
+    # the list holds only parameters that exist and that no call passes
+    assert sorted(set(ALLOWED_PARAMS) - set(unpassed)) == []

@@ -11,6 +11,7 @@ from edforecast.approx import (
     PlanError,
     StageSpec,
     _as_batch,
+    _eval_grid,
     b_constant,
     build_approximator,
     build_encoder_decoder,
@@ -116,7 +117,7 @@ def test_multiprod_lattice_bound(t, m):
 def test_hat_peak_value():
     t, M, m = 2, 3, 8
     center = np.array([1 / 3, 2 / 3])
-    net = hat_net(center, M, m, t)
+    net = hat_net(center, M, m, t, multiprod_net(m, t))
     peak = net.eval_batch([center])[0, 0]
     assert abs(peak - (1.0 / M) ** t) <= t * t * 2.0 ** -m
 
@@ -124,7 +125,7 @@ def test_hat_peak_value():
 def test_hat_vanishes_outside_ball():
     t, M, m = 2, 3, 8
     center = np.array([1 / 3, 1 / 3])
-    net = hat_net(center, M, m, t)
+    net = hat_net(center, M, m, t, multiprod_net(m, t))
     rng = np.random.default_rng(1)
     pts = rng.uniform(0, 1, size=(500, t))
     outside = np.max(np.abs(pts - center), axis=1) >= 1.0 / M
@@ -134,7 +135,7 @@ def test_hat_vanishes_outside_ball():
 
 def test_hat_t1_exact_tent():
     M = 4
-    net = hat_net([0.5], M, 6, 1)
+    net = hat_net([0.5], M, 6, 1, multiprod_net(6, 1))
     assert net.eval_batch([[0.5]])[0, 0] == pytest.approx(1.0 / M, abs=1e-15)
     assert net.eval_batch([[0.5 + 1 / (2 * M)]])[0, 0] == pytest.approx(1 / (2 * M), abs=1e-15)
     assert net.eval_batch([[0.5 - 1 / (2 * M)]])[0, 0] == pytest.approx(1 / (2 * M), abs=1e-15)
@@ -143,7 +144,7 @@ def test_hat_t1_exact_tent():
 
 def test_hat_rejects_off_grid_center():
     with pytest.raises(PlanError):
-        hat_net([0.21], 4, 6, 1)
+        hat_net([0.21], 4, 6, 1, multiprod_net(6, 1))
 
 
 # -- Taylor coefficients -------------------------------------------------------
@@ -233,6 +234,22 @@ def test_validate_holder_fd_diagnostic():
     assert report["bound_ok"]
     assert report["fd_ok"]
     assert report["fd_max_err"] <= 1e-3
+
+
+def test_eval_grid_samples_uniformly_over_the_cap():
+    # a lattice of 11^3 = 1331 points over a cap of 500 becomes a seeded
+    # uniform sample of 500 points in [0,1]^3
+    pts, spec = _eval_grid(3, 11, 500, seed=4)
+    assert spec == {"kind": "uniform_sample", "points": 500,
+                    "note": "lattice of 1331 points exceeded the cap"}
+    assert pts.shape == (500, 3)
+    assert np.all((pts >= 0.0) & (pts <= 1.0))
+    assert np.array_equal(_eval_grid(3, 11, 500, seed=4)[0], pts)
+    assert not np.array_equal(_eval_grid(3, 11, 500, seed=5)[0], pts)
+    # at the cap the lattice itself is evaluated
+    lattice, spec = _eval_grid(3, 11, 1331)
+    assert spec == {"kind": "lattice", "per_axis": 11, "points": 1331}
+    assert lattice.shape == (1331, 3)
 
 
 # -- encoder-decoder assembly ---------------------------------------------------

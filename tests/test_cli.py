@@ -12,7 +12,7 @@ import pytest
 from edforecast.cli import main
 from edforecast.data import fit_scaler, lag_embed, load_series_csv
 from edforecast.network import load_json as load_net
-from edforecast.train import WeightFn, naive_predict
+from edforecast.train import WeightFn, empirical_risk, naive_predict
 
 
 def write_cfg(tmp_path, name, payload):
@@ -110,6 +110,29 @@ def test_train_epochs_zero_keeps_initial_net(tmp_path):
     ref = init_network(Architecture(3, (5, 8, 1, 8, 5), L1=2), 3)
     for a, b in zip(net.weights, ref.weights):
         assert np.array_equal(a, b)
+
+
+def test_pruned_train_reports_the_risks_of_the_saved_net(tmp_path, capsys):
+    # the net is pruned after its last epoch; the sidecar and the printed line
+    # give the risks of the pruned net that model.json holds, bit for bit
+    sim = write_cfg(tmp_path, "sim.json",
+                    {"model": "low_d", "n": 600, "burn_in": 200, "seed": 1})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
+    train = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"), "train_fraction": 0.75,
+        "arch": {"p": [5, 20, 10, 5]},
+        "train": {"epochs": 10, "lr_schedule": [[0, 0.003]], "prune_to_s": 20}})
+    capsys.readouterr()
+    assert run(["train", "--config", train, "--out", tmp_path]) == 0
+    net = load_net(tmp_path / "model.json")
+    assert net.sparsity() <= 20
+    series = load_series_csv(tmp_path / "series.csv")
+    train_risk = empirical_risk(net, lag_embed(series[:450], 1), WeightFn())
+    test_risk = empirical_risk(net, lag_embed(series[450:], 1), WeightFn())
+    meta = json.loads((tmp_path / "model.meta.json").read_text())
+    assert (meta["final_train_risk"], meta["final_test_risk"]) == (train_risk, test_risk)
+    assert (f"final train risk {train_risk:.6g}, test risk {test_risk:.6g}"
+            in capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("bad_row,reason", [
@@ -624,6 +647,8 @@ def strict_setup(tmp_path, monkeypatch, command, key, value):
     ("rates", "n_values", [0]),
     ("train", "r", 0),
     ("evaluate", "k_steps", [4, 0]),
+    ("rates", "profile.t", 0),
+    ("rates", "profile.beta", 0.5),
 ])
 def test_malformed_value_is_config_error_naming_its_key(tmp_path, monkeypatch, capsys,
                                                         command, key, value):

@@ -1,5 +1,6 @@
 """Network representation, evaluation, and structural combinators."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -437,33 +438,27 @@ def test_forward_kernel_block_edges(cert_nets, kind, rows):
     assert all(type(w) is np.ndarray for w in net.weights)
 
 
-class CountingPool(ThreadPoolExecutor):
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
-
-
 @pytest.fixture
 def chunked(monkeypatch):
-    """``chunked(k)`` makes every later evaluation split its rows into at
-    most k chunks, k - 1 of them on the pool it returns, which counts them;
-    ``chunked(1)`` runs every row on the calling thread."""
-    pools = []
+    """``chunked(k)`` makes every later evaluation see k CPUs, so it splits
+    its rows into at most k chunks, and returns the list of the chunks since
+    submitted to threads, as (first row, end row); ``chunked(1)`` runs every
+    row on the calling thread."""
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[-2:])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
 
     def use(k):
-        pool = CountingPool(k - 1) if k > 1 else None
-        if pool is not None:
-            pools.append(pool)
-        monkeypatch.setattr(network, "_pool", lambda: (k, pool))
-        return pool
+        monkeypatch.setattr(network, "_cpus", lambda: k)
+        submitted.clear()
+        return submitted
 
-    yield use
-    for pool in pools:
-        pool.shutdown()
+    return use
 
 
 def folded_forward(net, A, start, stop):
@@ -513,10 +508,36 @@ def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows)
         else:
             assert_matches_dense(got, ref)
     for k in (2, 3, 16):
-        pool = chunked(k)
+        submitted = chunked(k)
         for (fn, A, _, _), ref in zip(calls, serial):
             assert np.array_equal(fn(A), ref)
-        assert (pool.submitted > 0) == (kind == "certificate")
+        assert (len(submitted) > 0) == (kind == "certificate")
+
+
+def test_no_chunk_thread_outlives_an_evaluation(cert_nets, monkeypatch):
+    # a split evaluation starts its chunk threads and has joined them all
+    # when it returns, whichever of the three entry points it came through
+    net = cert_nets["product2"]
+    net = net.with_l1(net.arch.L // 2)
+    X = np.random.default_rng(97).uniform(0, 1, size=(1500, net.arch.in_dim))
+    Z = net.encoder_batch(X)
+    rows, ran = network._forward_rows, []
+
+    def recording(*args):
+        ran.append(threading.current_thread())
+        return rows(*args)
+
+    monkeypatch.setattr(network, "_forward_rows", recording)
+    monkeypatch.setattr(network, "_cpus", lambda: 3)
+    for fn, A in ((net.eval_batch, X), (net.encoder_batch, X), (net.decoder_batch, Z)):
+        before = threading.active_count()
+        ran.clear()
+        fn(A)
+        # three chunks, two of them handed to threads; a thread that is done
+        # with one chunk may take the next
+        assert len(ran) == 3 and threading.current_thread() in ran and len(set(ran)) > 1
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in ran if t is not threading.current_thread())
 
 
 def test_csr_matvecs_call_matches_the_scipy_product(cert_nets):
@@ -594,8 +615,9 @@ def test_sparse_weight_is_stored_as_canonical_csr():
 
 
 def test_concurrent_first_evaluations_match_a_serial_one(cert_nets):
-    # user threads race to build the kernel cache of a fresh network and
-    # share the chunk pool; each must get the serial bits
+    # user threads race to build the kernel cache of a fresh network, and
+    # each splits its batch over chunk threads of its own; each must get the
+    # serial bits
     base = cert_nets["product2"]
     X = np.random.default_rng(79).uniform(0, 1, size=(1500, base.arch.in_dim))
     ref = base.eval_batch(X)
@@ -625,8 +647,9 @@ def test_concurrent_first_evaluations_match_a_serial_one(cert_nets):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_evaluates_on_its_own_pool(cert_nets):
-    # the parent's pool threads do not exist in a forked child; a child that
-    # submitted to that pool would wait forever
+    # a forked child has none of its parent's threads; it starts its own
+    # chunk threads, and one that handed chunks to a parent's thread would
+    # wait forever
     net = cert_nets["product2"]
     X = np.random.default_rng(83).uniform(0, 1, size=(1500, net.arch.in_dim))
     ref = net.eval_batch(X)

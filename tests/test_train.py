@@ -645,10 +645,10 @@ def test_naive_uses_most_recent_lag():
     assert naive_predict(data) == pytest.approx((1.0 + 1.0) / 4.0)
 
 
-def stacked_forecast(net, x0, k):
-    """The k horizons of multi_step_forecast stacked: (k, d) for one lag
-    state, (m, k, d) for an (m, r*d) batch."""
-    return np.stack(list(multi_step_forecast(net, x0, k)), axis=-2)
+def stacked_forecast(net, states, k):
+    """The k horizons of multi_step_forecast stacked: (m, k, d) for an
+    (m, r*d) batch."""
+    return np.stack(list(multi_step_forecast(net, states, k)), axis=1)
 
 
 def test_multi_step_k1_equals_eval():
@@ -656,7 +656,7 @@ def test_multi_step_k1_equals_eval():
     arch = Architecture(1, (2, 4, 2))
     net = init_network(arch, 3)
     x0 = rng.uniform(0, 1, size=2)
-    assert np.allclose(stacked_forecast(net, x0, 1)[0], net.eval_batch([x0])[0])
+    assert np.allclose(stacked_forecast(net, [x0], 1)[0, 0], net.eval_batch([x0])[0])
 
 
 def test_multi_step_linear_matches_matrix_power():
@@ -666,7 +666,7 @@ def test_multi_step_linear_matches_matrix_power():
     arch = Architecture(1, (2, 2, 2))
     net = Network(arch, [A, np.eye(2)], [np.zeros(2)])
     x0 = np.array([1.0, 2.0])
-    outs = stacked_forecast(net, x0, 5)
+    outs = stacked_forecast(net, [x0], 5)[0]
     state = x0
     for j in range(5):
         state = A @ state
@@ -676,7 +676,7 @@ def test_multi_step_linear_matches_matrix_power():
 def test_multi_step_zero_net():
     arch = Architecture(0, (3, 3))
     net = Network(arch, [np.zeros((3, 3))], [])
-    outs = stacked_forecast(net, [1.0, 2.0, 3.0], 4)
+    outs = stacked_forecast(net, [[1.0, 2.0, 3.0]], 4)
     assert np.all(outs == 0.0)
 
 
@@ -688,10 +688,12 @@ def test_multi_step_batch_matches_per_row_loop():
     outs = stacked_forecast(net, states, 5)
     assert outs.shape == (300, 5, 2)
     for row, state in enumerate(states):
-        assert np.max(np.abs(outs[row] - stacked_forecast(net, state, 5))) <= 1e-12
-    # the arguments are checked at the call, before any horizon is asked for
-    with pytest.raises(ValueError, match="expected"):
-        multi_step_forecast(net, states[:, :4], 2)
+        assert np.max(np.abs(outs[row] - stacked_forecast(net, state[None], 5)[0])) <= 1e-12
+    # the arguments are checked at the call, before any horizon is asked for;
+    # a single lag state is not a batch
+    for bad in (states[:, :4], states[0]):
+        with pytest.raises(ValueError, match="expected"):
+            multi_step_forecast(net, bad, 2)
 
 
 def test_multi_step_yields_one_horizon_at_a_time():
@@ -709,5 +711,5 @@ def test_multi_step_lag_rotation():
     # r=2, d=1: next state should be (forecast, previous newest)
     arch = Architecture(0, (2, 1))
     net = Network(arch, [np.array([[0.0, 1.0]])], [])  # predicts the older lag
-    outs = stacked_forecast(net, [5.0, 7.0], 3)
+    outs = stacked_forecast(net, [[5.0, 7.0]], 3)[0]
     assert outs[:, 0].tolist() == [7.0, 5.0, 7.0]
