@@ -110,6 +110,7 @@ def _each(cast):
 
 
 _ints = _each(_int)
+_seed = _at_least(0)  # numpy's generators take no negative seed
 
 
 def _float(value):
@@ -229,7 +230,7 @@ def _weight_from_spec(spec) -> WeightFn:
 def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     c = _section(cfg, "", dict, {
         "model": _typed((str, dict)), "n": _int, "burn_in": (_at_least(0), 1000),
-        "out_csv": (_str, "series.csv"), "seed": (_int, 0)}, ["model", "n"], seed=seed)
+        "out_csv": (_str, "series.csv"), "seed": (_seed, 0)}, ["model", "n"], seed=seed)
     prov = _provenance(cfg, c["seed"])
     model = _model_from_spec(c["model"], c["seed"])
     n, burn_in = c["n"], c["burn_in"]
@@ -269,7 +270,7 @@ def _train_config_from(spec, cli_seed: int | None, top_seed: int | None) -> Trai
                            **values)
     # prune_to_s is read as it is: TrainConfig checks it and names it
     casts = {"epochs": _int, "lr_schedule": _schedule, "l2_lambda": _float,
-             "batch_size": _int, "seed": _int, "project_entries": _bool,
+             "batch_size": _int, "seed": _seed, "project_entries": _bool,
              "prune_to_s": lambda s: s}
     return _section(spec, "train", build, casts, ["epochs"])
 
@@ -291,7 +292,7 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
         "train_fraction": (_float, 1.0), "r": (_at_least(1), 1), "normalize": (_bool, False),
         "arch": (_object, None), "train": _object, "weight": (_or_none(_object), None),
         "sweep": (_object, None), "out_model": (_str, "model.json"),
-        "out_curve": (_str, "curve.csv"), "seed": (_int, None)}, ["train_csv", "train"])
+        "out_curve": (_str, "curve.csv"), "seed": (_seed, None)}, ["train_csv", "train"])
     series = _load(load_series_csv, c["train_csv"], "train_csv")
     series_train, series_test = _split_series(series, c)
     w = _weight_from_spec(c["weight"])
@@ -384,7 +385,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     c = _section(cfg, "", dict, {
         "model_json": _str, "test_csv": _str, "k_steps": (_each(_at_least(1)), [1]),
         "weight": (_or_none(_object), None), "out_json": (_str, "metrics.json"),
-        "seed": (_int, 0)}, ["model_json", "test_csv"], seed=seed)
+        "seed": (_seed, 0)}, ["model_json", "test_csv"], seed=seed)
     net = _load(load_net, c["model_json"], "model_json")
     meta_path = Path(c["model_json"]).with_suffix(".meta.json")
     meta = _section(_load_json(meta_path) if meta_path.exists() else {}, str(meta_path), dict, {
@@ -436,7 +437,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
 def cmd_certify(cfg: dict, seed: int | None, out_dir: Path) -> int:
     c = _section(cfg, "", dict, {
         "target": _str, "N": _int, "m": _int, "f_bound": (_or_none(_float), None),
-        "out_json": (_str, "certificate.json"), "seed": (_int, 0),
+        "out_json": (_str, "certificate.json"), "seed": (_seed, 0),
     }, ["target", "N", "m"], seed=seed)
     cat = catalog()
     name = c["target"]
@@ -479,7 +480,7 @@ def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
         "dependence": _object, "profile": _object, "x_grid": (_object, {}),
         "n_values": (_each(_at_least(2)), [1000, 10000, 100000]),
         "out_lambda_csv": (_str, "lambda.csv"), "out_rates_csv": (_str, "rates.csv"),
-        "seed": (_int, 0)}, ["dependence", "profile"], seed=seed)
+        "seed": (_seed, 0)}, ["dependence", "profile"], seed=seed)
     spec = _dependence_from_spec(c["dependence"])
     profile = _profile_from_spec(c["profile"])
     grid = _section(c["x_grid"], "x_grid", dict,
@@ -540,6 +541,8 @@ def _parser() -> argparse.ArgumentParser:  # built on first use
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        _parser().error(f"argument --seed: must be >= 0, got {args.seed}")
 
     if args.command == "train" and args.fetch_note:
         print(WEATHER_DATA_NOTE)

@@ -10,17 +10,14 @@ hidden layer ``i+1``.  The output layer is affine-linear with no bias.
 
 Networks are immutable values: construction validates shapes, evaluation is
 pure and thread-safe.  Structural combinators (compose/parallel/deepen)
-return new networks.  A weight is a dense array or scipy CSR, and so is each
-layer's forward kernel, by one rule: CSR when at most 10% is nonzero, which
-``parallel`` applies to every layer it builds.  ``weights`` are dense:
-reading them densifies each CSR layer.  A layer of the one forward kernel is
-one product with a kernel that carries the bias as a column acting on a
-constant row of ones.
-On a network with a CSR layer, a batch of more than one 256-row block is
-split at block boundaries into one chunk per CPU the process may run on; the
-calling thread runs one chunk and threads started for that call run the
-others, and all of them have ended when the call returns.  Every chunk walks
-its blocks through two reused buffers, writing each product in place.
+return new networks.  A weight is a dense array or groups, each one dense
+block B repeated over k copies: ``parallel`` lays a run of equal nets out
+unit-major, so a group is ``B ⊗ I_k``, one product on a ``(B.shape[1],
+k*rows)`` view of the activations.  A layer with no repeated block (a first
+layer, the one after ``compose``'s interface, a postcomposed output layer)
+is a dense remainder.  numpy alone runs both; the scipy.sparse that CSR
+layers needed took 0.2 s and 22 MB resident to import.  On a network with
+a grouped layer, a batch is split into one chunk per CPU.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,23 +75,32 @@ class Architecture:
 # Rows per block of the forward kernel: one block's activations stay in
 # cache across all layers.
 _BLOCK_ROWS = 256
-# A layer with at most this fraction of nonzero entries runs as CSR.
-_SPARSE_DENSITY = 0.10
+# The most multiply-adds in a product of a grouped network's kernel: OpenBLAS
+# runs 100^3 on the calling thread, and for more wakes threads that spin on
+# the CPUs the kernel's chunks need.
+_PRODUCT_MACS = 10**6
+
+
+class _Groups(NamedTuple):
+    """A weight as groups (B, k, r0, c0), each ``B ⊗ I_k``: copy i's unit j is
+    row r0 + j*k + i, its input l column c0 + l*k + i.  The groups' row and
+    column ranges are disjoint, and their rows cover the weight's."""
+
+    shape: tuple
+    groups: tuple
 
 
 class Network:
-    """Immutable ReLU network; weights[i] is a (p[i+1], p[i]) matrix.
+    """Immutable ReLU network; weights[i] is a (p[i+1], p[i]) float64 array,
+    allocated anew for a grouped layer.  The first evaluation caches a kernel
+    per layer, so the stored layers must not be mutated after it; build a new
+    Network over changed arrays instead."""
 
-    A weight given as a scipy sparse matrix is stored as canonical CSR, any
-    other as a float64 array; ``weights`` allocates each CSR layer densely.
-    The first evaluation caches a kernel per layer, so the stored layers must
-    not be mutated after it; build a new Network over changed arrays instead.
-    """
-
-    __slots__ = ("arch", "_w", "_csr", "biases", "_kernels")
+    __slots__ = ("arch", "_w", "_grouped", "biases", "_kernels")
 
     def __init__(self, arch: Architecture, weights, biases):
-        weights = [_layer(w) for w in weights]
+        weights = [w if type(w) is _Groups else np.asarray(w, dtype=np.float64)
+                   for w in weights]
         biases = [np.asarray(b, dtype=np.float64) for b in biases]
         if len(weights) != arch.L + 1:
             raise ShapeError(f"expected {arch.L + 1} weight matrices, got {len(weights)}")
@@ -111,7 +117,7 @@ class Network:
                 )
         object.__setattr__(self, "arch", arch)
         object.__setattr__(self, "_w", weights)
-        object.__setattr__(self, "_csr", any(type(w) is not np.ndarray for w in weights))
+        object.__setattr__(self, "_grouped", any(type(w) is _Groups for w in weights))
         object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "_kernels", None)
 
@@ -120,7 +126,7 @@ class Network:
 
     @property
     def weights(self) -> list:
-        return [_dense(w) for w in self._w] if self._csr else self._w
+        return [_dense(w) for w in self._w] if self._grouped else self._w
 
     # -- evaluation ------------------------------------------------------
 
@@ -148,35 +154,23 @@ class Network:
         return X
 
     def _forward(self, A: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Apply layers start..stop-1 to the rows of A.
-
-        Activations are kept transposed, (width + 1, rows), with a last row of
-        ones, and walked in blocks of _BLOCK_ROWS rows.  A layer is one
-        product with its kernel, which subtracts the bias through that row;
-        every layer below L then takes the ReLU in place.  When a kernel is
-        CSR, the rows are split at block boundaries into at most one
-        contiguous chunk per CPU; the calling thread runs the first and
-        threads started for this call run the others, each chunk writing its
-        own rows of the result, and every thread has ended before this
-        returns.  A row's
-        values do not depend on the chunk it lands in: a dense block product
-        is the same BLAS call, and a CSR row sums its terms in index order
-        whatever the block width.
-        """
+        """Apply layers start..stop-1 to the rows of A, in blocks of
+        _BLOCK_ROWS rows.  When a layer is grouped, the rows are split at
+        block boundaries into at most one chunk per CPU; the calling thread
+        runs the first and threads started for this call the others, and all
+        have ended when this returns.  A block gets the same products, and so
+        the same values, in whatever chunk it lands."""
         if self._kernels is None:
             object.__setattr__(self, "_kernels", self._build_kernels())
         kernels = self._kernels[start:stop]
-        matvecs = None
-        if any(type(K) is not np.ndarray for K in kernels):
-            from scipy.sparse._sparsetools import csr_matvecs as matvecs
         n, p = A.shape[0], self.arch.p
         out = np.empty((n, p[stop]))
-        args = (kernels, self.arch.L - start, matvecs, A, out)
+        args = (kernels, self.arch.L - start, A, out)
         blocks = -(-n // _BLOCK_ROWS)
-        # only CSR layers gain from chunks: scipy runs a CSR product on one
-        # thread, while BLAS already spreads a large dense one over the CPUs
-        # and a small dense net is bound by per-layer calls that hold the GIL
-        k = min(_cpus(), blocks) if blocks > 1 and matvecs is not None else 1
+        # a dense-only net runs on one thread: BLAS spreads a large dense
+        # product itself, and a small dense net is bound by calls holding the GIL
+        grouped = any(type(w) is _Groups for w in self._w[start:stop])
+        k = min(_cpus(), blocks) if blocks > 1 and grouped else 1
         # every chunk's buffers come from this thread: memory a short-lived
         # thread allocates stays cached in its own malloc arena, and a new
         # thread may start before the last one has given its arena back
@@ -196,28 +190,36 @@ class Network:
         return out
 
     def _build_kernels(self):
-        """Per layer, the matrix that maps a block with its ones row to the
-        next: [[W, -b], [0, 1]] below L and [W, 0] at L.  It is CSR, built from
-        W's nonzeros (a CSR W's own arrays) with the bias last in each sorted
-        row, when at most _SPARSE_DENSITY of W is nonzero, else a dense array."""
+        """Per layer, (rows written, fold, ops).  An op (B, k, r0, c0, shifts,
+        cols) multiplies views from row c0 of the input into row r0 on, at
+        most ``cols`` columns at a time, then subtracts each (row, bias) of
+        shifts.  A dense W is one op, [[W, -b], [0, 1]] below L and [W, 0] at
+        L; a grouped W one per group and, below L, [1] from the ones row to
+        the ones row, with single copies that meet merged.  On a grouped
+        network, [W, -W] has fold q: W acts on rows q.. of the input after
+        rows 0..q-1 are subtracted from them."""
         kernels = []
         for i, w in enumerate(self._w):
             n, m = w.shape
-            hidden = int(i < self.arch.L)
-            col = -self.biases[i] if hidden else np.zeros(n)
-            if _nnz(w) > _SPARSE_DENSITY * n * m:
-                K = np.zeros((n + hidden, m + 1))
-                K[:n, :m], K[:n, m], K[n:, m] = _dense(w), col, 1.0
-            else:  # W's nonzeros row by row, then the bias and ones entries
-                from scipy.sparse import csr_matrix
-
-                r, c, v = _nonzeros(w)
-                rb = np.flatnonzero(col)
-                K = csr_matrix((np.concatenate([v, col[rb], np.ones(hidden)]),
-                                (np.concatenate([r, rb, np.full(hidden, n)]),
-                                 np.concatenate([c, np.full(rb.size + hidden, m)]))),
-                               shape=(n + hidden, m + 1))
-            kernels.append(K)
+            hidden, fold = int(i < self.arch.L), 0
+            if type(w) is np.ndarray:
+                if self._grouped and m % 2 == 0:
+                    fold = m // 2 if np.array_equal(w[:, m // 2 :], -w[:, : m // 2]) else 0
+                K = np.zeros((n + hidden, m - fold + 1))
+                K[:n, :-1] = w[:, : m - fold]
+                if hidden:
+                    K[:n, -1], K[n, -1] = -self.biases[i], 1.0
+                groups, b = ((K, 1, 0, fold),), np.zeros(0)
+            else:
+                groups = _merged(w.groups + ((np.ones((1, 1)), 1, n, m),) * hidden)
+                b = self.biases[i] if hidden else np.zeros(n)
+            kernels.append((n + hidden, fold, tuple(
+                (np.ascontiguousarray(B), k, r0, c0,
+                 tuple((r0 + j * k, float(col[0]) if np.all(col == col[0]) else col[:, None])
+                       for j, col in enumerate(b[r0 : r0 + B.shape[0] * k].reshape(-1, k))
+                       if col.any()),
+                 max(1, _PRODUCT_MACS // B.size) if self._grouped else None)
+                for B, k, r0, c0 in groups)))
         return kernels
 
     def _require_l1(self) -> int:
@@ -235,35 +237,49 @@ class Network:
         return Network(Architecture(self.arch.L, self.arch.p, L1=L1), self._w, self.biases)
 
 
-def _forward_rows(kernels, hidden, matvecs, A, out, bufs, r0, r1):
+def _forward_rows(kernels, hidden, A, out, bufs, r0, r1):
     """Rows r0..r1 of A through ``kernels`` into the same rows of ``out``.
-
-    The first ``hidden`` kernels are followed by a ReLU.  The two rows of
-    ``bufs``, each of (max width + 1) x _BLOCK_ROWS entries, hold a block's
-    activations; each layer reads one and writes the other, a dense kernel by ``np.matmul(out=)``
-    and a CSR kernel by ``matvecs`` (scipy's ``csr_matvecs``, the routine
-    behind ``K @ Z``) into the zeroed buffer.  Chunk threads run this, so it
-    calls no public function of the package.
-    """
+    Chunk threads run this, so it calls no public function of the package."""
+    plans = {}
     for b0 in range(r0, r1, _BLOCK_ROWS):
-        b1 = min(b0 + _BLOCK_ROWS, r1)
-        nb = b1 - b0
-        z = bufs[0, : (A.shape[1] + 1) * nb]
-        Z = z.reshape(-1, nb)
-        Z[:-1] = A[b0:b1].T
+        nb = min(_BLOCK_ROWS, r1 - b0)
+        if nb not in plans:
+            plans[nb] = _plan(kernels, hidden, A.shape[1], bufs, nb)
+        Z, steps, Y = plans[nb]
+        Z[:-1] = A[b0 : b0 + nb].T
         Z[-1] = 1.0
-        for j, K in enumerate(kernels):
-            y = bufs[(j + 1) % 2, : K.shape[0] * nb]
-            Y = y.reshape(-1, nb)
-            if type(K) is np.ndarray:
-                np.matmul(K, Z, out=Y)
-            else:
-                y.fill(0.0)
-                matvecs(K.shape[0], K.shape[1], nb, K.indptr, K.indices, K.data, z, y)
-            if j < hidden:
-                np.maximum(Y, 0.0, out=Y)
-            z, Z = y, Y
-        out[b0:b1] = Z[: out.shape[1]].T
+        for f, a, b, o in steps:
+            f(a, b, out=o)
+        out[b0 : b0 + nb] = Y[: out.shape[1]].T
+
+
+def _plan(kernels, hidden, width, bufs, nb):
+    """The input view, the calls ``f(a, b, out=o)`` and the output view that
+    take a block of ``nb`` rows through ``kernels``, transposed with a last
+    row of ones, each layer from one row of ``bufs`` into the other; the
+    first ``hidden`` layers end with a ReLU."""
+    z = bufs[0]
+    Z0 = Z = z[: (width + 1) * nb].reshape(-1, nb)
+    steps = []
+    for j, (rows, fold, ops) in enumerate(kernels):
+        if fold:
+            steps.append((np.subtract, Z[:fold], Z[fold : 2 * fold], Z[fold : 2 * fold]))
+        y = bufs[(j + 1) % 2]
+        Y = y[: rows * nb].reshape(-1, nb)
+        for B, k, o, i, shifts, cols in ops:
+            (r, c), w = B.shape, k * nb
+            Zv = z[i * nb : i * nb + c * w].reshape(c, w)
+            Yv = y[o * nb : o * nb + r * w].reshape(r, w)
+            step = cols or w
+            steps += [(np.matmul, B, Zv[:, t : t + step], Yv[:, t : t + step])
+                      for t in range(0, w, step)]
+            for s, bias in shifts:
+                v = y[s * nb : s * nb + w].reshape(k, nb)
+                steps.append((np.subtract, v, bias, v))
+        if j < hidden:
+            steps.append((np.maximum, Y, 0.0, Y))
+        z, Z = y, Y
+    return Z0, steps, Z
 
 
 def _cpus() -> int:
@@ -330,9 +346,10 @@ def parallel(nets: Sequence[Network]) -> Network:
     """Stack networks side by side on a shared input.
 
     All nets must agree on input dimension and depth (deepen first if not);
-    the output is the concatenation of the individual outputs.  Layers after
-    the first are block-diagonal; every layer is CSR when at most 10% is
-    nonzero, else dense.
+    the output is the concatenation of the individual outputs.  A run of
+    neighbouring nets with equal layers after the first (and one output
+    each, if more than one) lays its hidden units out unit-major, so each of
+    those layers holds a group per run, or is the one dense block it has.
     """
     if not nets:
         raise ShapeError("parallel of empty list")
@@ -345,16 +362,28 @@ def parallel(nets: Sequence[Network]) -> Network:
             raise ShapeError(
                 f"parallel: net {k} has input dim {n.arch.in_dim}, expected {d_in}"
             )
-    # net k's block of layer i starts at row offsets[k][i + 1] and, past the
-    # shared input, at column offsets[k][i]
-    offsets = np.cumsum([[0] * (L + 2)] + [n.arch.p for n in nets], axis=0).tolist()
-    p = (d_in, *offsets[-1][1:])
-    weights = [_assemble([(n._w[i], offsets[k][i + 1], offsets[k][i] if i else 0)
-                          for k, n in enumerate(nets)], (p[i + 1], p[i]))
-               for i in range(L + 1)]
-    biases = [
-        np.concatenate([n.biases[i] for n in nets]) for i in range(L)
-    ]
+    runs, last = [], None
+    for n in nets:
+        key = [n.arch.p] + [[(B.shape, B.tobytes(), *g) for B, *g in _groups(w)]
+                            for w in n._w[1:]]
+        if key == last and n.arch.out_dim == 1:
+            runs[-1].append(n)
+        else:
+            runs.append([n])
+        last = key
+    # run j's units of layer i start at starts[j][i]; the output layer keeps
+    # the concatenation order, as a run of several nets has one output each
+    starts = np.cumsum([[0] * (L + 2)] + [[len(r) * v for v in r[0].arch.p] for r in runs],
+                       axis=0).tolist()
+    p = (d_in, *starts[-1][1:])
+    weights = [np.concatenate([_interleave([_dense(n._w[0]) for n in r]) for r in runs])]
+    for i in range(1, L + 1):
+        groups = tuple((B, g * len(r), starts[j][i + 1] + r0 * len(r), starts[j][i] + c0 * len(r))
+                       for j, r in enumerate(runs) for B, g, r0, c0 in _groups(r[0]._w[i]))
+        one = len(groups) == 1 and groups[0][1] == 1
+        weights.append(groups[0][0] if one else _Groups((p[i + 1], p[i]), groups))
+    biases = [np.concatenate([_interleave([n.biases[i] for n in r]) for r in runs])
+              for i in range(L)]
     return Network(Architecture(L, p), weights, biases)
 
 
@@ -411,54 +440,54 @@ def postcompose_affine(net: Network, C: np.ndarray) -> Network:
     return Network(arch, weights, net.biases)
 
 
-def _layer(w):
-    """A float64 array, or a canonical CSR copy of a scipy sparse matrix."""
-    if not hasattr(w, "tocsr"):
-        return np.asarray(w, dtype=np.float64)
-    w = w.tocsr().astype(np.float64)
-    w.sum_duplicates()
-    w.eliminate_zeros()
-    return w
-
-
 def _dense(w) -> np.ndarray:
-    return w if type(w) is np.ndarray else w.toarray()
+    if type(w) is np.ndarray:
+        return w
+    out = np.zeros(w.shape)
+    for B, k, r0, c0 in w.groups:
+        (r, c), i = B.shape, np.arange(k)
+        out[r0 : r0 + r * k, c0 : c0 + c * k].reshape(r, k, c, k)[:, i, :, i] = B
+    return out
+
+
+def _groups(w) -> tuple:
+    """The groups of w; a dense w is one block over one copy."""
+    return w.groups if type(w) is _Groups else ((w, 1, 0, 0),)
+
+
+def _merged(groups) -> tuple:
+    """``groups`` with each single copy that meets the last one corner to
+    corner merged into one block with it."""
+    out = [groups[0]]
+    for B, k, r0, c0 in groups[1:]:
+        A, a, ar, ac = out[-1]
+        if k == a == 1 and (r0, c0) == (ar + len(A), ac + A.shape[1]):
+            C = np.zeros((len(A) + len(B), A.shape[1] + B.shape[1]))
+            C[: len(A), : A.shape[1]], C[len(A) :, A.shape[1] :] = A, B
+            out[-1] = (C, 1, ar, ac)
+        else:
+            out.append((B, k, r0, c0))
+    return tuple(out)
+
+
+def _interleave(arrays) -> np.ndarray:
+    """Equal-shape arrays stacked unit-major: row j of array i goes to row
+    j * len(arrays) + i."""
+    return np.stack(arrays, axis=1).reshape(-1, *arrays[0].shape[1:])
 
 
 def _nnz(a) -> int:
-    return int(np.count_nonzero(a)) if type(a) is np.ndarray else a.nnz
-
-
-def _nonzeros(w):
-    """Rows, columns and values of the nonzero entries of w, row by row."""
-    if type(w) is np.ndarray:
-        r, c = np.nonzero(w)
-        return r, c, w[r, c]
-    return np.repeat(np.arange(w.shape[0]), np.diff(w.indptr)), w.indices, w.data
+    return sum(k * int(np.count_nonzero(B)) for B, k, _, _ in _groups(a))
 
 
 def _plus_minus(w, axis: int):
-    """[w; -w] on axis 0 or [w, -w] on axis 1, CSR when w is."""
-    if type(w) is np.ndarray:
-        return np.concatenate([w, -w], axis=axis)
-    from scipy.sparse import hstack, vstack
-
-    return (vstack, hstack)[axis]([w, -w], format="csr")
-
-
-def _assemble(blocks, shape):
-    """The ``shape`` matrix holding each (matrix, row offset, column offset)
-    of ``blocks`` at its offsets, from their nonzeros: CSR when at most
-    _SPARSE_DENSITY of it is nonzero, else dense."""
-    parts = [(r + r0, c + c0, v) for m, r0, c0 in blocks for r, c, v in [_nonzeros(m)]]
-    r, c, v = (np.concatenate(a) for a in zip(*parts))
-    if v.size > _SPARSE_DENSITY * shape[0] * shape[1]:
-        K = np.zeros(shape)
-        K[r, c] = v
-        return K
-    from scipy.sparse import csr_matrix
-
-    return csr_matrix((v, (r, c)), shape=shape)
+    """[w; -w] on axis 0, grouped when w is, or [w, -w] on axis 1."""
+    if axis == 0 and type(w) is _Groups:
+        n = w.shape[0]
+        return _Groups((2 * n, w.shape[1]),
+                       w.groups + tuple((-B, k, r0 + n, c0) for B, k, r0, c0 in w.groups))
+    w = _dense(w)
+    return np.concatenate([w, -w], axis=axis)
 
 
 # -- serialization -------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edforecast import network
 from edforecast.cli import main
 from edforecast.data import fit_scaler, lag_embed, load_series_csv
 from edforecast.network import load_json as load_net
@@ -276,7 +277,7 @@ def test_evaluate_rejects_non_finite_model(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only when a sparse layer is first evaluated
+    # no command imports scipy, a test dependency only
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import edforecast.cli, sys; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -302,6 +303,58 @@ def test_cli_import_loads_neither_scipy_nor_the_thread_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with its import made to fail, each
+    # command still runs and writes its artifacts
+    src = Path(__file__).resolve().parents[1] / "src"
+    steps = [
+        ("simulate", {"model": "low_d", "n": 60, "burn_in": 10}),
+        ("train", {"train_csv": "series.csv", "train_fraction": 0.5,
+                   "arch": {"p": [5, 4, 5]}, "train": {"epochs": 1}}),
+        ("evaluate", {"model_json": "model.json", "test_csv": "series.csv"}),
+        ("certify", {"target": "product2", "N": 23, "m": 4}),
+        ("rates", {"dependence": {"kind": "independent"}, "profile": {"beta": 1.0, "t": 1},
+                   "x_grid": {"min": 1e-3, "max": 0.5, "points": 2}, "n_values": [1000]}),
+    ]
+    argv = []
+    for command, payload in steps:
+        (tmp_path / f"{command}.json").write_text(json.dumps(payload))
+        argv.append([command, "--config", f"{command}.json", "--out", "."])
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from edforecast.cli import main\n"
+            f"for argv in {argv!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert sys.modules['scipy'] is None\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    written = {p.name for p in tmp_path.iterdir()}
+    assert {"series.csv", "model.json", "curve.csv", "metrics.json", "certificate.json",
+            "lambda.csv", "rates.csv"} <= written
+
+
+def test_negative_seed_flag_is_refused(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cert.json", {"target": "linear", "N": 10, "m": 6})
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", "--config", cfg, "--out", tmp_path, "--seed", "-5"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_certificate_bytes_do_not_depend_on_the_chunk_count(tmp_path, monkeypatch):
+    # a grouped product's rounding may depend on how many columns it is
+    # given; every split of the rows must still write the same certificate
+    cfg = write_cfg(tmp_path, "cert.json", {"target": "sinsum", "N": 25, "m": 12})
+    written = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(network, "_cpus", lambda c=cpus: c)
+        assert run(["certify", "--config", cfg, "--out", tmp_path / str(cpus)]) == 0
+        written.append((tmp_path / str(cpus) / "certificate.json").read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 def test_main_runs_several_commands_in_one_process(tmp_path, capsys):
@@ -365,8 +418,9 @@ def test_certify_reads_f_bound_as_a_number(tmp_path):
 
 
 def test_certify_large_certificate_stays_small_in_memory(tmp_path):
-    # the block-diagonal layers stay CSR from assembly to the forward kernel;
-    # held densely, as they once were, this command peaked at about 400 MB
+    # the block-diagonal layers stay groups of repeated blocks from assembly
+    # to the forward kernel; held densely, as they once were, this command
+    # peaked at about 400 MB
     src = Path(__file__).resolve().parents[1] / "src"
     cfg = write_cfg(tmp_path, "cert.json", {"target": "sinsum", "N": 200, "m": 12})
     code = ("import resource, sys\n"
@@ -649,6 +703,12 @@ def strict_setup(tmp_path, monkeypatch, command, key, value):
     ("evaluate", "k_steps", [4, 0]),
     ("rates", "profile.t", 0),
     ("rates", "profile.beta", 0.5),
+    ("simulate", "seed", -3),
+    ("train", "train.seed", -1),
+    ("train", "seed", -1),
+    ("evaluate", "seed", -1),
+    ("certify", "seed", -2),
+    ("rates", "seed", -1),
 ])
 def test_malformed_value_is_config_error_naming_its_key(tmp_path, monkeypatch, capsys,
                                                         command, key, value):

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from edforecast import network
+from edforecast import approx, network
 from edforecast.approx import (
     ApproxPlan,
     HolderFunction,
@@ -34,6 +34,7 @@ from edforecast.network import (
     lipschitz_empirical,
     load_json,
     parallel,
+    postcompose_affine,
     save_json,
     to_dict,
 )
@@ -359,11 +360,8 @@ def two_pass_forward(net, A, start, stop):
     return out
 
 
-def has_sparse_layer(net):
-    from scipy.sparse import issparse
-
-    net.eval_batch(np.zeros((1, net.arch.in_dim)))
-    return any(issparse(k) for k in net._kernels)
+def has_grouped_layer(net):
+    return any(type(w) is network._Groups for w in net._w)
 
 
 # (target, N, m): the certificate sizes of the benchmark's certify workload
@@ -382,32 +380,37 @@ def cert_nets():
 @pytest.mark.parametrize("target", sorted(CERT_PLANS))
 def test_forward_kernel_matches_dense_on_certificate_nets(cert_nets, target):
     net = cert_nets[target]
-    assert has_sparse_layer(net)
+    assert has_grouped_layer(net)
     X = np.random.default_rng(53).uniform(0, 1, size=(4000, net.arch.in_dim))
     assert_matches_dense(net.eval_batch(X), dense_forward(net, X, 0, net.arch.L + 1))
     assert all(type(w) is np.ndarray for w in net.weights)
 
 
 @pytest.mark.parametrize("target,N,m", [("product2", 49, 10), ("sinsum", 25, 12)])
-def test_folded_kernel_is_bit_identical_to_two_pass_loop(target, N, m):
-    # a CSR layer sums W's terms in column order and then the bias, exactly
-    # as the product followed by the subtraction did
-    from scipy.sparse import issparse
-
+def test_grouped_kernel_matches_the_two_pass_loop(chunked, target, N, m):
+    # the grouped products, bias subtractions and ones rows against the CSR
+    # loop of products and bias subtractions; every split gives the same bits
     net = build_approximator(catalog()[target], ApproxPlan(N=N, m=m))[0]
     X = np.random.default_rng(61).uniform(0, 1, size=(4000, net.arch.in_dim))
-    assert np.array_equal(net.eval_batch(X), two_pass_forward(net, X, 0, net.arch.L + 1))
-    for i, k in enumerate(net._kernels):
-        rows = net.arch.p[i + 1] + (i < net.arch.L)
-        assert k.shape == (rows, net.arch.p[i] + 1)
-        assert not issparse(k) or k.has_sorted_indices
+    chunked(1)
+    got = net.eval_batch(X)
+    assert_matches_dense(got, two_pass_forward(net, X, 0, net.arch.L + 1))
+    for k in (2, 3):
+        chunked(k)
+        assert np.array_equal(net.eval_batch(X), got)
+    for i, (rows, fold, ops) in enumerate(net._kernels):
+        assert rows == net.arch.p[i + 1] + (i < net.arch.L)
+        assert all(B.flags.c_contiguous for B, *_ in ops)
 
 
 def test_folded_kernel_layout_on_dense_net_with_biases():
     net = random_net(np.random.default_rng(71), (3, 20, 8, 2))
     assert all(np.all(b != 0) for b in net.biases)
     net.eval_batch(np.zeros((1, 3)))
-    K0, K1, K2 = net._kernels
+    # a dense network's layer is one uncapped op, with no fold
+    assert all(len(ops) == 1 and ops[0][5] is None and fold == 0
+               for _, fold, ops in net._kernels)
+    K0, K1, K2 = (ops[0][0] for *_, ops in net._kernels)
     assert np.array_equal(K0, np.block([[net.weights[0], -net.biases[0][:, None]],
                                         [np.zeros((1, 3)), np.ones((1, 1))]]))
     assert np.array_equal(K1[-1], np.eye(1, 21, 20)[0])
@@ -463,8 +466,16 @@ def chunked(monkeypatch):
 
 def folded_forward(net, A, start, stop):
     """Oracle: the bias-folded block loop on one thread, each layer a fresh
-    ``K @ Z`` array, as the forward kernel ran before its buffers and chunks."""
-    has_sparse_layer(net)
+    ``K @ Z`` array with K = [[W, -b], [0, 1]] (below L) built from the dense
+    ``weights``, as the forward kernel ran before its buffers and chunks."""
+    kernels = []
+    for i, w in enumerate(net.weights):
+        hidden = int(i < net.arch.L)
+        K = np.zeros((w.shape[0] + hidden, w.shape[1] + 1))
+        K[: w.shape[0], :-1] = w
+        if hidden:
+            K[: w.shape[0], -1], K[-1, -1] = -net.biases[i], 1.0
+        kernels.append(K)
     A = np.asarray(A, dtype=float)
     out = np.empty((A.shape[0], net.arch.p[stop]))
     for r0 in range(0, A.shape[0], 256):
@@ -472,7 +483,7 @@ def folded_forward(net, A, start, stop):
         Z = np.ones((net.arch.p[start] + 1, block.shape[0]))
         Z[:-1] = block.T
         for i in range(start, stop):
-            Z = net._kernels[i] @ Z
+            Z = kernels[i] @ Z
             if i < net.arch.L:
                 np.maximum(Z, 0.0, out=Z)
         out[r0 : r0 + 256] = Z[: net.arch.p[stop]].T
@@ -483,12 +494,11 @@ def folded_forward(net, A, start, stop):
 @pytest.mark.parametrize("kind", ["certificate", "dense", "depth0"])
 def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows):
     # a row's values do not depend on the chunk it lands in, so every split
-    # gives the bits of one chunk and of the single-thread loop; a certificate
-    # net also gives the two-pass oracle's bits.  A dense kernel on a
-    # one-column block (row 513) is a matrix-vector product, which may sum the
-    # folded bias in another order than the two passes, so there the two-pass
-    # oracle is met within the dense tolerance.  Only a net with a CSR layer
-    # is split; a dense-only one runs on the calling thread.
+    # gives the bits of one chunk.  A dense net also gives the bits of the
+    # single-thread folded loop; a certificate net's grouped layers run other
+    # products than that loop's dense ones, so there, as against the two-pass
+    # oracle everywhere, the dense tolerance holds.  Only a net with a
+    # grouped layer is split; a dense-only one runs on the calling thread.
     net = _kernel_nets(cert_nets)[kind]
     if kind == "certificate":  # a bottleneck, so the encoder and decoder split too
         net = net.with_l1(net.arch.L // 2)
@@ -501,12 +511,12 @@ def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows)
     chunked(1)
     serial = [fn(A) for fn, A, _, _ in calls]
     for got, (_, A, start, stop) in zip(serial, calls):
-        assert np.array_equal(got, folded_forward(net, A, start, stop))
-        ref = two_pass_forward(net, A, start, stop)
+        folded = folded_forward(net, A, start, stop)
         if kind == "certificate":
-            assert np.array_equal(got, ref)
+            assert_matches_dense(got, folded)
         else:
-            assert_matches_dense(got, ref)
+            assert np.array_equal(got, folded)
+        assert_matches_dense(got, two_pass_forward(net, A, start, stop))
     for k in (2, 3, 16):
         submitted = chunked(k)
         for (fn, A, _, _), ref in zip(calls, serial):
@@ -540,78 +550,111 @@ def test_no_chunk_thread_outlives_an_evaluation(cert_nets, monkeypatch):
         assert not any(t.is_alive() for t in ran if t is not threading.current_thread())
 
 
-def test_csr_matvecs_call_matches_the_scipy_product(cert_nets):
-    # the forward kernel calls scipy's private routine behind K @ Z directly;
-    # a scipy that changes it must fail here, not drift the results
-    from scipy.sparse import issparse
-    from scipy.sparse._sparsetools import csr_matvecs
-
+def test_grouped_products_stay_below_the_blas_thread_size(cert_nets):
+    # OpenBLAS runs a product of at most 10^6 multiply-adds on the calling
+    # thread; a larger one in a chunk thread would wake threads of its own
     net = cert_nets["sinsum"]
-    has_sparse_layer(net)
-    rng = np.random.default_rng(73)
-    for K in (k for k in net._kernels if issparse(k)):
-        for nb in (1, 7, 256):
-            Z = rng.uniform(-1, 1, size=(K.shape[1], nb))
-            y = np.zeros(K.shape[0] * nb)
-            csr_matvecs(K.shape[0], K.shape[1], nb, K.indptr, K.indices, K.data,
-                        Z.ravel(), y)
-            assert np.array_equal(y.reshape(-1, nb), K @ Z)
+    net.eval_batch(np.zeros((1, net.arch.in_dim)))
+    for nb in (1, 255, 256):
+        _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim,
+                                    np.empty((2, (max(net.arch.p) + 1) * 256)), nb)
+        products = [(a.shape, b.shape) for f, a, b, _ in steps if f is np.matmul]
+        assert all(r * c * w <= network._PRODUCT_MACS for (r, c), (_, w) in products)
+    # compose's split interface [W, -W] runs as W on the halves' difference
+    m = CERT_PLANS["sinsum"][1]
+    assert [i for i, k in enumerate(net._kernels) if k[1]] == [net.arch.L - (m + 2)]
 
 
-def dense_assemble(blocks, shape):
-    """Oracle: each dense (matrix, row offset, column offset) block copied
-    into one dense array, the way ``parallel`` stored every layer before it
-    built CSR."""
-    out = np.zeros(shape)
-    for m, r, c in blocks:
-        assert type(m) is np.ndarray
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-    return out
+def dense_parallel(nets):
+    """Oracle: ``parallel`` as it assembled every layer densely, in the
+    concatenation order of the nets' units."""
+    L = nets[0].arch.L
+    weights = [np.vstack([n.weights[0] for n in nets])]
+    for i in range(1, L + 1):
+        w = np.zeros((sum(n.arch.p[i + 1] for n in nets), sum(n.arch.p[i] for n in nets)))
+        r = c = 0
+        for n in nets:
+            w[r : r + n.arch.p[i + 1], c : c + n.arch.p[i]] = n.weights[i]
+            r, c = r + n.arch.p[i + 1], c + n.arch.p[i]
+        weights.append(w)
+    biases = [np.concatenate([n.biases[i] for n in nets]) for i in range(L)]
+    p = (nets[0].arch.in_dim,) + tuple(sum(n.arch.p[i] for n in nets) for i in range(1, L + 2))
+    return Network(Architecture(L, p), weights, biases)
+
+
+def unordered(w):
+    """The rows of w, each sorted, in sorted order: equal for matrices that
+    differ by a permutation of rows, one of columns, or both."""
+    rows = np.sort(w, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 @pytest.mark.parametrize("target,N,m", sorted((name, *plan) for name, plan in CERT_PLANS.items())
                          + [("product2", 49, 10)])
-def test_sparse_assembly_gives_the_kernels_of_the_dense_one(monkeypatch, target, N, m):
-    # the same certificate assembled with dense block-diagonal layers: every
-    # kernel keeps its type and its arrays, and so every evaluation its bits
-    from scipy.sparse import issparse
-
+def test_grouped_assembly_matches_the_dense_one(monkeypatch, target, N, m):
+    # the same certificate with dense layers in concatenation order: the
+    # grouped one holds the same entries with its hidden units permuted, and
+    # every layer is grouped but the first, the one after compose's
+    # interface and the output layer
     hf, plan = catalog()[target], ApproxPlan(N=N, m=m)
     net = build_approximator(hf, plan)[0]
-    monkeypatch.setattr(network, "_assemble", dense_assemble)
+    monkeypatch.setattr(approx, "parallel", dense_parallel)
     dense = build_approximator(hf, plan)[0]
-    assert any(issparse(w) for w in net._w)
-    # every stored layer is under the 10% rule, compose's interface layer too
-    assert not any(type(w) is np.ndarray and np.count_nonzero(w) <= 0.1 * w.size
-                   for w in net._w)
-    assert all(type(w) is np.ndarray for w in dense._w)
+    assert not has_grouped_layer(dense)
+    assert [i for i, w in enumerate(net._w) if type(w) is np.ndarray] == \
+        [0, net.arch.L - (m + 2), net.arch.L]
     assert net.arch == dense.arch and net.sparsity() == dense.sparsity()
-    got, want = net._build_kernels(), dense._build_kernels()
-    assert len(got) == len(want)
-    for K, ref in zip(got, want):
-        assert type(K) is type(ref)
-        if issparse(ref):
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(K, name), getattr(ref, name))
-        else:
-            assert np.array_equal(K, ref)
-    for w, ref in zip(net.weights, dense.weights):
-        assert type(w) is np.ndarray and np.array_equal(w, ref)
+    for w, ref in zip(net.weights + net.biases, dense.weights + dense.biases):
+        assert type(w) is np.ndarray and w.shape == ref.shape
+        w, ref = np.atleast_2d(w), np.atleast_2d(ref)
+        assert np.array_equal(unordered(w), unordered(ref))
+        assert np.array_equal(unordered(w.T), unordered(ref.T))
+    X = np.random.default_rng(67).uniform(0, 1, size=(300, net.arch.in_dim))
+    assert_matches_dense(net.eval_batch(X), dense_forward(dense, X, 0, net.arch.L + 1))
+    if (target, N) == ("product2", 49):  # 49 copies of each mult stage, a carrier
+        assert [(B.shape, k) for B, k, _, _ in net._w[20].groups] == [((7, 7), 49), ((1, 1), 1)]
 
 
-def test_sparse_weight_is_stored_as_canonical_csr():
-    from scipy.sparse import coo_matrix
-
-    # unsorted, with a duplicate that sums to 3.0, an explicit zero and int data
-    w = coo_matrix(([2, 0, 1, 5], ([1, 0, 1, 1], [2, 1, 2, 0])), shape=(2, 3))
-    net = Network(Architecture(1, (3, 2, 1)), [w, np.ones((1, 2))], [np.zeros(2)])
-    stored = net._w[0]
-    assert stored.format == "csr" and stored.dtype == np.float64
-    assert stored.has_canonical_format and stored.nnz == 2
-    assert np.array_equal(stored.indices, [0, 2]) and np.array_equal(stored.data, [5.0, 3.0])
-    assert np.array_equal(net.weights[0], [[0.0, 0.0, 0.0], [5.0, 0.0, 3.0]])
-    assert net.sparsity() == 4
-    assert np.array_equal(w.toarray(), [[0, 0, 0], [5, 0, 3]])  # the input is not changed
+def test_parallel_stores_repeated_blocks_as_groups():
+    rng = np.random.default_rng(87)
+    a = random_net(rng, (3, 4, 2, 1))
+    a = Network(a.arch, [a.weights[0], np.where(a.weights[1] > 0, a.weights[1], 0.0),
+                         a.weights[2]], a.biases)
+    b, wide = random_net(rng, (3, 2, 3, 1)), random_net(rng, (3, 4, 2, 2))
+    nets = [a, a, a, b, a, a, wide, wide]
+    net = parallel(nets)
+    ref = dense_parallel(nets)
+    # runs of equal nets with one output each: a x3, b, a x2, then wide twice
+    runs = [(a, 3), (b, 1), (a, 2), (wide, 1), (wide, 1)]
+    for i in (1, 2):
+        shapes = [(n.weights[i].shape, k) for n, k in runs]
+        assert [(B.shape, k) for B, k, _, _ in net._w[i].groups] == shapes
+    assert type(net._w[0]) is np.ndarray
+    # hidden unit u of copy c of a run at s sits at s + u * k + c; the
+    # output keeps the concatenation order
+    order = [np.arange(net.arch.p[0])]
+    for h in (1, 2):
+        pos, at = [], 0
+        for n, k in runs:
+            w = n.arch.p[h]
+            pos += [at + c * w + u for u in range(w) for c in range(k)]
+            at += w * k
+        order.append(np.array(pos))
+    order.append(np.arange(net.arch.p[3]))
+    for i in range(3):
+        assert np.array_equal(net.weights[i], ref.weights[i][order[i + 1]][:, order[i]])
+    for i in range(2):
+        assert np.array_equal(net.biases[i], ref.biases[i][order[i + 1]])
+    # nonzeros counted, not the stored block entries
+    assert net.sparsity() == ref.sparsity() == sum(
+        int(np.count_nonzero(x)) for x in net.weights + net.biases)
+    X = rng.uniform(-1, 1, size=(50, 3))
+    assert_matches_dense(net.eval_batch(X), np.hstack([n.eval_batch(X) for n in nets]))
+    # nested: the copies of a grouped net flatten into one group
+    pair = postcompose_affine(parallel([a, a]), np.ones((1, 2)))
+    twice = parallel([pair, pair])
+    assert [(B.shape, k) for B, k, _, _ in twice._w[1].groups] == [((2, 4), 4)]
+    assert_matches_dense(twice.eval_batch(X), np.hstack([pair.eval_batch(X)] * 2))
 
 
 def test_concurrent_first_evaluations_match_a_serial_one(cert_nets):
@@ -625,7 +668,7 @@ def test_concurrent_first_evaluations_match_a_serial_one(cert_nets):
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            net = Network(base.arch, base.weights, base.biases)
+            net = Network(base.arch, base._w, base.biases)  # a fresh kernel cache
             barrier = threading.Barrier(4)
             results = [None] * 4
 
@@ -681,7 +724,7 @@ def test_forward_kernel_encoder_decoder_on_assembled_net():
     stage = StageSpec(in_dim=2, components=((ident, (0,)), (ident, (1,))))
     net, _ = build_encoder_decoder(stage, stage, stage, ApproxPlan(N=10, m=10),
                                    L1_target=35, L_target=55)
-    assert has_sparse_layer(net)
+    assert has_grouped_layer(net)
     L1 = net.arch.L1
     for rows in (0, 1, 255, 256, 257, 4000):
         X = np.random.default_rng(rows).uniform(0, 1, size=(rows, 2))

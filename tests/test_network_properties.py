@@ -5,7 +5,6 @@ import json
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csr_matrix
 
 from edforecast.network import (
     Architecture,
@@ -110,24 +109,25 @@ def test_dict_roundtrip_through_json(seed, d_in, d_out, L):
     assert_close(back.eval_batch(X), net.eval_batch(X))
 
 
-def sparse_net(rng, d: int, L: int) -> Network:
-    """A random d -> d net whose weights keep a random share of their entries,
-    so that some layers fall under the 10% CSR threshold and some do not."""
-    net = random_net(rng, d, d, L)
-    keep = rng.uniform(0.02, 1.0)
-    weights = [np.where(rng.uniform(size=w.shape) < keep, w, 0.0) for w in net.weights]
-    return Network(net.arch, weights, net.biases)
+def grouped_net(rng, d: int, L: int) -> Network:
+    """A random d -> d net built by ``parallel`` from d sparse d -> 1 nets,
+    all but the last of them equal, so that each layer after the first holds
+    one block repeated over copies, when d > 1."""
+    def one():
+        net = random_net(rng, d, 1, L)
+        keep = rng.uniform(0.02, 1.0)
+        weights = [np.where(rng.uniform(size=w.shape) < keep, w, 0.0) for w in net.weights]
+        return Network(net.arch, weights, net.biases)
+
+    return parallel([one()] * (d - 1) + [one()])
 
 
 @PROPERTY
-@given(seed=seeds, d=dims, L=depths, first_csr=st.booleans())
-def test_combinators_on_csr_layers_match_them_on_the_dense_views(seed, d, L, first_csr):
+@given(seed=seeds, d=dims, L=depths)
+def test_combinators_on_grouped_layers_match_them_on_the_dense_views(seed, d, L):
     rng = np.random.default_rng(seed)
-    dense = [sparse_net(rng, d, L) for _ in range(3)]
-    # every hidden layer's weight CSR, and the input layer's too if first_csr
-    csr = [Network(n.arch, [csr_matrix(w) if i or first_csr else w
-                            for i, w in enumerate(n.weights)], n.biases) for n in dense]
-    views = [Network(n.arch, n.weights, n.biases) for n in csr]
+    grouped = [grouped_net(rng, d, L) for _ in range(3)]
+    views = [Network(n.arch, n.weights, n.biases) for n in grouped]
     A = rng.uniform(-1.0, 1.0, size=(d, d + 1))
     offset = rng.uniform(-1.0, 1.0, size=d) if L > 0 else None
     C = rng.uniform(-1.0, 1.0, size=(2, d))
@@ -141,14 +141,14 @@ def test_combinators_on_csr_layers_match_them_on_the_dense_views(seed, d, L, fir
         "with_l1": lambda nets: nets[0].with_l1(1 if L > 0 else None),
     }
     for name, build in builds.items():
-        got, want = build(csr), build(views)
+        got, want = build(grouped), build(views)
         assert got.arch == want.arch, name
-        if L > 0 and name in ("compose_relu", "deepen", "with_l1"):
-            assert got._csr, name  # the CSR layers are passed on as they are
+        if L > 0 and d > 1 and name in ("compose", "compose_relu", "deepen", "with_l1"):
+            assert got._grouped, name  # the grouped layers are passed on as groups
         assert len(got.weights) == len(want.weights)
         for w, ref in zip(got.weights, want.weights):
             assert type(w) is np.ndarray and np.array_equal(w, ref), name
         X = inputs(rng, got.arch.in_dim)
-        assert np.array_equal(got.eval_batch(X), want.eval_batch(X)), name
+        assert_close(got.eval_batch(X), want.eval_batch(X))
         assert got.sparsity() == want.sparsity(), name
         assert to_dict(got) == to_dict(want), name
