@@ -13,17 +13,19 @@ pure and thread-safe.  Structural combinators (compose/parallel/deepen)
 return new networks.  A weight is a dense array or groups, each one dense
 block B repeated over k copies: ``parallel`` lays a run of equal nets out
 unit-major, so a group is ``B ⊗ I_k``, one product on a ``(B.shape[1],
-k*rows)`` view of the activations.  A layer with no repeated block (a first
-layer, the one after ``compose``'s interface, a postcomposed output layer)
-is a dense remainder.  numpy alone runs both; the scipy.sparse that CSR
-layers needed took 0.2 s and 22 MB resident to import.  On a network with
-a grouped layer, a batch is split into one chunk per CPU.
+k*rows)`` view of the activations, or a copy or multiply when B is 1 x 1.
+``precompose_affine`` keeps its map A as a factor, so a run of its copies
+B @ A_i is ``B ⊗ I_k`` after the stacked A_i: a certificate's layer after
+``compose``'s interface costs work linear in its copies.  Other layers are
+dense.  On a network with a grouped layer, a batch is split into one chunk
+per CPU.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from functools import partial
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -83,11 +85,15 @@ _PRODUCT_MACS = 10**6
 
 class _Groups(NamedTuple):
     """A weight as groups (B, k, r0, c0), each ``B ⊗ I_k``: copy i's unit j is
-    row r0 + j*k + i, its input l column c0 + l*k + i.  The groups' row and
-    column ranges are disjoint, and their rows cover the weight's."""
+    row r0 + j*k + i, its input l column c0 + l*k + i.  The groups' rows are
+    disjoint and cover the weight's.  With ``pre`` (an array or groups) the
+    groups' inputs are the rows of ``pre`` times the input; with ``fold`` q
+    the weight is [W, -W] for that W, each half q columns wide."""
 
     shape: tuple
     groups: tuple
+    pre: object = None
+    fold: int = 0
 
 
 class Network:
@@ -174,7 +180,8 @@ class Network:
         # every chunk's buffers come from this thread: memory a short-lived
         # thread allocates stays cached in its own malloc arena, and a new
         # thread may start before the last one has given its arena back
-        bufs = np.empty((k, 2, (max(p[start : stop + 1]) + 1) * _BLOCK_ROWS))
+        rows = max([p[start] + 1] + [o + len(B) * g for *_, ops in kernels for B, g, o, *_ in ops])
+        bufs = np.empty((k, 2, rows * _BLOCK_ROWS))
         if k == 1:
             _forward_rows(*args, bufs[0], 0, n)
             return out
@@ -191,35 +198,39 @@ class Network:
 
     def _build_kernels(self):
         """Per layer, (rows written, fold, ops).  An op (B, k, r0, c0, shifts,
-        cols) multiplies views from row c0 of the input into row r0 on, at
-        most ``cols`` columns at a time, then subtracts each (row, bias) of
-        shifts.  A dense W is one op, [[W, -b], [0, 1]] below L and [W, 0] at
-        L; a grouped W one per group and, below L, [1] from the ones row to
-        the ones row, with single copies that meet merged.  On a grouped
-        network, [W, -W] has fold q: W acts on rows q.. of the input after
-        rows 0..q-1 are subtracted from them."""
+        cols, into) multiplies views from row c0 of the input buffer into row
+        r0 of the output buffer, at most ``cols`` columns at a time, then
+        subtracts each (row, bias) of shifts; ``into`` writes a layer's input
+        map into the input buffer past its ones row instead.  A dense W is
+        one op, [[W, -b], [0, 1]] below L and [W, 0] at L; a grouped W one
+        per group, blocks s * I as [[s]], and below L [1] from the ones row
+        to the ones row.  [W, -W] with fold q runs W on rows q.. of the
+        input after rows 0..q-1 are subtracted from them."""
         kernels = []
         for i, w in enumerate(self._w):
-            n, m = w.shape
-            hidden, fold = int(i < self.arch.L), 0
+            (n, m), hidden = w.shape, int(i < self.arch.L)
             if type(w) is np.ndarray:
-                if self._grouped and m % 2 == 0:
-                    fold = m // 2 if np.array_equal(w[:, m // 2 :], -w[:, : m // 2]) else 0
-                K = np.zeros((n + hidden, m - fold + 1))
-                K[:n, :-1] = w[:, : m - fold]
+                K = np.zeros((n + hidden, m + 1))
+                K[:n, :-1] = w
                 if hidden:
                     K[:n, -1], K[n, -1] = -self.biases[i], 1.0
-                groups, b = ((K, 1, 0, fold),), np.zeros(0)
+                fold, pre, groups, b = 0, (), ((K, 1, 0, 0),), np.zeros(0)
             else:
-                groups = _merged(w.groups + ((np.ones((1, 1)), 1, n, m),) * hidden)
-                b = self.biases[i] if hidden else np.zeros(n)
+                # the ones row has no bias; a [1] merged with it may span it
+                b = np.append(self.biases[i], 0.0) if hidden else np.zeros(n)
+                fold, at = w.fold, w.fold if w.pre is None else m + 1
+                pre = () if w.pre is None else _scalars(
+                    [(B, k, m + 1 + r0, fold + c0) for B, k, r0, c0 in _groups(w.pre)])
+                groups = _scalars([(B, k, r0, at + c0) for B, k, r0, c0 in w.groups]
+                                  + [(np.ones((1, 1)), 1, n, m)] * hidden)
             kernels.append((n + hidden, fold, tuple(
                 (np.ascontiguousarray(B), k, r0, c0,
                  tuple((r0 + j * k, float(col[0]) if np.all(col == col[0]) else col[:, None])
-                       for j, col in enumerate(b[r0 : r0 + B.shape[0] * k].reshape(-1, k))
+                       for j, col in enumerate(c[r0 : r0 + B.shape[0] * k].reshape(-1, k))
                        if col.any()),
-                 max(1, _PRODUCT_MACS // B.size) if self._grouped else None)
-                for B, k, r0, c0 in groups)))
+                 max(1, _PRODUCT_MACS // B.size) if self._grouped else None, into)
+                for part, c, into in ((pre, np.zeros(0), True), (groups, b, False))
+                for B, k, r0, c0 in part)))
         return kernels
 
     def _require_l1(self) -> int:
@@ -248,36 +259,41 @@ def _forward_rows(kernels, hidden, A, out, bufs, r0, r1):
         Z, steps, Y = plans[nb]
         Z[:-1] = A[b0 : b0 + nb].T
         Z[-1] = 1.0
-        for f, a, b, o in steps:
-            f(a, b, out=o)
+        for f, args in steps:
+            f(*args)
         out[b0 : b0 + nb] = Y[: out.shape[1]].T
 
 
 def _plan(kernels, hidden, width, bufs, nb):
-    """The input view, the calls ``f(a, b, out=o)`` and the output view that
-    take a block of ``nb`` rows through ``kernels``, transposed with a last
-    row of ones, each layer from one row of ``bufs`` into the other; the
-    first ``hidden`` layers end with a ReLU."""
+    """The input view, the calls ``f(*args)`` and the output view that take
+    a block of ``nb`` rows through ``kernels``, transposed with a last row of
+    ones, each layer from one row of ``bufs`` into the other; the first
+    ``hidden`` layers end with a ReLU.  A 1 x 1 block is a copy or a
+    multiply: a BLAS call takes several times as long."""
     z = bufs[0]
     Z0 = Z = z[: (width + 1) * nb].reshape(-1, nb)
     steps = []
     for j, (rows, fold, ops) in enumerate(kernels):
         if fold:
-            steps.append((np.subtract, Z[:fold], Z[fold : 2 * fold], Z[fold : 2 * fold]))
+            steps.append((np.subtract, (Z[:fold], Z[fold : 2 * fold], Z[fold : 2 * fold])))
         y = bufs[(j + 1) % 2]
         Y = y[: rows * nb].reshape(-1, nb)
-        for B, k, o, i, shifts, cols in ops:
+        for B, k, o, i, shifts, cols, into in ops:
             (r, c), w = B.shape, k * nb
             Zv = z[i * nb : i * nb + c * w].reshape(c, w)
-            Yv = y[o * nb : o * nb + r * w].reshape(r, w)
-            step = cols or w
-            steps += [(np.matmul, B, Zv[:, t : t + step], Yv[:, t : t + step])
-                      for t in range(0, w, step)]
+            Yv = (z if into else y)[o * nb : o * nb + r * w].reshape(r, w)
+            if B.shape == (1, 1):
+                steps.append((np.copyto, (Yv, Zv)) if B[0, 0] == 1.0
+                             else (np.multiply, (Zv, float(B[0, 0]), Yv)))
+            else:
+                step = cols or w
+                steps += [(np.matmul, (B, Zv[:, t : t + step], Yv[:, t : t + step]))
+                          for t in range(0, w, step)]
             for s, bias in shifts:
                 v = y[s * nb : s * nb + w].reshape(k, nb)
-                steps.append((np.subtract, v, bias, v))
+                steps.append((np.subtract, (v, bias, v)))
         if j < hidden:
-            steps.append((np.maximum, Y, 0.0, Y))
+            steps.append((partial(np.maximum, out=Y), (Y, 0.0)))
         z, Z = y, Y
     return Z0, steps, Z
 
@@ -297,7 +313,8 @@ def lipschitz_empirical(net: Network, X: np.ndarray, Xp: np.ndarray) -> float:
     """
     X = np.asarray(X, dtype=np.float64)
     Xp = np.asarray(Xp, dtype=np.float64)
-    num = np.max(np.abs(net.eval_batch(X) - net.eval_batch(Xp)), axis=1)
+    F = net.eval_batch(np.vstack([X, Xp]))  # one split evaluation of both
+    num = np.max(np.abs(F[: len(X)] - F[len(X) :]), axis=1)
     den = np.max(np.abs(X - Xp), axis=1)
     keep = den > 0
     if not np.any(keep):
@@ -376,7 +393,8 @@ def parallel(nets: Sequence[Network]) -> Network:
     starts = np.cumsum([[0] * (L + 2)] + [[len(r) * v for v in r[0].arch.p] for r in runs],
                        axis=0).tolist()
     p = (d_in, *starts[-1][1:])
-    weights = [np.concatenate([_interleave([_dense(n._w[0]) for n in r]) for r in runs])]
+    weights = [_first_layer([[n._w[0] for n in r] for r in runs], [s[1] for s in starts],
+                            (p[1], d_in))]
     for i in range(1, L + 1):
         groups = tuple((B, g * len(r), starts[j][i + 1] + r0 * len(r), starts[j][i] + c0 * len(r))
                        for j, r in enumerate(runs) for B, g, r0, c0 in _groups(r[0]._w[i]))
@@ -414,7 +432,7 @@ def precompose_affine(net: Network, A: np.ndarray, offset=None) -> Network:
             f"precompose: matrix maps into dim {A.shape[0]}, net expects {net.arch.in_dim}"
         )
     w0 = _dense(net._w[0])
-    weights = [w0 @ A] + net._w[1:]
+    weights = [_Groups((len(w0), A.shape[1]), ((w0, 1, 0, 0),), A)] + net._w[1:]
     biases = list(net.biases)
     if offset is not None:
         offset = np.asarray(offset, dtype=np.float64)
@@ -443,31 +461,65 @@ def postcompose_affine(net: Network, C: np.ndarray) -> Network:
 def _dense(w) -> np.ndarray:
     if type(w) is np.ndarray:
         return w
-    out = np.zeros(w.shape)
+    out = np.zeros((w.shape[0], w.shape[1] - w.fold))
+    pre = None if w.pre is None else _dense(w.pre)
     for B, k, r0, c0 in w.groups:
         (r, c), i = B.shape, np.arange(k)
-        out[r0 : r0 + r * k, c0 : c0 + c * k].reshape(r, k, c, k)[:, i, :, i] = B
-    return out
+        if pre is None:
+            out[r0 : r0 + r * k, c0 : c0 + c * k].reshape(r, k, c, k)[:, i, :, i] = B
+        else:  # B @ A_i copy by copy: one product of the whole would wake BLAS threads
+            A = pre[c0 : c0 + c * k].reshape(c, k, -1).transpose(1, 0, 2)
+            out[r0 : r0 + r * k].reshape(r, k, -1)[:] = (B @ A).transpose(1, 0, 2)
+    return np.concatenate([out, -out], axis=1) if w.fold else out
 
 
 def _groups(w) -> tuple:
-    """The groups of w; a dense w is one block over one copy."""
-    return w.groups if type(w) is _Groups else ((w, 1, 0, 0),)
+    """The groups of w: one dense block over one copy unless w is plain groups."""
+    plain = type(w) is _Groups and w.pre is None and not w.fold
+    return w.groups if plain else ((_dense(w), 1, 0, 0),)
 
 
-def _merged(groups) -> tuple:
-    """``groups`` with each single copy that meets the last one corner to
-    corner merged into one block with it."""
-    out = [groups[0]]
-    for B, k, r0, c0 in groups[1:]:
-        A, a, ar, ac = out[-1]
-        if k == a == 1 and (r0, c0) == (ar + len(A), ac + A.shape[1]):
-            C = np.zeros((len(A) + len(B), A.shape[1] + B.shape[1]))
-            C[: len(A), : A.shape[1]], C[len(A) :, A.shape[1] :] = A, B
-            out[-1] = (C, 1, ar, ac)
-        else:
-            out.append((B, k, r0, c0))
+def _scalars(groups) -> tuple:
+    """``groups`` with each block s * I over k copies as [[s]] over its rows,
+    and scalar groups of one s that meet corner to corner merged."""
+    out = []
+    for B, k, r0, c0 in groups:
+        if len(B) == B.shape[1] and np.array_equal(B, B[0, 0] * np.eye(len(B))):
+            B, k = B[:1, :1], k * len(B)
+            A, a, ar, ac = out[-1] if out else (B, 0, -1, -1)
+            if A.shape == (1, 1) and A[0, 0] == B[0, 0] and (r0, c0) == (ar + a, ac + a):
+                B, k, r0, c0 = A, a + k, ar, ac
+                out.pop()
+        out.append((B, k, r0, c0))
     return tuple(out)
+
+
+def _first_layer(runs, starts, shape):
+    """``parallel``'s first layer: the runs' first layers stacked, or groups
+    on an input map when a run is ``precompose_affine`` copies B @ A_i of
+    one B: B ⊗ I_k on its stacked A_i, [1] on another run's stacked rows.
+    The map holds each unit's rows as one block of their nonzero columns."""
+    blocks = [_product(ws) for ws in runs]
+    if all(B is None for B in blocks):
+        return np.concatenate([_interleave([_dense(w) for w in ws]) for ws in runs])
+    outer, pre, r = [], [], 0
+    for ws, B, at in zip(runs, blocks, starts):
+        V = _interleave([_dense(w if B is None else w.pre) for w in ws])
+        outer.append((np.ones((1, 1)), len(V), at, r) if B is None else (B, len(ws), at, r))
+        for U in np.split(V, 1 if B is None else len(V) // len(ws)):
+            nz = np.flatnonzero(U.any(axis=0))
+            c, e = (nz[0], nz[-1] + 1) if nz.size else (0, 1)
+            pre.append((U[:, c:e].copy(), 1, r, c))
+            r += len(U)
+    return _Groups(shape, tuple(outer), _Groups((r, shape[1]), tuple(pre)))
+
+
+def _product(ws):
+    """B when ws are two or more ``precompose_affine`` copies B @ A_i of one B."""
+    B = ws[0].groups[0][0] if type(ws[0]) is _Groups else None
+    if len(ws) > 1 and all(type(w) is _Groups and type(w.pre) is np.ndarray
+                           and np.array_equal(w.groups[0][0], B) for w in ws):
+        return B
 
 
 def _interleave(arrays) -> np.ndarray:
@@ -481,11 +533,14 @@ def _nnz(a) -> int:
 
 
 def _plus_minus(w, axis: int):
-    """[w; -w] on axis 0, grouped when w is, or [w, -w] on axis 1."""
+    """[w; -w] on axis 0, grouped when w is, or [w, -w] on axis 1, a fold
+    when w is grouped and not yet folded."""
     if axis == 0 and type(w) is _Groups:
         n = w.shape[0]
-        return _Groups((2 * n, w.shape[1]),
-                       w.groups + tuple((-B, k, r0 + n, c0) for B, k, r0, c0 in w.groups))
+        return w._replace(shape=(2 * n, w.shape[1]), groups=w.groups + tuple(
+            (-B, k, r0 + n, c0) for B, k, r0, c0 in w.groups))
+    if type(w) is _Groups and not w.fold:
+        return w._replace(shape=(w.shape[0], 2 * w.shape[1]), fold=w.shape[1])
     w = _dense(w)
     return np.concatenate([w, -w], axis=axis)
 
@@ -506,6 +561,8 @@ def to_dict(net: Network) -> dict:
 def from_dict(doc: dict) -> Network:
     """The network a :func:`to_dict` document describes; a malformed
     document raises ConfigError naming what is wrong."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"network document: expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != SERIAL_FORMAT:
         raise ConfigError(f"unsupported network format {doc.get('format')!r}")
     try:

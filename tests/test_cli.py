@@ -797,6 +797,17 @@ def test_malformed_model_sidecar_is_config_error(tmp_path, monkeypatch, capsys):
     assert list(Path("out").iterdir()) == []
 
 
+def test_model_json_that_is_not_an_object_is_config_error(tmp_path, monkeypatch,
+                                                          capsys):
+    args = strict_setup(tmp_path, monkeypatch, "evaluate", "k_steps", [1])
+    Path("model.json").write_text("[1, 2]\n")
+    capsys.readouterr()
+    assert run(["evaluate", *args]) == 2
+    assert ("config error: network document: expected a JSON object, got list"
+            in capsys.readouterr().err)
+    assert list(Path("out").iterdir()) == []
+
+
 @pytest.mark.parametrize("sidecar, message", [
     ([1], "model.meta.json: expected an object"),
     ({"r": 1, "scaler": {"lo": [0.0, 0.0]}}, "model.meta.json: scaler: missing required keys ['hi']"),

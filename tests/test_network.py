@@ -407,8 +407,8 @@ def test_folded_kernel_layout_on_dense_net_with_biases():
     net = random_net(np.random.default_rng(71), (3, 20, 8, 2))
     assert all(np.all(b != 0) for b in net.biases)
     net.eval_batch(np.zeros((1, 3)))
-    # a dense network's layer is one uncapped op, with no fold
-    assert all(len(ops) == 1 and ops[0][5] is None and fold == 0
+    # a dense network's layer is one uncapped op into the output, with no fold
+    assert all(len(ops) == 1 and ops[0][5:] == (None, False) and fold == 0
                for _, fold, ops in net._kernels)
     K0, K1, K2 = (ops[0][0] for *_, ops in net._kernels)
     assert np.array_equal(K0, np.block([[net.weights[0], -net.biases[0][:, None]],
@@ -555,14 +555,38 @@ def test_grouped_products_stay_below_the_blas_thread_size(cert_nets):
     # thread; a larger one in a chunk thread would wake threads of its own
     net = cert_nets["sinsum"]
     net.eval_batch(np.zeros((1, net.arch.in_dim)))
+    bufs = np.empty((2, 10**6))
     for nb in (1, 255, 256):
-        _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim,
-                                    np.empty((2, (max(net.arch.p) + 1) * 256)), nb)
-        products = [(a.shape, b.shape) for f, a, b, _ in steps if f is np.matmul]
+        _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim, bufs, nb)
+        products = [(args[0].shape, args[1].shape) for f, args in steps if f is np.matmul]
         assert all(r * c * w <= network._PRODUCT_MACS for (r, c), (_, w) in products)
-    # compose's split interface [W, -W] runs as W on the halves' difference
+    # compose's split interface [W, -W] is stored as a fold of the head's
+    # factored layer, and runs as W on the halves' difference
     m = CERT_PLANS["sinsum"][1]
     assert [i for i, k in enumerate(net._kernels) if k[1]] == [net.arch.L - (m + 2)]
+    w = net._w[net.arch.L - (m + 2)]
+    assert type(w) is network._Groups and w.pre is not None and 2 * w.fold == w.shape[1]
+
+
+@pytest.mark.parametrize("target", sorted(CERT_PLANS))
+def test_no_blas_call_for_a_1x1_block(cert_nets, target):
+    # the ones-row carries and scalar pass-throughs are copies or multiplies
+    net = cert_nets[target]
+    net.eval_batch(np.zeros((1, net.arch.in_dim)))
+    _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim,
+                                np.empty((2, 10**6)), 256)
+    assert not any(f is np.matmul and args[0].shape == (1, 1) for f, args in steps)
+    assert any(f is np.copyto for f, _ in steps)
+
+
+def test_certificate_kernel_work_grows_linearly_in_n():
+    # multiply-adds per row of sinsum m=12: the layer after compose's
+    # interface, which a dense product made grow with N^2, is factored
+    macs = {}
+    for N in (25, 100, 200):
+        net = build_approximator(catalog()["sinsum"], ApproxPlan(N=N, m=12))[0]
+        macs[N] = sum(B.size * k for *_, ops in net._kernels for B, k, *_ in ops)
+    assert macs[25] < macs[100] < macs[200] <= 1.5 * 200 / 25 * macs[25]
 
 
 def dense_parallel(nets):
@@ -594,15 +618,21 @@ def unordered(w):
 def test_grouped_assembly_matches_the_dense_one(monkeypatch, target, N, m):
     # the same certificate with dense layers in concatenation order: the
     # grouped one holds the same entries with its hidden units permuted, and
-    # every layer is grouped but the first, the one after compose's
-    # interface and the output layer
+    # every layer is grouped but the first and the output layer
     hf, plan = catalog()[target], ApproxPlan(N=N, m=m)
     net = build_approximator(hf, plan)[0]
     monkeypatch.setattr(approx, "parallel", dense_parallel)
     dense = build_approximator(hf, plan)[0]
     assert not has_grouped_layer(dense)
-    assert [i for i, w in enumerate(net._w) if type(w) is np.ndarray] == \
-        [0, net.arch.L - (m + 2), net.arch.L]
+    assert [i for i, w in enumerate(net._w) if type(w) is np.ndarray] == [0, net.arch.L]
+    # the layer after the interface: [W, -W] folded, with W the P mult copies'
+    # first block over the copies' input maps (Taylor coefficients times the
+    # monomials, then each copy's hat), and a [1] for the constant one
+    head, P = net._w[net.arch.L - (m + 2)], (plan.grid_resolution(hf.t) + 1) ** hf.t
+    assert 2 * head.fold == head.shape[1] and head.pre.shape == (2 * P + 1, head.fold)
+    assert [(B.shape, k) for B, k, _, _ in head.groups] == [((7, 2), P), ((1, 1), 1)]
+    (RA, *_), (I, *_), _ = head.pre.groups  # beta = 2: the t monomials of degree one
+    assert RA.shape == (P, hf.t) and np.array_equal(I, np.eye(P))
     assert net.arch == dense.arch and net.sparsity() == dense.sparsity()
     for w, ref in zip(net.weights + net.biases, dense.weights + dense.biases):
         assert type(w) is np.ndarray and w.shape == ref.shape

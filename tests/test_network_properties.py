@@ -131,6 +131,14 @@ def test_combinators_on_grouped_layers_match_them_on_the_dense_views(seed, d, L)
     A = rng.uniform(-1.0, 1.0, size=(d, d + 1))
     offset = rng.uniform(-1.0, 1.0, size=d) if L > 0 else None
     C = rng.uniform(-1.0, 1.0, size=(2, d))
+    # the head of a certificate: copies of one net, each under its own input
+    # map, side by side and then composed; one output each makes them a run
+    maps = [(rng.uniform(-1.0, 1.0, size=(d, d)),
+             rng.uniform(-1.0, 1.0, size=d) if L > 0 else None) for _ in range(3)]
+
+    def copies(net):
+        return [precompose_affine(postcompose_affine(net, C[:1]), a, o) for a, o in maps]
+
     builds = {
         "compose": lambda nets: compose(nets[0], nets[1]),
         "compose_relu": lambda nets: compose(nets[0], nets[1], interface="relu"),
@@ -139,6 +147,7 @@ def test_combinators_on_grouped_layers_match_them_on_the_dense_views(seed, d, L)
         "precompose": lambda nets: precompose_affine(nets[0], A, offset),
         "postcompose": lambda nets: postcompose_affine(nets[0], C),
         "with_l1": lambda nets: nets[0].with_l1(1 if L > 0 else None),
+        "head": lambda nets: compose(parallel(copies(nets[0])), nets[1]),
     }
     for name, build in builds.items():
         got, want = build(grouped), build(views)
@@ -152,3 +161,12 @@ def test_combinators_on_grouped_layers_match_them_on_the_dense_views(seed, d, L)
         assert_close(got.eval_batch(X), want.eval_batch(X))
         assert got.sparsity() == want.sparsity(), name
         assert to_dict(got) == to_dict(want), name
+    # the head's layer after the interface is the copies' first block over
+    # their stacked maps, folded; against its value, copy by copy
+    head, X = builds["head"](grouped), inputs(rng, d)
+    assert head._w[L + 1].pre is not None and head._w[L + 1].fold == d
+    w0 = postcompose_affine(views[0], C[:1]).weights[0]
+    W = np.stack([w0 @ a for a, _ in maps], axis=1).reshape(-1, d)  # unit-major copies
+    np.testing.assert_allclose(head.weights[L + 1], np.hstack([W, -W]), rtol=TOL, atol=TOL)
+    assert_close(head.eval_batch(X),
+                 np.hstack([c.eval_batch(views[1].eval_batch(X)) for c in copies(views[0])]))
