@@ -293,6 +293,8 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
         "arch": (_object, None), "train": _object, "weight": (_or_none(_object), None),
         "sweep": (_object, None), "out_model": (_str, "model.json"),
         "out_curve": (_str, "curve.csv"), "seed": (_seed, None)}, ["train_csv", "train"])
+    if c["test_csv"] is not None and "train_fraction" in cfg:
+        raise ConfigError("config: 'train_fraction' does not apply with a 'test_csv'")
     series = _load(load_series_csv, c["train_csv"], "train_csv")
     series_train, series_test = _split_series(series, c)
     w = _weight_from_spec(c["weight"])
@@ -400,8 +402,11 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
             f"do not match series dimension {d}"
         )
     r = net.arch.in_dim // d
-    if meta["r"] not in (None, r):
-        raise ConfigError(f"model_json: metadata lag count {meta['r']} != {r}")
+    for key, value in (("r", r), ("d", d)):  # the model's lag count, the series' dimension
+        if meta[key] not in (None, value):
+            raise ConfigError(f"{meta_path}: {key}: {meta[key]}, but model and series say {value}")
+    if meta["normalize"] and meta["scaler"] is None:
+        raise ConfigError(f"{meta_path}: normalize: true needs a scaler")
     scaler = None
     if meta["scaler"] is not None:
         scaler = _section(meta["scaler"], f"{meta_path}: scaler", Scaler,

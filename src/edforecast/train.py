@@ -130,62 +130,57 @@ def naive_predict(data: LagDataset, w: WeightFn | None = None) -> float:
 
 class Workspace:
     """Buffers for ``gradient`` on one network, owned by the caller (a training
-    run), not the network: the gradient arrays (given or new), each layer's
-    pre-activation (reused backward), activation and ReLU mask, and 0-d
-    constants.
-
-    A one-sample step's operands are gathered here once per run, one tuple per
-    layer in the order the step visits them, so the step unpacks tuples and
-    indexes no list: ``forward`` for hidden layers 0..L-1, ``output`` for
-    layer L, ``backward`` for hidden layers L-1..0 (each with the column and
-    row views that give the weight gradient of the layer above it), and
-    ``first`` for layer 0's weight gradient, whose row is the step's sample.
-    Such a step makes 8L + 5 numpy calls (8L + 4 at sample weight 1.0), 3L + 2
-    of them ``ndarray.dot`` products: 44 and 17 on the benchmark's L = 5 net.
+    run), not the network: the flat gradient ``g`` (weights[0..L], then
+    biases[0..L-1]; ``g_w`` and ``g_b`` are its views), the hidden layers'
+    pre-activations, ReLU masks and activations (one buffer for each kind),
+    and 0-d constants.  A one-sample step's operands are gathered once, one
+    tuple per layer in the order the step visits them (``forward``,
+    ``output``, ``backward``, ``first``).  The step makes 6L + 7
+    numpy calls (6L + 6 at sample weight 1.0), 37 at L = 5: 3L + 2
+    ``ndarray.dot`` products, one ``heaviside`` for every mask, and one
+    ``negative`` that turns the bias section of ``g``, where the backward
+    loop leaves each layer's masked signal, into bias gradients.
     """
 
-    def __init__(self, net: Network, out=None):
+    def __init__(self, net: Network):
         self.net = net
-        L, W = net.arch.L, net.weights
-        self.g_w, self.g_b = g_w, g_b = out or (
-            [np.empty_like(wm) for wm in W], [np.empty_like(bv) for bv in net.biases])
-        z = [np.empty(width) for width in net.arch.p[1:]]
-        acts = [np.empty(width) for width in net.arch.p[1:-1]]
-        masks = [np.empty_like(zi) for zi in z[:-1]]
+        L, W, p = net.arch.L, net.weights, net.arch.p
+        hidden = sum(p[1 : L + 1])  # the hidden units, one bias each
+        self.g = np.empty(sum(a.size for a in W) + hidden)
+        self.g_w, self.g_b = g_w, g_b = _unflatten(self.g, net)
+        self.bias_part = self.g[self.g.size - hidden :]
+        self.z, self.masks, acts = np.empty((3, hidden))
+        z, masks, acts = (np.split(row, np.cumsum(p[1:L])) for row in (self.z, self.masks, acts))
         self.zero, self.scale = np.array(0.0), np.array(2.0 / net.arch.out_dim)
-        self.forward = tuple(zip(W[:L], net.biases, z[:L], masks, acts))
-        self.output = (W[L], z[L])
-        self.backward = tuple((z[i + 1], W[i + 1], z[i], masks[i], g_b[i],
-                               z[i + 1][:, None], acts[i][None, :], g_w[i + 1])
+        self.forward = tuple(zip(W[:L], net.biases, z, acts))
+        g = g_b + [np.empty(p[L + 1])]  # the signal into each layer, a hidden one in its bias slot
+        self.output = (W[L], g[L])
+        self.backward = tuple((g[i + 1], W[i + 1], masks[i], g_b[i],
+                               g[i + 1][:, None], acts[i][None, :], g_w[i + 1])
                               for i in range(L - 1, -1, -1))
-        self.first = (z[0][:, None], g_w[0])
+        self.first = (g[0][:, None], g_w[0])
 
 
 def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
              l2_lambda: float = 0.0, out=None):
     """Exact gradient of the batch-mean weighted loss plus L2 penalty.
 
-    Takes one sample or a batch, told apart by the rank of ``X``: one sample
-    is ``X`` of shape (p0,), ``Y`` of shape (d,) and a scalar weight W(x); a
-    batch is ``X`` of shape (nb, p0), ``Y`` of shape (nb, d) and the rows'
-    weights of shape (nb,).  A ``Y`` of any other shape raises ShapeError,
-    even one that would broadcast.  Returns (weight gradients, bias
-    gradients) in the network layout, written into ``out``: a ``Workspace``
-    built for ``net``, or the arrays of ``(g_w, g_b)``, or None for new
-    arrays.  The arrays must be C-contiguous float64.  ReLU' is the
+    One sample is ``X`` of shape (p0,), ``Y`` of shape (d,) and a scalar weight
+    W(x); a batch is ``X`` of shape (nb, p0), ``Y`` of shape (nb, d) and
+    weights of shape (nb,).  A ``Y`` of any other shape raises ShapeError, even
+    one that would broadcast.  Returns (weight gradients, bias gradients): the
+    views of ``out`` if it is a ``Workspace`` built for ``net``, else of a
+    throwaway one, copied into ``out = (g_w, g_b)`` if given.  ReLU' is the
     Heaviside step, 0 at 0.
 
-    One sample runs in the workspace (a throwaway one unless given) through
-    calls with ``out=`` and 0-d constants: the batch-of-one path's operations
-    in the same order (an outer product with one term per entry is exact), so
-    each value is the same, though a zero may change sign.  The step is bound
-    by call overhead, not arithmetic: it makes at most 8L + 5 numpy calls, of
-    which 3L + 2 are products.  The products go through the ndarray method
-    ``A.dot(B, out=...)``, which reaches the same C routine as ``np.dot``
-    (so the same bits) without its Python-level dispatcher.  A sample weight
-    of exactly 1.0 skips its multiply, as a product with 1.0 is exact.
+    One sample runs the batch-of-one path's operations in the same order (an
+    outer product with one term per entry is exact), so each value is the same,
+    though a zero may change sign.  Its 6L + 7 calls (see ``Workspace``) are
+    ufuncs with ``out`` and products ``A.dot(B, out)``: the C routine of
+    ``np.dot`` (so the same bits) without its dispatcher.  A sample weight of
+    exactly 1.0 skips its multiply.
     """
-    ws = out if isinstance(out, Workspace) else Workspace(net, out)
+    ws = out if isinstance(out, Workspace) else Workspace(net)
     if ws.net is not net:
         raise ValueError("the workspace was built for another network")
     g_w, g_b = ws.g_w, ws.g_b
@@ -195,24 +190,24 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
         if Y.shape != g_z.shape:
             raise _target_error(net, Y, g_z.shape)
         zero, a = ws.zero, X
-        for W_i, b_i, z_i, mask_i, a_next in ws.forward:
-            W_i.dot(a, out=z_i)
+        for W_i, b_i, z_i, a_next in ws.forward:
+            W_i.dot(a, z_i)
             np.subtract(z_i, b_i, out=z_i)
-            np.heaviside(z_i, zero, out=mask_i)
             np.maximum(z_i, zero, out=a_next)
             a = a_next
-        W_out.dot(a, out=g_z)
+        np.heaviside(ws.z, zero, out=ws.masks)
+        W_out.dot(a, g_z)
         np.subtract(g_z, Y, out=g_z)
         np.multiply(g_z, ws.scale, out=g_z)
         if wts != 1.0:
             np.multiply(g_z, wts, out=g_z)
-        for g_next, W_next, g_i, mask_i, gb_i, col, row, gw_next in ws.backward:
-            col.dot(row, out=gw_next)
-            g_next.dot(W_next, out=g_i)
+        for g_next, W_next, mask_i, g_i, col, row, gw_next in ws.backward:
+            col.dot(row, gw_next)
+            g_next.dot(W_next, g_i)
             np.multiply(g_i, mask_i, out=g_i)
-            np.negative(g_i, out=gb_i)
         col, gw_0 = ws.first
-        col.dot(X[None, :], out=gw_0)
+        col.dot(X[None, :], gw_0)
+        np.negative(ws.bias_part, out=ws.bias_part)
     else:
         L, W, B = net.arch.L, net.weights, net.biases
         if len(X) == 0:
@@ -232,7 +227,13 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
     if l2_lambda:
         for g, p in zip(g_w + g_b, net.weights + net.biases):
             g += (2.0 * l2_lambda) * p
-    return g_w, g_b
+    if out is None or out is ws:
+        return g_w, g_b
+    for dst, src in zip((*out[0], *out[1]), g_w + g_b, strict=True):
+        if dst.shape != src.shape:
+            raise ValueError(f"out array has shape {dst.shape}, expected {src.shape}")
+        np.copyto(dst, src)
+    return out[0], out[1]
 
 
 def _target_error(net: Network, Y: np.ndarray, want: tuple) -> ShapeError:
@@ -263,19 +264,15 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     Deterministic for fixed (seed, config, data).  Returns the trained
     network and the per-epoch learning curve; with ``prune_to_s`` the net is
     pruned after the last epoch, whose record holds the pruned net's risks.
-    Aborts with diagnostics if
-    the train risk exceeds 1e6 times its initial value.
+    Aborts with diagnostics if the train risk exceeds 1e6 times its initial value.
     """
     rng = np.random.default_rng(cfg.seed)
-    # One parameter vector and one gradient vector, so a step's update is a few
-    # in-place whole-vector operations.  SGD updates theta in place, so ``current``
-    # only feeds gradient (which reads the arrays, into this run's workspace); every
-    # risk is evaluated on a fresh Network, whose kernels are built from the arrays then
+    # Flat parameters theta and the workspace's flat gradient g make a step's update a few
+    # in-place whole-vector operations; each risk is taken on a fresh Network built then
     theta = np.concatenate([a.ravel() for a in net.weights + net.biases])
-    g, decayed = np.empty_like(theta), np.empty_like(theta)
     weights, biases = _unflatten(theta, net)
-    current = Network(net.arch, weights, biases)
-    ws = Workspace(current, _unflatten(g, net))
+    ws = Workspace(Network(net.arch, weights, biases))
+    g, decayed = ws.g, np.empty_like(theta)
     decay, lo, hi = np.array(2.0 * cfg.l2_lambda), np.array(-1.0), np.array(1.0)
 
     def risks(model):
@@ -284,9 +281,7 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
 
     initial = empirical_risk(Network(net.arch, weights, biases), data, w)
     ceiling = 1e6 * max(initial, 1e-12)
-    curve = []
-    n_samples = len(data)
-    sample_wts = w(data.X)
+    curve, n_samples, sample_wts = [], len(data), w(data.X)
     for epoch in range(cfg.epochs):
         lr = np.array(cfg.rate_at(epoch))
         order = rng.permutation(n_samples)
@@ -296,7 +291,7 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
         batches = zip(X, Y, wts) if bs == 1 else (
             (X[s : s + bs], Y[s : s + bs], wts[s : s + bs]) for s in range(0, n_samples, bs))
         for xb, yb, wb in batches:
-            gradient(current, xb, yb, wb, 0.0, out=ws)
+            gradient(ws.net, xb, yb, wb, 0.0, out=ws)
             if cfg.l2_lambda:
                 np.multiply(theta, decay, out=decayed)
                 np.add(g, decayed, out=g)

@@ -817,8 +817,11 @@ def test_model_json_that_is_not_an_object_is_config_error(tmp_path, monkeypatch,
      "model.meta.json: scaler: lo and hi need 2 entries each"),
     ({"r": "1"}, "model.meta.json: r: invalid value '1'"),
     ({"r": 1, "lags": 1}, "model.meta.json: unknown keys ['lags']"),
+    ({"r": 2}, "model.meta.json: r: 2, but model and series say 1"),
+    ({"r": 1, "d": 3}, "model.meta.json: d: 3, but model and series say 2"),
+    ({"r": 1, "d": 2, "normalize": True}, "model.meta.json: normalize: true needs a scaler"),
 ], ids=["not_an_object", "scaler_without_hi", "non_numeric_hi", "short_scaler",
-        "string_r", "unknown_key"])
+        "string_r", "unknown_key", "wrong_r", "wrong_d", "normalize_without_scaler"])
 def test_malformed_sidecar_content_is_config_error(tmp_path, monkeypatch, capsys, sidecar,
                                                    message):
     args = strict_setup(tmp_path, monkeypatch, "evaluate", "k_steps", [1])
@@ -852,3 +855,24 @@ def test_sweep_refuses_single_run_keys(tmp_path, capsys, key, value):
     assert (f"config error: config: ['{key}'] do not apply with a 'sweep' section"
             in capsys.readouterr().err)
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+def test_train_fraction_with_a_test_csv_is_config_error(tmp_path, capsys, sweep):
+    # a test_csv gives the test part, so a train_fraction would be dropped unread
+    rows = ["t,x1,x2"] + [f"{i},{0.1 * i},{0.2 * i}" for i in range(1, 9)]
+    (tmp_path / "series.csv").write_text("\n".join(rows) + "\n")
+    cfg = {"train_csv": str(tmp_path / "series.csv"), "test_csv": str(tmp_path / "series.csv"),
+           "train_fraction": 0.5, "train": {"epochs": 1}}
+    cfg.update({"sweep": {"r_values": [1], "m_values": [2]}} if sweep
+               else {"arch": {"p": [2, 3, 2]}})
+    assert run(["train", "--config", write_cfg(tmp_path, "train.json", cfg),
+                "--out", tmp_path]) == 2
+    assert ("config error: config: 'train_fraction' does not apply with a 'test_csv'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "sweep.csv").exists()
+    # either key alone trains
+    for key in ("test_csv", "train_fraction"):
+        alone = {k: v for k, v in cfg.items() if k != key}
+        assert run(["train", "--config", write_cfg(tmp_path, "alone.json", alone),
+                    "--out", tmp_path]) == 0

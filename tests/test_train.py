@@ -1,8 +1,11 @@
 """Risk, gradient, SGD loop, baseline and forecasting tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from edforecast import train as train_module
 from edforecast.data import LagDataset, lag_embed
 from edforecast.network import Architecture, Network, ShapeError
 from edforecast.train import (
@@ -404,6 +407,12 @@ def test_gradient_into_out_arrays_matches_allocating_call():
                                           lam)
         for a, b in zip(g_w + g_b, ref_w + ref_b):
             assert np.array_equal(a, b)
+    # the arrays must match the network's, one for one
+    for bad in (([a.T for a in out[0]], out[1]), (out[0][:-1], out[1])):
+        with pytest.raises(ValueError):
+            gradient(net, X, Y, wts, out=bad)
+        with pytest.raises(ValueError):
+            gradient(net, X[0], Y[0], wts[0], out=bad)
 
 
 def one_sample_case(kind, seed):
@@ -468,6 +477,71 @@ def test_one_sample_gradient_never_calls_numpy_dot(monkeypatch, kind, seed):
     monkeypatch.setattr(np, "dot", refuse)
     one_w, one_b = gradient(net, x, y, 0.7, out=Workspace(net))
     for a, b in zip(one_w + one_b, batch_w + batch_b):
+        assert np.array_equal(a, b)
+
+
+def test_one_sample_gradient_into_out_views_of_one_reversed_buffer():
+    # the caller's arrays need not follow the workspace's layout: here the bias
+    # gradients are views of one buffer that holds the last layer first
+    for kind, seed in [("random", 1), ("random", 2), ("relu_kink", 5)]:
+        net, x, y = one_sample_case(kind, seed)
+        widths = [b.size for b in net.biases][::-1]
+        g_b = np.split(np.full(sum(widths), np.nan), np.cumsum(widths)[:-1])[::-1]
+        assert [b.shape for b in g_b] == [b.shape for b in net.biases]
+        assert g_b[0].base is g_b[-1].base
+        g_w = [np.full_like(a, np.nan) for a in net.weights]
+        o_w, o_b = gradient(net, x, y, 0.3, 0.2, out=(g_w, g_b))
+        assert o_w is g_w and o_b is g_b
+        ws_w, ws_b = gradient(net, x, y, 0.3, 0.2, out=Workspace(net))
+        batch_w, batch_b = gradient(net, x[None], y[None], np.array([0.3]), 0.2)
+        for a, b, c in zip(o_w + o_b, ws_w + ws_b, batch_w + batch_b):
+            assert a.tobytes() == b.tobytes() and np.array_equal(a, c)
+
+
+def test_one_sgd_step_makes_one_mask_call_and_one_negation(monkeypatch):
+    # the ufunc calls of each train_sgd step on the benchmark's L = 5 sweep cell;
+    # the step's 3L + 2 products are ndarray.dot methods, which numpy does not see
+    net, data, weight = flat_sgd_case("sweep_cell")
+    L, log, real_gradient = net.arch.L, [], train_module.gradient
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not isinstance(attr, np.ufunc):
+                return attr
+
+            def counted(*args, **kwargs):
+                log.append(name)
+                return attr(*args, **kwargs)
+            return counted
+
+    def marked_gradient(net, X, Y, wts, l2_lambda=0.0, out=None):
+        log.append(("gradient", float(wts)))
+        result = real_gradient(net, X, Y, wts, l2_lambda, out=out)
+        log.append(("update",))
+        return result
+
+    cfg = TrainConfig(epochs=1, lr_schedule=((0, 0.05),), l2_lambda=1e-4, seed=2)
+    monkeypatch.setattr(train_module, "np", CountingNumpy())
+    monkeypatch.setattr(train_module, "gradient", marked_gradient)
+    counted, _ = train_sgd(net, data, cfg, weight)
+    monkeypatch.undo()
+    marks = [i for i, entry in enumerate(log) if isinstance(entry, tuple)]
+    assert len(marks) == 2 * len(data)
+    at_one = set()
+    # the last step's update runs into the epoch's risk evaluation, so it is left out
+    for start, mid, end in zip(marks[0::2], marks[1::2], marks[2::2]):
+        wt = log[start][1]
+        at_one.add(wt == 1.0)
+        step = Counter(log[start + 1 : mid])
+        assert step == {"subtract": L + 1, "maximum": L, "heaviside": 1,
+                        "multiply": L + 1 + (wt != 1.0), "negative": 1}
+        assert sum(step.values()) == 6 * L + 7 - (3 * L + 2) - (wt == 1.0)
+        # the L2 term, the learning-rate scaling and the subtraction
+        assert Counter(log[mid + 1 : end]) == {"multiply": 2, "add": 1, "subtract": 1}
+    assert False in at_one
+    plain, _ = train_sgd(net, data, cfg, weight)
+    for a, b in zip(counted.weights + counted.biases, plain.weights + plain.biases):
         assert np.array_equal(a, b)
 
 
