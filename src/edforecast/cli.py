@@ -26,45 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, __version__
-from .approx import ApproxPlan, build_approximator, catalog
-from .data import Scaler, lag_embed, load_series_csv, save_series_csv, write_csv
-from .network import Architecture, load_json as load_net, save_json as save_net
-from .rates import (
-    DependenceSpec,
-    RateComputationError,
-    SmoothnessProfile,
-    oracle_bound,
-    choose_N,
-    fdm_exponential,
-    fdm_polynomial,
-    independent,
-    mixing_exponential,
-    mixing_polynomial,
-    predicted_rate,
-    rate_envelope,
-    rate_function,
-)
-from .simulate import (
-    TimeSeriesModel,
-    UnstableModelError,
-    generate,
-    high_d_model,
-    linear_model,
-    low_d_model,
-    seasonal_model,
-    zero_model,
-)
-from .train import (
-    TrainConfig,
-    TrainingDiverged,
-    WeightFn,
-    empirical_risk,
-    init_network,
-    multi_step_forecast,
-    naive_predict,
-    train_sgd,
-)
+# A command imports the library modules it runs in its own body: each command
+# runs in a fresh interpreter, and importing this module loads none of them.
+from . import ConfigError, NumericFailure, __version__
 
 WEATHER_DATA_NOTE = (
     "Daily mean temperature source (external, not downloaded by this tool):\n"
@@ -203,7 +167,8 @@ def _write_json(path: Path, payload: dict, provenance: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _model_from_spec(spec, seed: int) -> TimeSeriesModel:
+def _model_from_spec(spec, seed: int):
+    from .simulate import high_d_model, linear_model, low_d_model, seasonal_model, zero_model
     presets = {"low_d": low_d_model, "high_d": high_d_model,
                "seasonal": seasonal_model}
     if isinstance(spec, str):
@@ -218,7 +183,8 @@ def _model_from_spec(spec, seed: int) -> TimeSeriesModel:
     return _section(spec, "model", _kinded(kinds), casts, ["kind"], seed=seed)
 
 
-def _weight_from_spec(spec) -> WeightFn:
+def _weight_from_spec(spec):
+    from .train import WeightFn
     if spec is None:
         return WeightFn()
     return _section(spec, "weight", WeightFn, {"kind": _str, "varsigma": _float}, ["kind"])
@@ -228,6 +194,8 @@ def _weight_from_spec(spec) -> WeightFn:
 
 
 def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
+    from .data import save_series_csv
+    from .simulate import generate
     c = _section(cfg, "", dict, {
         "model": _typed((str, dict)), "n": _int, "burn_in": (_at_least(0), 1000),
         "out_csv": (_str, "series.csv"), "seed": (_seed, 0)}, ["model", "n"], seed=seed)
@@ -246,6 +214,7 @@ def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
 
 
 def _split_series(series, c: dict):
+    from .data import load_series_csv
     if c["test_csv"] is not None:
         return series, _load(load_series_csv, c["test_csv"], "test_csv")
     frac = c["train_fraction"]
@@ -259,10 +228,11 @@ def _split_series(series, c: dict):
     return series[:n_train], series[n_train:]
 
 
-def _train_config_from(spec, cli_seed: int | None, top_seed: int | None) -> TrainConfig:
+def _train_config_from(spec, cli_seed: int | None, top_seed: int | None):
     """The train section.  The run's seed is the --seed override, else
     train.seed, else the top-level seed, else 0; if train.seed and the
     top-level seed are both set, they must agree."""
+    from .train import TrainConfig
     def build(seed=top_seed, **values):
         if top_seed not in (None, seed):
             raise ConfigError(f"seed {seed} differs from the top-level seed {top_seed}")
@@ -275,8 +245,9 @@ def _train_config_from(spec, cli_seed: int | None, top_seed: int | None) -> Trai
     return _section(spec, "train", build, casts, ["epochs"])
 
 
-def _run_single_training(series_train, series_test, r, arch: Architecture,
-                         tc: TrainConfig, w: WeightFn, normalize):
+def _run_single_training(series_train, series_test, r, arch, tc, w, normalize):
+    from .data import lag_embed
+    from .train import init_network, train_sgd
     data = lag_embed(series_train, r, normalize=normalize)
     test_data = None
     if series_test is not None:
@@ -287,6 +258,8 @@ def _run_single_training(series_train, series_test, r, arch: Architecture,
 
 
 def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
+    from .data import load_series_csv, write_csv
+    from .network import Architecture, save_json as save_net
     c = _section(cfg, "", dict, {
         "train_csv": _str, "test_csv": (_or_none(_str), None),
         "train_fraction": (_float, 1.0), "r": (_at_least(1), 1), "normalize": (_bool, False),
@@ -338,6 +311,9 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
 
 
 def _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir) -> int:
+    from .data import write_csv
+    from .network import Architecture
+    from .train import empirical_risk, naive_predict
     sweep = _section(c["sweep"], "sweep", dict, {
         "r_values": (_ints, [1, 2, 3, 5]), "m_values": (_ints, [4, 6, 8, 10]),
         "runs": (_int, 1), "out_table": (_str, "sweep.csv")})
@@ -384,6 +360,9 @@ def _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir) -> int:
 
 
 def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
+    from .data import Scaler, lag_embed, load_series_csv
+    from .network import load_json as load_net
+    from .train import empirical_risk, multi_step_forecast, naive_predict
     c = _section(cfg, "", dict, {
         "model_json": _str, "test_csv": _str, "k_steps": (_each(_at_least(1)), [1]),
         "weight": (_or_none(_object), None), "out_json": (_str, "metrics.json"),
@@ -391,7 +370,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     net = _load(load_net, c["model_json"], "model_json")
     meta_path = Path(c["model_json"]).with_suffix(".meta.json")
     meta = _section(_load_json(meta_path) if meta_path.exists() else {}, str(meta_path), dict, {
-        "r": (_or_none(_int), None), "d": (_or_none(_int), None), "normalize": (_bool, False),
+        "r": (_or_none(_int), None), "d": (_or_none(_int), None), "normalize": (_bool, None),
         "scaler": (_or_none(_object), None), "final_train_risk": (_or_none(float), None),
         "final_test_risk": (_or_none(float), None), "_provenance": (_object, None)})
     series = _load(load_series_csv, c["test_csv"], "test_csv")
@@ -407,6 +386,8 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
             raise ConfigError(f"{meta_path}: {key}: {meta[key]}, but model and series say {value}")
     if meta["normalize"] and meta["scaler"] is None:
         raise ConfigError(f"{meta_path}: normalize: true needs a scaler")
+    if meta["normalize"] is False and meta["scaler"] is not None:
+        raise ConfigError(f"{meta_path}: normalize: false, but a scaler is given")
     scaler = None
     if meta["scaler"] is not None:
         scaler = _section(meta["scaler"], f"{meta_path}: scaler", Scaler,
@@ -440,6 +421,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
 
 
 def cmd_certify(cfg: dict, seed: int | None, out_dir: Path) -> int:
+    from .approx import ApproxPlan, build_approximator, catalog
     c = _section(cfg, "", dict, {
         "target": _str, "N": _int, "m": _int, "f_bound": (_or_none(_float), None),
         "out_json": (_str, "certificate.json"), "seed": (_seed, 0),
@@ -463,7 +445,9 @@ def cmd_certify(cfg: dict, seed: int | None, out_dir: Path) -> int:
     return 0 if ok else 3
 
 
-def _dependence_from_spec(spec) -> DependenceSpec:
+def _dependence_from_spec(spec):
+    from .rates import (fdm_exponential, fdm_polynomial, independent, mixing_exponential,
+                        mixing_polynomial)
     kinds = {"independent": independent, "mixing_polynomial": mixing_polynomial,
              "mixing_exponential": mixing_exponential, "fdm_polynomial": fdm_polynomial,
              "fdm_exponential": fdm_exponential}
@@ -471,7 +455,8 @@ def _dependence_from_spec(spec) -> DependenceSpec:
     return _section(spec, "dependence", _kinded(kinds), casts, ["kind"])
 
 
-def _profile_from_spec(spec) -> SmoothnessProfile:
+def _profile_from_spec(spec):
+    from .rates import SmoothnessProfile
     if "beta" in spec:  # checked here, as isotropic copies both into every stage
         casts = {"beta": _at_least(1, _float), "t": _at_least(1)}
         return _section(spec, "profile", SmoothnessProfile.isotropic, casts, casts)
@@ -481,6 +466,8 @@ def _profile_from_spec(spec) -> SmoothnessProfile:
 
 
 def cmd_rates(cfg: dict, seed: int | None, out_dir: Path) -> int:
+    from .data import write_csv
+    from .rates import choose_N, oracle_bound, predicted_rate, rate_envelope, rate_function
     c = _section(cfg, "", dict, {
         "dependence": _object, "profile": _object, "x_grid": (_object, {}),
         "n_values": (_each(_at_least(2)), [1000, 10000, 100000]),
@@ -564,7 +551,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDiverged, UnstableModelError, RateComputationError) as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import ConfigError
+from . import ConfigError, NumericFailure
 
 
-class RateComputationError(RuntimeError):
+class RateComputationError(NumericFailure):
     pass
 
 

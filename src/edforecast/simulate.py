@@ -13,10 +13,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import NumericFailure
 from .data import push_lag
 
 
-class UnstableModelError(RuntimeError):
+class UnstableModelError(NumericFailure):
     pass
 
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ConfigError
+from . import ConfigError, NumericFailure
 from .data import LagDataset, push_lag
 from .network import Architecture, Network, ShapeError
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(NumericFailure):
     pass
 
 

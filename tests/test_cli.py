@@ -305,6 +305,38 @@ def test_cli_import_loads_neither_scipy_nor_the_thread_pool():
     assert proc.returncode == 0, proc.stderr
 
 
+def loaded_modules(tmp_path, code):
+    """The edforecast modules a fresh interpreter holds after running ``code``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n" + code + "\nprint(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'edforecast')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split("\n")[-2].split())
+
+
+def test_cli_import_loads_no_library_module(tmp_path):
+    assert loaded_modules(tmp_path, "import edforecast.cli") == {
+        "edforecast", "edforecast.cli"}
+
+
+@pytest.mark.parametrize("command, modules", [
+    ("simulate", {"simulate", "data"}),
+    ("train", {"train", "network", "data"}),
+    ("evaluate", {"train", "network", "data"}),
+    ("certify", {"approx", "network"}),
+    ("rates", {"rates", "data"}),
+])
+def test_each_command_loads_only_its_modules(tmp_path, monkeypatch, command, modules):
+    # a command imports the library modules it runs when it runs, so that
+    # a fresh interpreter pays only for those
+    argv = [command, *strict_setup(tmp_path, monkeypatch, command, "seed", 0)]
+    code = f"from edforecast.cli import main\nassert main({argv!r}) == 0\n"
+    assert loaded_modules(tmp_path, code) == {
+        "edforecast", "edforecast.cli", *(f"edforecast.{m}" for m in modules)}
+
+
 def test_every_command_runs_without_scipy(tmp_path):
     # scipy is a test dependency only: with its import made to fail, each
     # command still runs and writes its artifacts
@@ -554,11 +586,11 @@ def test_internal_shape_error_exits_1_with_traceback(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     cfg = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 50})
     code = (
-        "import sys, edforecast.cli as cli\n"
+        "import sys, edforecast.cli as cli, edforecast.simulate as simulate\n"
         "from edforecast.network import ShapeError\n"
         "def broken(*args, **kwargs):\n"
         "    raise ShapeError('forced internal shape mismatch')\n"
-        "cli.generate = broken\n"
+        "simulate.generate = broken\n"
         f"sys.exit(cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -566,6 +598,50 @@ def test_internal_shape_error_exits_1_with_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr and "forced internal shape mismatch" in proc.stderr
     assert "config error" not in proc.stderr
+
+
+def numeric_failure(code, capsys, message):
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: " in err and message in err
+
+
+def test_diverging_training_exits_3(tmp_path, capsys):
+    sim = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 60, "burn_in": 20})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
+    # a linear map with an oversized full-batch step grows without bound
+    cfg = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"), "arch": {"p": [5, 5]},
+        "train": {"epochs": 200, "lr_schedule": [[0, 1e3]], "batch_size": 59}})
+    capsys.readouterr()
+    numeric_failure(run(["train", "--config", cfg, "--out", tmp_path]), capsys, "exceeded")
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_unstable_model_simulation_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "sim.json", {
+        "model": {"kind": "linear", "v": [[2.0]], "a": [[1.5]]}, "n": 100, "burn_in": 5000})
+    numeric_failure(run(["simulate", "--config", cfg, "--out", tmp_path]), capsys,
+                    "spectral radius")
+    assert not (tmp_path / "series.csv").exists()
+
+
+def test_rate_computation_error_exits_3(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfg = write_cfg(tmp_path, "rates.json", STRICT_BASE["rates"])
+    code = (
+        "import sys, edforecast.rates as rates\n"
+        "from edforecast.cli import main\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise rates.RateComputationError('forced solver failure')\n"
+        "rates.rate_function = broken\n"
+        f"sys.exit(main(['rates', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3, proc.stderr
+    assert "numeric failure: forced solver failure" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_sweep_emits_grid_table(tmp_path):
@@ -840,6 +916,23 @@ def test_sidecar_written_by_train_reads_back(tmp_path, monkeypatch):
     assert run(["train", "--config", "net.json", "--out", "."]) == 0
     assert "scaler" in json.loads(Path("model.meta.json").read_text())
     assert run(["evaluate", *args]) == 0
+
+
+def test_sidecar_scaler_under_normalize_false_is_config_error(tmp_path, monkeypatch,
+                                                             capsys):
+    # a scaler would be applied to data the sidecar says is not normalized
+    args = strict_setup(tmp_path, monkeypatch, "evaluate", "k_steps", [1])
+    net = {**STRICT_BASE["train"], "normalize": True, "train": {"epochs": 1}}
+    Path("net.json").write_text(json.dumps(net))
+    assert run(["train", "--config", "net.json", "--out", "."]) == 0
+    sidecar = json.loads(Path("model.meta.json").read_text())
+    sidecar["normalize"] = False
+    Path("model.meta.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert run(["evaluate", *args]) == 2
+    assert ("config error: model.meta.json: normalize: false, but a scaler is given"
+            in capsys.readouterr().err)
+    assert list(Path("out").iterdir()) == []
 
 
 @pytest.mark.parametrize("key, value", [
