@@ -178,8 +178,9 @@ def _model_from_spec(spec, seed: int):
             )
         return presets[spec](seed=seed)
     kinds = {"zero": zero_model, "linear": linear_model, "seasonal": seasonal_model}
-    casts = {"kind": _str, "d": _int, "r": _int, "noise_sd": _float, "v": np.asarray,
-             "a": np.asarray, "period": _int, "decay": _float}
+    casts = {"kind": _str, "d": _at_least(1), "r": _at_least(1),
+             "noise_sd": _at_least(0, _float), "v": np.asarray, "a": np.asarray,
+             "period": _at_least(1), "decay": _float}
     return _section(spec, "model", _kinded(kinds), casts, ["kind"], seed=seed)
 
 

@@ -143,7 +143,7 @@ def load_series_csv(path) -> np.ndarray:
                 continue
             if width is None:
                 header = line.split(",")
-                if header[0] != "t":
+                if header[0] != "t" or len(header) < 2:
                     raise ConfigError(f"{path}: unexpected series header {header!r}")
                 width = len(header)
                 continue

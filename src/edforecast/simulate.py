@@ -38,6 +38,10 @@ class TimeSeriesModel:
             out["spectral_radius"] = self.spectral_radius
         return out
 
+    def innovations(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n i.i.d. N(0, noise_sd^2 I_d) innovations, one per row."""
+        return rng.standard_normal((n, self.d)) * self.noise_sd
+
 
 def zero_model(d: int = 1, r: int = 1, noise_sd: float = 1.0, seed: int = 0) -> TimeSeriesModel:
     return TimeSeriesModel(d=d, r=r, f0=lambda X: np.zeros((X.shape[0], d)),
@@ -132,7 +136,7 @@ def generate(model: TimeSeriesModel, n: int, burn_in: int = 1000,
     state = np.zeros(d * r)
     total = burn_in + n
     path = np.empty((total, d))
-    noise = rng.standard_normal((total, d)) * model.noise_sd
+    noise = model.innovations(rng, total)
     chunk = 4096
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, total, chunk):
@@ -156,7 +160,7 @@ def _stationary_states(model: TimeSeriesModel, n_mc: int, burn_in: int,
     d, r = model.d, model.r
     states = np.zeros((n_mc, d * r))
     for _ in range(burn_in):
-        x = model.f0(states) + rng.standard_normal((n_mc, d)) * model.noise_sd
+        x = model.f0(states) + model.innovations(rng, n_mc)
         states = push_lag(states, x)
     return states
 
@@ -176,7 +180,7 @@ def prediction_error_mc(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError("n_mc must be at least 100")
     rng = np.random.default_rng(model.seed + 7919 if seed is None else seed)
     states = _stationary_states(model, n_mc, burn_in, rng)
-    nxt = model.f0(states) + rng.standard_normal((n_mc, model.d)) * model.noise_sd
+    nxt = model.f0(states) + model.innovations(rng, n_mc)
     resid = nxt - f(states)
     vals = np.sum(resid * resid, axis=1) / model.d
     if w is not None:
@@ -206,12 +210,12 @@ def estimate_fdm(model: TimeSeriesModel, k: int, q: float = 2.0,
     def advance(st, eps):
         return push_lag(st, model.f0(st) + eps)
 
-    eps_swap = rng.standard_normal((n_mc, d)) * model.noise_sd
-    eps_star = rng.standard_normal((n_mc, d)) * model.noise_sd
+    eps_swap = model.innovations(rng, n_mc)
+    eps_star = model.innovations(rng, n_mc)
     states = advance(states, eps_swap)
     coupled = advance(coupled, eps_star)
     for _ in range(k):
-        eps = rng.standard_normal((n_mc, d)) * model.noise_sd
+        eps = model.innovations(rng, n_mc)
         states = advance(states, eps)
         coupled = advance(coupled, eps)
     diff = np.abs(states[:, :d] - coupled[:, :d]) ** q

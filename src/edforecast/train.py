@@ -120,11 +120,10 @@ def empirical_risk(net_or_fn, data: LagDataset, w: WeightFn) -> float:
     return float(np.sum(per_sample * w(data.X)) / data.n)
 
 
-def naive_predict(data: LagDataset, w: WeightFn | None = None) -> float:
+def naive_predict(data: LagDataset, w: WeightFn) -> float:
     """Risk of forecasting the next value with the most recent lag."""
     if data.r < 1:
         raise ValueError("naive predictor needs r >= 1")
-    w = w or WeightFn()
     return empirical_risk(lambda X: X[:, : data.d], data, w)
 
 
@@ -161,17 +160,15 @@ class Workspace:
         self.first = (g[0][:, None], g_w[0])
 
 
-def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
-             l2_lambda: float = 0.0, out=None):
-    """Exact gradient of the batch-mean weighted loss plus L2 penalty.
+def gradient(ws: Workspace, X: np.ndarray, Y: np.ndarray, wts: np.ndarray):
+    """Exact gradient of the batch-mean weighted loss of ``ws.net``, written
+    into the workspace: returns its views ``(ws.g_w, ws.g_b)``.  The loss has
+    no L2 term; ``train_sgd`` applies weight decay in its flat update.
 
     One sample is ``X`` of shape (p0,), ``Y`` of shape (d,) and a scalar weight
     W(x); a batch is ``X`` of shape (nb, p0), ``Y`` of shape (nb, d) and
     weights of shape (nb,).  A ``Y`` of any other shape raises ShapeError, even
-    one that would broadcast.  Returns (weight gradients, bias gradients): the
-    views of ``out`` if it is a ``Workspace`` built for ``net``, else of a
-    throwaway one, copied into ``out = (g_w, g_b)`` if given.  ReLU' is the
-    Heaviside step, 0 at 0.
+    one that would broadcast.  ReLU' is the Heaviside step, 0 at 0.
 
     One sample runs the batch-of-one path's operations in the same order (an
     outer product with one term per entry is exact), so each value is the same,
@@ -180,10 +177,7 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
     ``np.dot`` (so the same bits) without its dispatcher.  A sample weight of
     exactly 1.0 skips its multiply.
     """
-    ws = out if isinstance(out, Workspace) else Workspace(net)
-    if ws.net is not net:
-        raise ValueError("the workspace was built for another network")
-    g_w, g_b = ws.g_w, ws.g_b
+    net, g_w, g_b = ws.net, ws.g_w, ws.g_b
     X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y)
     if X.ndim == 1:
         W_out, g_z = ws.output
@@ -208,32 +202,23 @@ def gradient(net: Network, X: np.ndarray, Y: np.ndarray, wts: np.ndarray,
         col, gw_0 = ws.first
         col.dot(X[None, :], gw_0)
         np.negative(ws.bias_part, out=ws.bias_part)
-    else:
-        L, W, B = net.arch.L, net.weights, net.biases
-        if len(X) == 0:
-            raise ValueError("empty batch")
-        if Y.shape != (len(X), net.arch.out_dim):
-            raise _target_error(net, Y, (len(X), net.arch.out_dim))
-        acts, pre = [X], []
-        for i in range(L):
-            pre.append(acts[i] @ W[i].T - B[i])
-            acts.append(np.maximum(pre[i], 0.0))
-        g_z = (2.0 / (net.arch.out_dim * len(X))) * (acts[L] @ W[L].T - Y) * wts[:, None]
-        np.matmul(g_z.T, acts[L], out=g_w[L])
-        for i in range(L - 1, -1, -1):
-            g_z = (g_z @ W[i + 1]) * (pre[i] > 0.0)
-            np.negative(np.sum(g_z, axis=0, out=g_b[i]), out=g_b[i])
-            np.matmul(g_z.T, acts[i], out=g_w[i])
-    if l2_lambda:
-        for g, p in zip(g_w + g_b, net.weights + net.biases):
-            g += (2.0 * l2_lambda) * p
-    if out is None or out is ws:
         return g_w, g_b
-    for dst, src in zip((*out[0], *out[1]), g_w + g_b, strict=True):
-        if dst.shape != src.shape:
-            raise ValueError(f"out array has shape {dst.shape}, expected {src.shape}")
-        np.copyto(dst, src)
-    return out[0], out[1]
+    L, W, B = net.arch.L, net.weights, net.biases
+    if len(X) == 0:
+        raise ValueError("empty batch")
+    if Y.shape != (len(X), net.arch.out_dim):
+        raise _target_error(net, Y, (len(X), net.arch.out_dim))
+    acts, pre = [X], []
+    for i in range(L):
+        pre.append(acts[i] @ W[i].T - B[i])
+        acts.append(np.maximum(pre[i], 0.0))
+    g_z = (2.0 / (net.arch.out_dim * len(X))) * (acts[L] @ W[L].T - Y) * wts[:, None]
+    np.matmul(g_z.T, acts[L], out=g_w[L])
+    for i in range(L - 1, -1, -1):
+        g_z = (g_z @ W[i + 1]) * (pre[i] > 0.0)
+        np.negative(np.sum(g_z, axis=0, out=g_b[i]), out=g_b[i])
+        np.matmul(g_z.T, acts[i], out=g_w[i])
+    return g_w, g_b
 
 
 def _target_error(net: Network, Y: np.ndarray, want: tuple) -> ShapeError:
@@ -291,8 +276,8 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
         batches = zip(X, Y, wts) if bs == 1 else (
             (X[s : s + bs], Y[s : s + bs], wts[s : s + bs]) for s in range(0, n_samples, bs))
         for xb, yb, wb in batches:
-            gradient(ws.net, xb, yb, wb, 0.0, out=ws)
-            if cfg.l2_lambda:
+            gradient(ws, xb, yb, wb)
+            if cfg.l2_lambda:  # weight decay: the only place L2 enters
                 np.multiply(theta, decay, out=decayed)
                 np.add(g, decayed, out=g)
             np.multiply(g, lr, out=g)
@@ -310,33 +295,28 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
 
     result = Network(net.arch, *_unflatten(theta.copy(), net))
     if cfg.prune_to_s is not None:
-        result, _ = prune_to_sparsity(result, cfg.prune_to_s)
+        result = prune_to_sparsity(result, cfg.prune_to_s)
         if curve:  # the last epoch ends with the pruning: record the pruned net's risks
             curve[-1] = EpochRecord(curve[-1].epoch, *risks(result))
     return result, curve
 
 
-def prune_to_sparsity(net: Network, s: int):
-    """Zero all but the s largest-magnitude parameters.
-
-    Returns the pruned network and the sum of squared pruned entries (an
-    informational bound on the loss perturbation; no hard guarantee).
-    Ties are broken by parameter layout order, so pruning is deterministic.
+def prune_to_sparsity(net: Network, s: int) -> Network:
+    """The network with all but its s largest-magnitude parameters zeroed
+    (``net`` itself if it has at most s parameters).  Ties are broken by
+    parameter layout order, so pruning is deterministic.
     """
     if s < 0:
         raise ValueError("sparsity target must be nonnegative")
-    arrays = net.weights + net.biases
-    theta = np.concatenate([a.ravel() for a in arrays])
+    theta = np.concatenate([a.ravel() for a in net.weights + net.biases])
     if s >= theta.size:
-        return net, 0.0
+        return net
     keep = np.argsort(-np.abs(theta), kind="stable")[:s]
     kept = np.zeros_like(theta)
     kept[keep] = theta[keep]
     pruned = Network(net.arch, *_unflatten(kept, net))
-    pruned_sq = sum(float(np.sum((a - b) ** 2))
-                    for a, b in zip(arrays, pruned.weights + pruned.biases))
     assert pruned.sparsity() <= s
-    return pruned, pruned_sq
+    return pruned
 
 
 def multi_step_forecast(net: Network, states, k: int):

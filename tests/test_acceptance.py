@@ -20,7 +20,7 @@ from edforecast.approx import (
     multiprod_net,
 )
 from edforecast.cli import main as cli_main
-from edforecast.data import lag_embed
+from edforecast.data import LagDataset, lag_embed
 from edforecast.network import Architecture, Network
 from edforecast.rates import (
     SmoothnessProfile,
@@ -39,6 +39,7 @@ from edforecast.simulate import estimate_fdm, generate, high_d_model, linear_mod
 from edforecast.train import (
     TrainConfig,
     WeightFn,
+    Workspace,
     gradient,
     init_network,
     train_sgd,
@@ -236,7 +237,17 @@ def test_criterion_7_gradient_correctness():
                 break
         assert X is not None
         Y = rng.uniform(-1, 1, size=(8, p[-1]))
-        g_w, g_b = gradient(net, X, Y, w(X), lam)
+        if lam:
+            # L2 enters only train_sgd's update: the gradient of loss + lam |theta|^2
+            # is (theta_0 - theta_1) / eta of one step on the whole batch
+            eta = 2.0 ** -10
+            data = LagDataset(X=X, Y=Y, r=1, d=p[-1], n=9)
+            cfg = TrainConfig(epochs=1, lr_schedule=((0, eta),), l2_lambda=lam, batch_size=8)
+            stepped, _ = train_sgd(net, data, cfg, w)
+            g_w = [(a - b) / eta for a, b in zip(net.weights, stepped.weights)]
+            g_b = [(a - b) / eta for a, b in zip(net.biases, stepped.biases)]
+        else:
+            g_w, g_b = gradient(Workspace(net), X, Y, w(X))
         h = 1e-6
         for i, mat in enumerate(net.weights):
             for r in range(mat.shape[0]):

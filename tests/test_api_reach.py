@@ -69,27 +69,42 @@ def test_every_public_name_is_reached_by_other_package_code():
     assert sorted(set(ALLOWED) - (set(defs) - reached)) == []
 
 
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """The value of a literal expression, or _NOT_LITERAL."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _NOT_LITERAL
+
+
 def _defaulted(fn):
     """The defaulted parameters of a function definition, each with the
     number of positional arguments a call needs to reach it (None for a
-    keyword-only one); a method's call leaves out self or cls."""
+    keyword-only one) and its default's literal value; a method's call
+    leaves out self or cls."""
     a = fn.args
     positional = a.posonlyargs + a.args
     skip = int(bool(positional) and positional[0].arg in ("self", "cls"))
     first = len(positional) - len(a.defaults)
-    out = [(p.arg, i + 1 - skip) for i, p in enumerate(positional) if i >= first]
-    return out + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    out = [(p.arg, i + 1 - skip, _literal(a.defaults[i - first]))
+           for i, p in enumerate(positional) if i >= first]
+    return out + [(p.arg, None, _literal(d)) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                  if d is not None]
 
 
 def test_every_defaulted_parameter_is_passed_by_package_code():
-    # a call passes a parameter by keyword or by position, and a call with *
+    # a call passes a parameter by keyword or by position, unless it passes a
+    # literal equal to the default (f(x, 0.0) for lam=0.0), and a call with *
     # or ** passes every one; a function used as a value (a table entry, a
     # build= argument) may be called with any of them, so all count as passed
     defs, calls, values = {}, [], set()
     for _, tree, public in _modules():
         for node in public:
             if not isinstance(node, ast.ClassDef):
-                defs.setdefault(node.name, set()).update(_defaulted(node))
+                defs.setdefault(node.name, []).extend(_defaulted(node))
         called = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
@@ -97,18 +112,29 @@ def test_every_defaulted_parameter_is_passed_by_package_code():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 starred = (any(isinstance(a, ast.Starred) for a in node.args)
                            or any(k.arg is None for k in node.keywords))
-                calls.append((name, len(node.args), {k.arg for k in node.keywords}, starred))
+                calls.append((name, node.args, {k.arg: k.value for k in node.keywords},
+                              starred))
         for node in ast.walk(tree):
             if (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
                     and id(node) not in called):
                 values.add(getattr(node, "id", getattr(node, "attr", None)))
-    unpassed = sorted(
+
+    def passed(args, keywords, param, position, default):
+        if param in keywords:
+            value = keywords[param]
+        elif position is not None and len(args) >= position:
+            value = args[position - 1]
+        else:
+            return False
+        given = _literal(value)
+        return given is _NOT_LITERAL or default is _NOT_LITERAL or given != default
+
+    unpassed = sorted({
         (name, param) for name, params in defs.items()
         if name not in ALLOWED and name not in values
-        for param, position in params
-        if not any(fn == name and (starred or param in keywords
-                                   or (position is not None and n_args >= position))
-                   for fn, n_args, keywords, starred in calls))
+        for param, position, default in params
+        if not any(fn == name and (starred or passed(args, keywords, param, position, default))
+                   for fn, args, keywords, starred in calls)})
     assert sorted(set(unpassed) - set(ALLOWED_PARAMS)) == [], \
         "a setting only tests use: make it a constant or pass it from package code"
     # the list holds only parameters that exist and that no call passes

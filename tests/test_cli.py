@@ -156,6 +156,27 @@ def test_train_rejects_malformed_series_row_with_its_line(tmp_path, capsys, bad_
     assert "line 6 " in err and reason in err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_series_without_a_value_column_is_config_error(tmp_path, capsys, command):
+    rows = ["t,x1,x2"] + [f"{i},{0.1 * i},{0.2 * i}" for i in range(1, 9)]
+    (tmp_path / "series.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "bare.csv").write_text("t\n" + "".join(f"{i}\n" for i in range(1, 9)))
+    bare = str(tmp_path / "bare.csv")
+    if command == "evaluate":
+        net = write_cfg(tmp_path, "net.json", {"train_csv": str(tmp_path / "series.csv"),
+                                               "arch": {"p": [2, 3, 2]}, "train": {"epochs": 0}})
+        assert run(["train", "--config", net, "--out", tmp_path]) == 0
+        payload = {"model_json": str(tmp_path / "model.json"), "test_csv": bare}
+    else:
+        # a sweep reads the value count from the series, not from an architecture
+        payload = {"train_csv": bare, "train": {"epochs": 1},
+                   "sweep": {"r_values": [1], "m_values": [2]}}
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert f"config error: {bare}: unexpected series header ['t']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["train_csv", "test_csv", "model_json"])
 def test_missing_input_file_is_config_error_naming_its_field(tmp_path, capsys, field):
     rows = ["t,x1,x2"] + [f"{i},{0.1 * i},{0.2 * i}" for i in range(1, 9)]
@@ -563,6 +584,13 @@ def test_rates_states_assumed_alpha(tmp_path, capsys, dependence, assumed):
     assert [ln for ln in lines if not ln.startswith("#")][1].startswith("10000,10,")
 
 
+def test_seasonal_period_zero_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "sim.json", {"model": {"kind": "seasonal", "period": 0}, "n": 40})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "config error: model: period: invalid value 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "series.csv").exists()
+
+
 def test_unreadable_config_value_names_its_field(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": "fifty"})
     assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2
@@ -785,6 +813,9 @@ def strict_setup(tmp_path, monkeypatch, command, key, value):
     ("evaluate", "seed", -1),
     ("certify", "seed", -2),
     ("rates", "seed", -1),
+    ("simulate", "model.d", 0),
+    ("simulate", "model.r", 0),
+    ("simulate", "model.noise_sd", -1),
 ])
 def test_malformed_value_is_config_error_naming_its_key(tmp_path, monkeypatch, capsys,
                                                         command, key, value):

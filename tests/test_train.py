@@ -109,22 +109,8 @@ def test_risk_rejects_empty_dataset():
 def test_gradient_zero_residual_is_zero():
     net = Network(Architecture(0, (2, 2)), [np.eye(2)], [])
     X = np.array([[1.0, 2.0]])
-    g_w, g_b = gradient(net, X, X.copy(), WeightFn()(X), 0.0)
+    g_w, g_b = gradient(Workspace(net), X, X.copy(), WeightFn()(X))
     assert all(np.all(g == 0) for g in g_w)
-
-
-def test_gradient_weight_decay_only():
-    rng = np.random.default_rng(1)
-    arch = Architecture(1, (2, 3, 2))
-    net = init_network(arch, 5)
-    X = rng.uniform(0, 1, size=(4, 2))
-    Y = net.eval_batch(X)  # zero residual
-    lam = 0.37
-    g_w, g_b = gradient(net, X, Y, WeightFn()(X), lam)
-    for g, w in zip(g_w, net.weights):
-        assert np.allclose(g, 2 * lam * w, atol=1e-12)
-    for g, b in zip(g_b, net.biases):
-        assert np.allclose(g, 2 * lam * b, atol=1e-12)
 
 
 def finite_difference_grads(net, X, Y, w, lam, h=1e-6):
@@ -181,6 +167,16 @@ def kink_free_batch(net, rng, n, gap=1e-3, tries=50):
     raise AssertionError("could not sample a kink-free batch")
 
 
+def sgd_step_gradient(net, X, Y, w, lam, eta=2.0 ** -10):
+    """(theta_0 - theta_1) / eta of one whole-batch train_sgd step: the
+    gradient of the loss plus lam |theta|^2, with L2 where train_sgd applies it."""
+    data = LagDataset(X=X, Y=Y, r=1, d=Y.shape[1], n=len(X) + 1)
+    cfg = TrainConfig(epochs=1, lr_schedule=((0, eta),), l2_lambda=lam, batch_size=len(X))
+    stepped, _ = train_sgd(net, data, cfg, w)
+    return ([(a - b) / eta for a, b in zip(net.weights, stepped.weights)],
+            [(a - b) / eta for a, b in zip(net.biases, stepped.biases)])
+
+
 @pytest.mark.parametrize("p,l1,lam,seed", [
     ((2, 4, 2), None, 0.0, 0),
     ((3, 5, 4, 3), None, 1e-3, 1),
@@ -198,7 +194,10 @@ def test_gradient_matches_finite_differences(p, l1, lam, seed):
     X = kink_free_batch(net, rng, 8)
     Y = rng.uniform(-1, 1, size=(8, p[-1]))
     w = WeightFn()
-    g_w, g_b = gradient(net, X, Y, w(X), lam)
+    if lam:
+        g_w, g_b = sgd_step_gradient(net, X, Y, w, lam)
+    else:
+        g_w, g_b = gradient(Workspace(net), X, Y, w(X))
     fd_w, fd_b = finite_difference_grads(net, X, Y, w, lam)
     for a, b in zip(g_w + g_b, fd_w + fd_b):
         scale = np.maximum(np.abs(b), 1e-3)
@@ -368,21 +367,16 @@ def test_flat_sgd_matches_per_layer_reference_on_more_shapes(kind):
 
 
 def test_workspace_is_pinned_to_the_network_it_was_built_for():
+    # the workspace carries its network, and gradient returns the views of
+    # the workspace's flat gradient, for one sample and for a batch
     net, x, y = one_sample_case("random", 1)
     ws = Workspace(net)
-    g_w, g_b = gradient(net, x, y, 1.0, out=ws)
+    assert ws.net is net
+    assert all(np.shares_memory(a, ws.g) for a in ws.g_w + ws.g_b)
+    g_w, g_b = gradient(ws, x, y, 1.0)
     assert g_w is ws.g_w and g_b is ws.g_b
-    # the same arrays in another Network object, and another network of the
-    # same architecture, are both refused rather than silently stepped
-    twin = Network(net.arch, net.weights, net.biases)
-    other = init_network(net.arch, 99)
-    for stranger in (twin, other):
-        for X, Y, wts in ((x, y, 1.0), (x[None], y[None], np.ones(1))):
-            with pytest.raises(ValueError, match="another network"):
-                gradient(stranger, X, Y, wts, out=ws)
-    # a batch may also write into the workspace's gradient arrays
-    b_w, b_b = gradient(net, x[None], y[None], np.ones(1), out=ws)
-    assert b_w is ws.g_w
+    b_w, b_b = gradient(ws, x[None], y[None], np.ones(1))
+    assert b_w is ws.g_w and b_b is ws.g_b
     ref_w, ref_b = reference_gradient(net, x[None], y[None], WeightFn())
     for a, b in zip(b_w + b_b, ref_w + ref_b):
         assert np.array_equal(a, b)
@@ -395,24 +389,15 @@ def test_gradient_into_out_arrays_matches_allocating_call():
     X = rng.uniform(0, 1, size=(5, 3))
     Y = rng.uniform(-1, 1, size=(5, 2))
     wts = WeightFn(kind="box_ramp", varsigma=0.3)(X)
-    out = ([np.full_like(a, np.nan) for a in net.weights],
-           [np.full_like(b, np.nan) for b in net.biases])
-    for lam in (0.0, 0.2):
-        g_w, g_b = gradient(net, X, Y, wts, lam)
-        o_w, o_b = gradient(net, X, Y, wts, lam, out=out)
-        assert o_w is out[0] and o_b is out[1]
-        for a, b in zip(g_w + g_b, out[0] + out[1]):
-            assert np.array_equal(a, b)
-        ref_w, ref_b = reference_gradient(net, X, Y, WeightFn(kind="box_ramp", varsigma=0.3),
-                                          lam)
-        for a, b in zip(g_w + g_b, ref_w + ref_b):
-            assert np.array_equal(a, b)
-    # the arrays must match the network's, one for one
-    for bad in (([a.T for a in out[0]], out[1]), (out[0][:-1], out[1])):
-        with pytest.raises(ValueError):
-            gradient(net, X, Y, wts, out=bad)
-        with pytest.raises(ValueError):
-            gradient(net, X[0], Y[0], wts[0], out=bad)
+    assert np.any((wts > 0.0) & (wts < 1.0))
+    # a batch of several rows writes every entry of the workspace's gradient
+    ws = Workspace(net)
+    ws.g.fill(np.nan)
+    g_w, g_b = gradient(ws, X, Y, wts)
+    assert np.all(np.isfinite(ws.g))
+    ref_w, ref_b = reference_gradient(net, X, Y, WeightFn(kind="box_ramp", varsigma=0.3))
+    for a, b in zip(g_w + g_b, ref_w + ref_b):
+        assert np.array_equal(a, b)
 
 
 def one_sample_case(kind, seed):
@@ -437,7 +422,7 @@ def one_sample_case(kind, seed):
 @pytest.mark.parametrize("kind, seed", [("random", 1), ("random", 2), ("random", 3),
                                         ("depth0", 4), ("relu_kink", 5)])
 @pytest.mark.parametrize("weight", ["one", "zero", "box_ramp", 1.0, 0.0, 0.3])
-@pytest.mark.parametrize("lam", [0.0, 0.2])
+@pytest.mark.parametrize("lam", [0.0, 0.2])  # the L2 of the train_sgd step below
 def test_one_sample_gradient_matches_batch_of_one(kind, seed, weight, lam):
     net, x, y = one_sample_case(kind, seed)
     if isinstance(weight, float):
@@ -449,53 +434,41 @@ def test_one_sample_gradient_matches_batch_of_one(kind, seed, weight, lam):
         wt = wfn(x[None])[0]
     if weight == "box_ramp":
         assert 0.0 < wt < 1.0
-    out = ([np.full_like(a, np.nan) for a in net.weights],
-           [np.full_like(b, np.nan) for b in net.biases])
-    one_w, one_b = gradient(net, x, y, wt, lam)
-    o_w, o_b = gradient(net, x, y, wt, lam, out=out)
-    assert o_w is out[0] and o_b is out[1]
-    batch_w, batch_b = gradient(net, x[None], y[None], np.array([wt]), lam)
-    ref_w, ref_b = reference_gradient(net, x[None], y[None], wfn, lam)
-    for a, b, c, d in zip(one_w + one_b, o_w + o_b, batch_w + batch_b, ref_w + ref_b):
+    # two workspaces, since each call overwrites its own workspace's views
+    one_w, one_b = gradient(Workspace(net), x, y, wt)
+    batch_w, batch_b = gradient(Workspace(net), x[None], y[None], np.array([wt]))
+    ref_w, ref_b = reference_gradient(net, x[None], y[None], wfn)
+    for a, c, d in zip(one_w + one_b, batch_w + batch_b, ref_w + ref_b):
         assert a.shape == c.shape
-        assert np.array_equal(a, b) and np.array_equal(a, c) and np.array_equal(a, d)
-    if weight in ("zero", 0.0) and lam == 0.0:
+        assert np.array_equal(a, c) and np.array_equal(a, d)
+    if weight in ("zero", 0.0):
         assert not any(np.any(a) for a in one_w + one_b)
-    if kind == "relu_kink" and lam == 0.0:
+    if kind == "relu_kink":
         assert one_b[0][0] == 0.0 and not np.any(one_w[0][0])
+    # train_sgd's step on this sample adds the L2 term 2 lam theta to that
+    # gradient, in its flat update, with the same bits as per array
+    eta = 0.125
+    data = LagDataset(X=x[None], Y=y[None], r=1, d=len(y), n=2)
+    cfg = TrainConfig(epochs=1, lr_schedule=((0, eta),), l2_lambda=lam)
+    stepped, _ = train_sgd(net, data, cfg, wfn)
+    for a, g, b in zip(net.weights + net.biases, one_w + one_b,
+                       stepped.weights + stepped.biases):
+        assert np.array_equal(a - eta * (g + 2.0 * lam * a if lam else g), b)
 
 
 @pytest.mark.parametrize("kind, seed", [("random", 1), ("depth0", 4)])
 def test_one_sample_gradient_never_calls_numpy_dot(monkeypatch, kind, seed):
     # its products go through the ndarray method, which skips np.dot's dispatcher
     net, x, y = one_sample_case(kind, seed)
-    batch_w, batch_b = gradient(net, x[None], y[None], np.array([0.7]))
+    batch_w, batch_b = gradient(Workspace(net), x[None], y[None], np.array([0.7]))
 
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.dot was called")
 
     monkeypatch.setattr(np, "dot", refuse)
-    one_w, one_b = gradient(net, x, y, 0.7, out=Workspace(net))
+    one_w, one_b = gradient(Workspace(net), x, y, 0.7)
     for a, b in zip(one_w + one_b, batch_w + batch_b):
         assert np.array_equal(a, b)
-
-
-def test_one_sample_gradient_into_out_views_of_one_reversed_buffer():
-    # the caller's arrays need not follow the workspace's layout: here the bias
-    # gradients are views of one buffer that holds the last layer first
-    for kind, seed in [("random", 1), ("random", 2), ("relu_kink", 5)]:
-        net, x, y = one_sample_case(kind, seed)
-        widths = [b.size for b in net.biases][::-1]
-        g_b = np.split(np.full(sum(widths), np.nan), np.cumsum(widths)[:-1])[::-1]
-        assert [b.shape for b in g_b] == [b.shape for b in net.biases]
-        assert g_b[0].base is g_b[-1].base
-        g_w = [np.full_like(a, np.nan) for a in net.weights]
-        o_w, o_b = gradient(net, x, y, 0.3, 0.2, out=(g_w, g_b))
-        assert o_w is g_w and o_b is g_b
-        ws_w, ws_b = gradient(net, x, y, 0.3, 0.2, out=Workspace(net))
-        batch_w, batch_b = gradient(net, x[None], y[None], np.array([0.3]), 0.2)
-        for a, b, c in zip(o_w + o_b, ws_w + ws_b, batch_w + batch_b):
-            assert a.tobytes() == b.tobytes() and np.array_equal(a, c)
 
 
 def test_one_sgd_step_makes_one_mask_call_and_one_negation(monkeypatch):
@@ -515,9 +488,9 @@ def test_one_sgd_step_makes_one_mask_call_and_one_negation(monkeypatch):
                 return attr(*args, **kwargs)
             return counted
 
-    def marked_gradient(net, X, Y, wts, l2_lambda=0.0, out=None):
+    def marked_gradient(ws, X, Y, wts):
         log.append(("gradient", float(wts)))
-        result = real_gradient(net, X, Y, wts, l2_lambda, out=out)
+        result = real_gradient(ws, X, Y, wts)
         log.append(("update",))
         return result
 
@@ -547,14 +520,12 @@ def test_one_sgd_step_makes_one_mask_call_and_one_negation(monkeypatch):
 
 def test_one_sample_gradient_rejects_a_sample_of_the_wrong_length():
     net, x, y = one_sample_case("random", 5)
-    out = ([np.empty_like(a) for a in net.weights], [np.empty_like(b) for b in net.biases])
+    ws = Workspace(net)
     for bad in (np.append(x, 0.5), x[:-1]):
         with pytest.raises(ValueError):
-            gradient(net, bad, y, 1.0)
-        with pytest.raises(ValueError):
-            gradient(net, bad, y, 1.0, out=out)
+            gradient(ws, bad, y, 1.0)
     with pytest.raises(ValueError):
-        gradient(net, x, np.append(y, 0.5), 1.0)
+        gradient(ws, x, np.append(y, 0.5), 1.0)
 
 
 def test_one_sample_gradient_rejects_a_target_that_would_broadcast():
@@ -562,9 +533,7 @@ def test_one_sample_gradient_rejects_a_target_that_would_broadcast():
     assert net.arch.out_dim == 3
     for bad in (y[:1], y[:2], y[None], np.float64(0.7)):
         with pytest.raises(ShapeError, match="out_dim 3"):
-            gradient(net, x, bad, 1.0)
-        with pytest.raises(ShapeError, match="out_dim 3"):
-            gradient(net, x, bad, 1.0, out=Workspace(net))
+            gradient(Workspace(net), x, bad, 1.0)
 
 
 def test_batch_gradient_rejects_a_target_that_would_broadcast():
@@ -573,8 +542,8 @@ def test_batch_gradient_rejects_a_target_that_would_broadcast():
     X, Y = rng.uniform(0, 1, (3, 4)), rng.uniform(-1, 1, (3, 3))
     for bad in (Y[:, :1], Y[:1], Y[0], Y[:, :, None]):
         with pytest.raises(ShapeError, match="out_dim 3"):
-            gradient(net, X, bad, np.ones(3))
-    gradient(net, X, Y, np.ones(3))
+            gradient(Workspace(net), X, bad, np.ones(3))
+    gradient(Workspace(net), X, Y, np.ones(3))
 
 
 def dense_risk(net, data, w):
@@ -676,18 +645,16 @@ def test_prune_reaches_target_sparsity():
     arch = Architecture(1, (3, 5, 2))
     net = init_network(arch, 4)
     for s in (0, 5, 12):
-        pruned, dropped_sq = prune_to_sparsity(net, s)
+        pruned = prune_to_sparsity(net, s)
         assert pruned.sparsity() <= s
-        assert dropped_sq >= 0.0
-    full, dropped = prune_to_sparsity(net, 10_000)
-    assert dropped == 0.0
+    full = prune_to_sparsity(net, 10_000)
     assert full.sparsity() == net.sparsity()
 
 
 def test_prune_keeps_largest_entries():
     arch = Architecture(0, (2, 2))
     net = Network(arch, [np.array([[3.0, -4.0], [0.5, 0.1]])], [])
-    pruned, _ = prune_to_sparsity(net, 2)
+    pruned = prune_to_sparsity(net, 2)
     assert np.array_equal(pruned.weights[0], [[3.0, -4.0], [0.0, 0.0]])
 
 
@@ -697,7 +664,7 @@ def test_prune_keeps_largest_entries():
 def test_naive_constant_series_is_zero():
     series = np.full((50, 2), 3.14)
     data = lag_embed(series, 1)
-    assert naive_predict(data) == 0.0
+    assert naive_predict(data, WeightFn()) == 0.0
 
 
 def test_naive_iid_series_matches_analytic_variance():
@@ -706,7 +673,7 @@ def test_naive_iid_series_matches_analytic_variance():
     series = rng.normal(0, sd, size=(100_000, 2))
     data = lag_embed(series, 1)
     # difference of independent values has per-coordinate variance 2 sd^2
-    risk = naive_predict(data)
+    risk = naive_predict(data, WeightFn())
     se = 2 * sd * sd * np.sqrt(2.0 / len(data))  # rough 1-sigma of the mean
     assert abs(risk - 2 * sd * sd) < 3 * se * 2
 
@@ -716,7 +683,7 @@ def test_naive_uses_most_recent_lag():
     series = np.array([[0.0], [1.0], [2.0], [3.0]])
     data = lag_embed(series, 2)
     # residuals: X_i - X_{i-1} = 1 for both samples; n=4, d=1
-    assert naive_predict(data) == pytest.approx((1.0 + 1.0) / 4.0)
+    assert naive_predict(data, WeightFn()) == pytest.approx((1.0 + 1.0) / 4.0)
 
 
 def stacked_forecast(net, states, k):
