@@ -28,7 +28,7 @@ import numpy as np
 
 # A command imports the library modules it runs in its own body: each command
 # runs in a fresh interpreter, and importing this module loads none of them.
-from . import ConfigError, NumericFailure, __version__
+from . import ConfigError, NumericFailure, __version__, integral as _int
 
 WEATHER_DATA_NOTE = (
     "Daily mean temperature source (external, not downloaded by this tool):\n"
@@ -48,14 +48,6 @@ def _typed(kind):
 
 # _object reads a key that holds a section, which its own _section call reads
 _str, _bool, _list, _object = _typed(str), _typed(bool), _typed(list), _typed(dict)
-
-
-def _int(value):
-    """A finite, integral JSON number (60.0 and 1e3 read as 60 and 1000); a
-    bool, a string or a fraction is refused, never truncated."""
-    if isinstance(value, (bool, str)) or not float(value).is_integer():
-        raise ValueError(value)
-    return int(value)
 
 
 def _at_least(lo, cast=_int):
@@ -217,7 +209,11 @@ def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
 def _split_series(series, c: dict):
     from .data import load_series_csv
     if c["test_csv"] is not None:
-        return series, _load(load_series_csv, c["test_csv"], "test_csv")
+        test = _load(load_series_csv, c["test_csv"], "test_csv")
+        if test.shape[1] != series.shape[1]:
+            raise ConfigError(f"test_csv: has {test.shape[1]} columns, "
+                              f"train_csv has {series.shape[1]}")
+        return series, test
     frac = c["train_fraction"]
     if not 0.0 < frac <= 1.0:
         raise ConfigError(f"train_fraction: must be in (0,1], got {frac}")

@@ -1000,3 +1000,23 @@ def test_train_fraction_with_a_test_csv_is_config_error(tmp_path, capsys, sweep)
         alone = {k: v for k, v in cfg.items() if k != key}
         assert run(["train", "--config", write_cfg(tmp_path, "alone.json", alone),
                     "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("case", ["single", "normalize", "sweep"])
+def test_a_test_csv_of_another_width_is_config_error(tmp_path, capsys, case, width):
+    # refused before any training, naming both column counts
+    for name, d in (("train.csv", 2), ("test.csv", width)):
+        cols = range(1, d + 1)
+        rows = ["t," + ",".join(f"x{j}" for j in cols)]
+        rows += [f"{i}," + ",".join(str(0.1 * i * j) for j in cols) for i in range(1, 41)]
+        (tmp_path / name).write_text("\n".join(rows) + "\n")
+    cfg = {"train_csv": str(tmp_path / "train.csv"), "test_csv": str(tmp_path / "test.csv"),
+           "train": {"epochs": 1}}
+    cfg.update({"sweep": {"r_values": [1], "m_values": [2]}} if case == "sweep"
+               else {"arch": {"p": [2, 3, 2]}, "normalize": case == "normalize"})
+    assert run(["train", "--config", write_cfg(tmp_path, "train.json", cfg),
+                "--out", tmp_path]) == 2
+    assert (f"config error: test_csv: has {width} columns, train_csv has 2"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "sweep.csv").exists()

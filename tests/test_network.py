@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from edforecast import approx, network
+from edforecast import ConfigError, approx, network
 from edforecast.approx import (
     ApproxPlan,
     HolderFunction,
@@ -467,7 +467,8 @@ def chunked(monkeypatch):
 def folded_forward(net, A, start, stop):
     """Oracle: the bias-folded block loop on one thread, each layer a fresh
     ``K @ Z`` array with K = [[W, -b], [0, 1]] (below L) built from the dense
-    ``weights``, as the forward kernel ran before its buffers and chunks."""
+    ``weights``, as the forward kernel ran before its buffers and chunks, on
+    blocks of 256 rows as it runs them now."""
     kernels = []
     for i, w in enumerate(net.weights):
         hidden = int(i < net.arch.L)
@@ -477,16 +478,21 @@ def folded_forward(net, A, start, stop):
             K[: w.shape[0], -1], K[-1, -1] = -net.biases[i], 1.0
         kernels.append(K)
     A = np.asarray(A, dtype=float)
-    out = np.empty((A.shape[0], net.arch.p[stop]))
-    for r0 in range(0, A.shape[0], 256):
-        block = A[r0 : r0 + 256]
-        Z = np.ones((net.arch.p[start] + 1, block.shape[0]))
-        Z[:-1] = block.T
+    n = A.shape[0]
+    out = np.empty((n, net.arch.p[stop]))
+    for r0 in range(0, n, 256):
+        # every block is 256 rows: a short last one is the window ending at
+        # A's last row, and an A shorter than that is padded with zero rows
+        w0 = max(0, min(r0, n - 256))
+        Z = np.ones((net.arch.p[start] + 1, 256))
+        Z[:-1] = 0.0
+        Z[:-1, : min(n, 256)] = A[w0 : w0 + 256].T
         for i in range(start, stop):
             Z = kernels[i] @ Z
             if i < net.arch.L:
                 np.maximum(Z, 0.0, out=Z)
-        out[r0 : r0 + 256] = Z[: net.arch.p[stop]].T
+        e = min(r0 + 256, n)
+        out[r0:e] = Z[: net.arch.p[stop], r0 - w0 : e - w0].T
     return out
 
 
@@ -524,6 +530,35 @@ def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows)
         assert (len(submitted) > 0) == (kind == "certificate")
 
 
+# batch sizes of the row-invariance test: one and two rows, the block edges
+# and a few random sizes up to 1,000
+INVARIANCE_SIZES = [1, 2, 255, 256, 257, 511, 513, 1000] + [
+    int(v) for v in np.random.default_rng(83).integers(3, 1000, size=4)]
+
+
+@pytest.mark.parametrize("kind", ["dense", "depth0", "product2", "sinsum", "encoder", "decoder"])
+def test_row_output_depends_on_that_row_alone(cert_nets, chunked, kind):
+    # every block runs 256 rows, a short one as a window or zero-padded, so
+    # a row gets the same bits alone, at a random position among other rows,
+    # and in one, two or three chunks
+    rng = np.random.default_rng(89)
+    cert = cert_nets["sinsum" if kind == "sinsum" else "product2"]  # with a bottleneck
+    net = {"dense": random_net(rng, (16, 16, 24, 8, 24, 8, 8)),
+           "depth0": _kernel_nets(cert_nets)["depth0"]}.get(kind, cert.with_l1(cert.arch.L // 2))
+    pool = rng.uniform(0, 1, size=(1000, net.arch.in_dim))
+    fn = {"encoder": net.encoder_batch, "decoder": net.decoder_batch}.get(kind, net.eval_batch)
+    if kind == "decoder":
+        pool = net.encoder_batch(pool)
+    chunked(1)
+    alone = np.vstack([fn(pool[i : i + 1]) for i in range(len(pool))])
+    for k in (1, 2, 3):
+        submitted = chunked(k)
+        for size in INVARIANCE_SIZES:
+            rows = rng.permutation(len(pool))[:size]
+            assert np.array_equal(fn(pool[rows]), alone[rows]), (k, size)
+        assert (len(submitted) > 0) == (k > 1 and has_grouped_layer(net))
+
+
 def test_no_chunk_thread_outlives_an_evaluation(cert_nets, monkeypatch):
     # a split evaluation starts its chunk threads and has joined them all
     # when it returns, whichever of the three entry points it came through
@@ -555,11 +590,9 @@ def test_grouped_products_stay_below_the_blas_thread_size(cert_nets):
     # thread; a larger one in a chunk thread would wake threads of its own
     net = cert_nets["sinsum"]
     net.eval_batch(np.zeros((1, net.arch.in_dim)))
-    bufs = np.empty((2, 10**6))
-    for nb in (1, 255, 256):
-        _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim, bufs, nb)
-        products = [(args[0].shape, args[1].shape) for f, args in steps if f is np.matmul]
-        assert all(r * c * w <= network._PRODUCT_MACS for (r, c), (_, w) in products)
+    _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim, np.empty((2, 10**6)))
+    products = [(args[0].shape, args[1].shape) for f, args in steps if f is np.matmul]
+    assert all(r * c * w <= network._PRODUCT_MACS for (r, c), (_, w) in products)
     # compose's split interface [W, -W] is stored as a fold of the head's
     # factored layer, and runs as W on the halves' difference
     m = CERT_PLANS["sinsum"][1]
@@ -573,8 +606,7 @@ def test_no_blas_call_for_a_1x1_block(cert_nets, target):
     # the ones-row carries and scalar pass-throughs are copies or multiplies
     net = cert_nets[target]
     net.eval_batch(np.zeros((1, net.arch.in_dim)))
-    _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim,
-                                np.empty((2, 10**6)), 256)
+    _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim, np.empty((2, 10**6)))
     assert not any(f is np.matmul and args[0].shape == (1, 1) for f, args in steps)
     assert any(f is np.copyto for f, _ in steps)
 
@@ -782,3 +814,19 @@ def test_from_dict_rejects_non_finite_entries():
     doc["biases"][1][3] = float("-inf")
     with pytest.raises(ValueError, match="bias 1 has non-finite entries"):
         from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("L", 1.5), ("L", "1"), ("L1", True), ("p", [2, 3.7, 2]), ("p", [2, "3", 2]),
+])
+def test_from_dict_rejects_a_non_integer_arch_entry(key, value):
+    # L, L1 and the widths are read as the CLI reads an integer: refused,
+    # never truncated; an integral float such as 3.0 reads as 3
+    doc = to_dict(random_net(np.random.default_rng(73), (2, 3, 2)))
+    assert doc["arch"] == {"L": 1, "L1": None, "p": [2, 3, 2]}
+    with pytest.raises(ConfigError, match="network document: ShapeError"):
+        from_dict({**doc, "arch": {**doc["arch"], key: value}})
+    with pytest.raises(ShapeError, match="expected an integer"):
+        Architecture(**{**doc["arch"], key: value})
+    whole = from_dict({**doc, "arch": {"L": 1.0, "L1": 1.0, "p": [2.0, 3.0, 2.0]}}).arch
+    assert whole == Architecture(1, (2, 3, 2), L1=1) and type(whole.L) is int

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from edforecast import train as train_module
 from edforecast.data import LagDataset, lag_embed
@@ -735,6 +736,24 @@ def test_multi_step_batch_matches_per_row_loop():
     for bad in (states[:, :4], states[0]):
         with pytest.raises(ValueError, match="expected"):
             multi_step_forecast(net, bad, 2)
+
+
+# the sweep-cell net of the forecast benchmark: r=2 lags of d=8, L = 5
+_FORECAST_NET = init_network(Architecture(5, (16, 16, 24, 8, 24, 8, 8)), 31)
+_FORECAST_STATES = np.random.default_rng(37).uniform(-1, 1, size=(600, 16))
+_FORECAST_ALL = stacked_forecast(_FORECAST_NET, _FORECAST_STATES, 8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.integers(0, 599), min_size=1, max_size=600, unique=True),
+       k=st.integers(1, 8))
+@example(rows=[0], k=8)
+@example(rows=[599], k=1)
+def test_multi_step_forecast_of_a_subset_is_those_rows_of_the_whole(rows, k):
+    # a row's forecast depends on that lag state alone, bitwise, at every
+    # horizon: a subset, a single state among them, gives the same rows
+    got = stacked_forecast(_FORECAST_NET, _FORECAST_STATES[rows], k)
+    assert np.array_equal(got, _FORECAST_ALL[rows, :k])
 
 
 def test_multi_step_yields_one_horizon_at_a_time():
