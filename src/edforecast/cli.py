@@ -242,21 +242,17 @@ def _train_config_from(spec, cli_seed: int | None, top_seed: int | None):
     return _section(spec, "train", build, casts, ["epochs"])
 
 
-def _run_single_training(series_train, series_test, r, arch, tc, w, normalize):
+def _embed(series_train, series_test, r: int, normalize: bool):
+    """The train and test (or None) lag datasets at ``r`` lags, both on the train set's scaler."""
     from .data import lag_embed
-    from .train import init_network, train_sgd
     data = lag_embed(series_train, r, normalize=normalize)
-    test_data = None
-    if series_test is not None:
-        test_data = lag_embed(series_test, r, scaler=data.scaler)
-    net0 = init_network(arch, tc.seed)
-    net, curve = train_sgd(net0, data, tc, w, test_data=test_data)
-    return net, curve, data, test_data
+    return data, None if series_test is None else lag_embed(series_test, r, scaler=data.scaler)
 
 
 def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
     from .data import load_series_csv, write_csv
     from .network import Architecture, save_json as save_net
+    from .train import init_network, train_sgd
     c = _section(cfg, "", dict, {
         "train_csv": _str, "test_csv": (_or_none(_str), None),
         "train_fraction": (_float, 1.0), "r": (_at_least(1), 1), "normalize": (_bool, False),
@@ -286,9 +282,8 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
         raise ConfigError(
             f"arch.p: expects input dim {d * r} and output dim {d}, got {list(arch.p)}"
         )
-    net, curve, data, _ = _run_single_training(
-        series_train, series_test, r, arch, tc, w, c["normalize"],
-    )
+    data, test_data = _embed(series_train, series_test, r, c["normalize"])
+    net, curve = train_sgd(init_network(arch, tc.seed), data, tc, w, test_data=test_data)
     out_model = out_dir / c["out_model"]
     out_curve = out_dir / c["out_curve"]
     save_net(net, out_model)
@@ -310,7 +305,7 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
 def _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir) -> int:
     from .data import write_csv
     from .network import Architecture
-    from .train import empirical_risk, naive_predict
+    from .train import empirical_risk, init_network, naive_predict, train_sgd
     sweep = _section(c["sweep"], "sweep", dict, {
         "r_values": (_ints, [1, 2, 3, 5]), "m_values": (_ints, [4, 6, 8, 10]),
         "runs": (_int, 1), "out_table": (_str, "sweep.csv")})
@@ -324,15 +319,14 @@ def _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir) -> int:
     rows = []
     best = None
     for r in r_values:
+        data, test_data = _embed(series_train, series_test, r, c["normalize"])
         for m in m_values:
+            arch = Architecture(5, (r * d, r * d, 24, m, 24, d, d), L1=3)
             risks = []
             for run in range(runs):
-                arch = Architecture(5, (r * d, r * d, 24, m, 24, d, d), L1=3)
-                net, _, _, test_data = _run_single_training(
-                    series_train, series_test, r, arch,
-                    replace(tc, seed=tc.seed + 1000 * run), w, c["normalize"],
-                )
-                risk = empirical_risk(net, test_data, w)
+                run_tc = replace(tc, seed=tc.seed + 1000 * run)
+                net, _ = train_sgd(init_network(arch, run_tc.seed), data, run_tc, w)
+                risk = empirical_risk(net.eval_batch(test_data.X), test_data, w)
                 risks.append(risk)
                 if best is None or risk < best[0]:
                     best = (risk, r, m, run, test_data)
@@ -394,13 +388,13 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
     data = lag_embed(series, r, scaler=scaler)
     w = _weight_from_spec(c["weight"])
     metrics = {
-        "empirical_risk": empirical_risk(net, data, w),
+        "empirical_risk": empirical_risk(net.eval_batch(data.X), data, w),
         "naive_risk": naive_predict(data, w),
         "n_samples": len(data),
     }
     n = len(data)
     k_errors = {}
-    for k in c["k_steps"]:
+    for k in dict.fromkeys(c["k_steps"]):  # each distinct horizon once, in the list's order
         # per-coordinate squared error of the j-step forecast from every start, j = 1..k
         if k > n:
             raise ConfigError(f"k_steps: horizon {k} exceeds test sample count {n}")

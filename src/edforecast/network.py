@@ -53,7 +53,8 @@ class Architecture:
     L1: int | None = None
 
     def __post_init__(self):
-        whole = partial(integral, error=ShapeError)  # as the CLI reads an integer
+        def whole(v):  # an int (as the combinators pass) as it is, else as the CLI reads one
+            return v if type(v) is int else integral(v, ShapeError)
         object.__setattr__(self, "L", whole(self.L))
         object.__setattr__(self, "p", tuple(map(whole, self.p)))
         object.__setattr__(self, "L1", None if self.L1 is None else whole(self.L1))

@@ -143,15 +143,16 @@ def generate(model: TimeSeriesModel, n: int, burn_in: int = 1000,
             for step in range(start, min(start + chunk, total)):
                 path[step] = x = model.f0(state[None, :])[0] + noise[step]
                 state = push_lag(state, x)
-            block = path[start : start + chunk]
-            bad = ~np.isfinite(block).all(axis=1) | (np.abs(block).max(axis=1) > 1e12)
-            if bad.any():
-                rad = model.spectral_radius
-                raise UnstableModelError(
-                    f"path diverged at step {start + int(np.argmax(bad))}"
-                    + (f" (companion spectral radius {rad:.4f})" if rad is not None else "")
-                )
+            _check_bounded(model, path[start : start + chunk], "path diverged at step", start)
     return path[burn_in:]
+
+
+def _check_bounded(model: TimeSeriesModel, rows: np.ndarray, what: str, first: int = 0):
+    """Raise UnstableModelError at the first row with a non-finite value or one above 1e12."""
+    if (bad := ~np.isfinite(rows).all(axis=1) | (np.abs(rows).max(axis=1) > 1e12)).any():
+        rad = model.spectral_radius
+        note = "" if rad is None else f" (companion spectral radius {rad:.4f})"
+        raise UnstableModelError(f"{what} {first + int(np.argmax(bad))}{note}")
 
 
 def _stationary_states(model: TimeSeriesModel, n_mc: int, burn_in: int,
@@ -159,9 +160,11 @@ def _stationary_states(model: TimeSeriesModel, n_mc: int, burn_in: int,
     """n_mc approximately independent lag states, vectorized across lanes."""
     d, r = model.d, model.r
     states = np.zeros((n_mc, d * r))
-    for _ in range(burn_in):
-        x = model.f0(states) + model.innovations(rng, n_mc)
-        states = push_lag(states, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(burn_in):
+            x = model.f0(states) + model.innovations(rng, n_mc)
+            states = push_lag(states, x)
+    _check_bounded(model, states, "burn-in diverged in lane")
     return states
 
 

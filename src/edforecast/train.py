@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ConfigError, NumericFailure
+from . import ConfigError, NumericFailure, integral
 from .data import LagDataset, push_lag
 from .network import Architecture, Network, ShapeError
 
@@ -73,8 +73,10 @@ class TrainConfig:
     prune_to_s: int | None = None
 
     def __post_init__(self):
-        sched = tuple((int(e), float(r)) for e, r in self.lr_schedule)
+        sched = tuple((integral(e, ConfigError), float(r)) for e, r in self.lr_schedule)
         object.__setattr__(self, "lr_schedule", sched)
+        for key in ("epochs", "batch_size"):
+            object.__setattr__(self, key, integral(getattr(self, key), ConfigError))
         if not sched or sched[0][0] != 0:
             raise ConfigError("lr_schedule must start at epoch threshold 0")
         thresholds = [e for e, _ in sched]
@@ -109,22 +111,23 @@ def init_network(arch: Architecture, seed: int) -> Network:
     return Network(arch, weights, biases)
 
 
-def empirical_risk(net_or_fn, data: LagDataset, w: WeightFn) -> float:
-    """Weighted empirical prediction risk of a network or batch predictor."""
+def empirical_risk(pred: np.ndarray, data: LagDataset, w: WeightFn) -> float:
+    """Weighted empirical risk of the forecasts ``pred`` of ``data.Y`` made from
+    ``data.X``, one row each; a ``pred`` of another shape raises ShapeError."""
     if len(data) == 0:
         raise ValueError("empty dataset")
-    pred = net_or_fn.eval_batch(data.X) if isinstance(net_or_fn, Network) \
-        else net_or_fn(data.X)
+    if np.shape(pred) != data.Y.shape:
+        raise ShapeError(f"predictions have shape {np.shape(pred)}, expected {data.Y.shape}")
     resid = data.Y - pred
     per_sample = np.sum(resid * resid, axis=1) / data.d
     return float(np.sum(per_sample * w(data.X)) / data.n)
 
 
 def naive_predict(data: LagDataset, w: WeightFn) -> float:
-    """Risk of forecasting the next value with the most recent lag."""
+    """Risk of the naive forecast: each next value is the newest lag, ``data.X[:, :d]``."""
     if data.r < 1:
         raise ValueError("naive predictor needs r >= 1")
-    return empirical_risk(lambda X: X[:, : data.d], data, w)
+    return empirical_risk(data.X[:, : data.d], data, w)
 
 
 class Workspace:
@@ -261,10 +264,10 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     decay, lo, hi = np.array(2.0 * cfg.l2_lambda), np.array(-1.0), np.array(1.0)
 
     def risks(model):
-        return (empirical_risk(model, data, w),
-                None if test_data is None else empirical_risk(model, test_data, w))
+        return (empirical_risk(model.eval_batch(data.X), data, w), None if test_data is None
+                else empirical_risk(model.eval_batch(test_data.X), test_data, w))
 
-    initial = empirical_risk(Network(net.arch, weights, biases), data, w)
+    initial = empirical_risk(Network(net.arch, weights, biases).eval_batch(data.X), data, w)
     ceiling = 1e6 * max(initial, 1e-12)
     curve, n_samples, sample_wts = [], len(data), w(data.X)
     for epoch in range(cfg.epochs):

@@ -9,11 +9,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edforecast import network
+from edforecast import data as data_module, network
 from edforecast.cli import main
 from edforecast.data import fit_scaler, lag_embed, load_series_csv
-from edforecast.network import load_json as load_net
-from edforecast.train import WeightFn, empirical_risk, naive_predict
+from edforecast.network import Architecture, load_json as load_net
+from edforecast.train import (TrainConfig, WeightFn, empirical_risk, init_network,
+                              naive_predict, train_sgd)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that records each call's second
+    argument (the rows of ``eval_batch``, the lag count of ``lag_embed``)."""
+    seen, original = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args[1])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
 
 
 def write_cfg(tmp_path, name, payload):
@@ -128,8 +141,9 @@ def test_pruned_train_reports_the_risks_of_the_saved_net(tmp_path, capsys):
     net = load_net(tmp_path / "model.json")
     assert net.sparsity() <= 20
     series = load_series_csv(tmp_path / "series.csv")
-    train_risk = empirical_risk(net, lag_embed(series[:450], 1), WeightFn())
-    test_risk = empirical_risk(net, lag_embed(series[450:], 1), WeightFn())
+    train_part, test_part = lag_embed(series[:450], 1), lag_embed(series[450:], 1)
+    train_risk = empirical_risk(net.eval_batch(train_part.X), train_part, WeightFn())
+    test_risk = empirical_risk(net.eval_batch(test_part.X), test_part, WeightFn())
     meta = json.loads((tmp_path / "model.meta.json").read_text())
     assert (meta["final_train_risk"], meta["final_test_risk"]) == (train_risk, test_risk)
     assert (f"final train risk {train_risk:.6g}, test risk {test_risk:.6g}"
@@ -233,6 +247,28 @@ def test_train_and_evaluate_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     assert run(["evaluate", "--config", too_long, "--out", tmp_path]) == 2
     assert "k_steps: horizon 400 exceeds test sample count 399" in capsys.readouterr().err
+
+
+def test_evaluate_runs_each_distinct_horizon_once(tmp_path, monkeypatch):
+    # k_steps [3, 1, 3]: one evaluation for the risk, then 3 and 1 forecast
+    # steps; the repeated 3 is not run again, and the metrics are those of [1, 3]
+    monkeypatch.chdir(tmp_path)
+    sim = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 120, "seed": 2})
+    train = write_cfg(tmp_path, "train.json", {
+        "train_csv": "series.csv", "arch": {"p": [5, 6, 5]},
+        "train": {"epochs": 1, "lr_schedule": [[0, 0.01]]}})
+    assert run(["simulate", "--config", sim]) == 0 and run(["train", "--config", train]) == 0
+    metrics, evals = {}, count_calls(monkeypatch, network.Network, "eval_batch")
+    for name, k_steps in (("sorted", [1, 3]), ("repeated", [3, 1, 3])):
+        ev = write_cfg(tmp_path, f"{name}.json", {
+            "model_json": "model.json", "test_csv": "series.csv", "k_steps": k_steps,
+            "out_json": f"{name}.metrics.json"})
+        evals.clear()
+        assert run(["evaluate", "--config", ev]) == 0
+        assert len(evals) == 5
+        metrics[name] = json.loads((tmp_path / f"{name}.metrics.json").read_text())
+    assert metrics["repeated"]["k_step_mse"] == metrics["sorted"]["k_step_mse"]
+    assert metrics["repeated"]["empirical_risk"] == metrics["sorted"]["empirical_risk"]
 
 
 def test_evaluate_lag_mismatch_is_config_error(tmp_path):
@@ -710,6 +746,42 @@ def test_sweep_naive_baseline_uses_the_sweep_weight(tmp_path):
     weighted = naive_predict(test, WeightFn(**weight))
     assert weighted != naive_predict(test, WeightFn())
     assert summary["naive_risk"] == weighted
+
+
+def test_sweep_embeds_each_lag_count_once_and_scores_each_run_once(tmp_path, monkeypatch):
+    # each r embeds its train and test series once; each run evaluates its
+    # train set before training and after each of its E epochs, and its test
+    # set once, after training
+    epochs, r_values, m_values = 3, [1, 2], [2, 3]
+    sim = write_cfg(tmp_path, "sim.json",
+                    {"model": "seasonal", "n": 120, "burn_in": 100, "seed": 4})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
+    train = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"), "train_fraction": 0.5, "normalize": True,
+        "train": {"epochs": epochs, "lr_schedule": [[0, 0.01]]},
+        "sweep": {"r_values": r_values, "m_values": m_values}})
+    evals = count_calls(monkeypatch, network.Network, "eval_batch")
+    embeds = count_calls(monkeypatch, data_module, "lag_embed")
+    assert run(["train", "--config", train, "--out", tmp_path]) == 0
+    monkeypatch.undo()
+    cells = len(r_values) * len(m_values)
+    assert len(evals) == cells * (epochs + 2)
+    assert embeds == [1, 1, 2, 2]
+    # the reference scores each cell's test set after every epoch, as a single run does
+    series = load_series_csv(tmp_path / "series.csv")
+    d, expect = series.shape[1], []
+    tc = TrainConfig(epochs=epochs, lr_schedule=((0, 0.01),))
+    for r in r_values:
+        data = lag_embed(series[:60], r, normalize=True)
+        test = lag_embed(series[60:], r, scaler=data.scaler)
+        for m in m_values:
+            arch = Architecture(5, (r * d, r * d, 24, m, 24, d, d), L1=3)
+            _, curve = train_sgd(init_network(arch, 0), data, tc, WeightFn(), test_data=test)
+            expect.append([r, m, curve[-1].test_risk])
+    rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert rows[0] == ["r", "m", "run1"]
+    assert [[int(r), int(m), float(v)] for r, m, v in rows[1:]] == expect
 
 
 @pytest.mark.parametrize("sweep", [

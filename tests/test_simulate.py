@@ -272,13 +272,28 @@ def test_fdm_variance_scales_with_paths():
     assert 1.5 < ratio < 2.5
 
 
+@pytest.mark.parametrize("burn_in", [300, 2000])
+@pytest.mark.parametrize("diagnostic", ["prediction_error_mc", "estimate_fdm"])
+def test_monte_carlo_diagnostics_refuse_a_diverging_model(diagnostic, burn_in):
+    # spectral radius 1.5: the lanes pass 1e12 by step 300 and overflow by step
+    # 2000; as generate does, the burn-in raises instead of returning a figure or NaN
+    model = linear_model([[1.0]], [[1.5]])
+    run = {"prediction_error_mc": lambda: prediction_error_mc(lambda X: X, model, n_mc=500,
+                                                              burn_in=burn_in),
+           "estimate_fdm": lambda: estimate_fdm(model, 2, n_mc=500, burn_in=burn_in)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnstableModelError, match=r"spectral radius 1\.5000"):
+            run[diagnostic]()
+
+
 def test_truth_predictor_risk_converges_to_noise_variance():
     model = low_d_model(seed=4)
     series = generate(model, 100_000, burn_in=1000)
     data = lag_embed(series, 1)
     from edforecast.train import WeightFn, empirical_risk
 
-    risk = empirical_risk(model.f0, data, WeightFn())
+    risk = empirical_risk(model.f0(data.X), data, WeightFn())
     floor = model.noise_sd ** 2
     # 3-sigma Monte Carlo band for the mean of (|eps|^2/d)-type averages
     band = 3.0 * floor * np.sqrt(2.0 / len(data))

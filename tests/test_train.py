@@ -1,12 +1,13 @@
 """Risk, gradient, SGD loop, baseline and forecasting tests."""
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from edforecast import train as train_module
+from edforecast import ConfigError, train as train_module
 from edforecast.data import LagDataset, lag_embed
 from edforecast.network import Architecture, Network, ShapeError
 from edforecast.train import (
@@ -80,28 +81,36 @@ def test_weight_config_errors():
 def test_risk_zero_for_exact_predictor():
     net = Network(Architecture(0, (2, 2)), [np.eye(2)], [])
     data = make_dataset([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]])
-    assert empirical_risk(net, data, WeightFn()) == 0.0
+    assert empirical_risk(net.eval_batch(data.X), data, WeightFn()) == 0.0
 
 
 def test_risk_hand_computed_single_pair():
     # one pair, d=2, residual (1,1), W=1, n=2: (1/2)*(1/2)*2 = 0.5
     net = Network(Architecture(0, (2, 2)), [np.zeros((2, 2))], [])
     data = make_dataset([[5.0, 5.0]], [[1.0, 1.0]], r=1, n=2)
-    assert empirical_risk(net, data, WeightFn()) == pytest.approx(0.5)
+    assert empirical_risk(net.eval_batch(data.X), data, WeightFn()) == pytest.approx(0.5)
 
 
 def test_risk_vanishes_under_zero_weight():
     net = Network(Architecture(0, (2, 2)), [np.zeros((2, 2))], [])
     data = make_dataset([[-3.0, -3.0]], [[10.0, -7.0]])  # inputs outside [0,1]^2
     w = WeightFn(kind="box_ramp", varsigma=0.1)
-    assert empirical_risk(net, data, w) == 0.0
+    assert empirical_risk(net.eval_batch(data.X), data, w) == 0.0
 
 
 def test_risk_rejects_empty_dataset():
     net = Network(Architecture(0, (1, 1)), [np.eye(1)], [])
     data = LagDataset(X=np.empty((0, 1)), Y=np.empty((0, 1)), r=1, d=1, n=1)
     with pytest.raises(ValueError):
-        empirical_risk(net, data, WeightFn())
+        empirical_risk(net.eval_batch(data.X), data, WeightFn())
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2,), (1, 2), (2, 3)])
+def test_risk_rejects_predictions_of_another_shape(shape):
+    # a 1-output network's (n, 1) predictions of 2-d values are an error, not a risk
+    data = make_dataset([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ShapeError, match=rf"{re.escape(str(shape))}, expected \(2, 2\)"):
+        empirical_risk(np.zeros(shape), data, WeightFn())
 
 
 # -- gradients -------------------------------------------------------------
@@ -292,7 +301,8 @@ def reference_train_sgd(net, data, cfg, w):
                     np.clip(weights[i], -1.0, 1.0, out=weights[i])
                 for i in range(net.arch.L):
                     np.clip(biases[i], -1.0, 1.0, out=biases[i])
-        risks.append(empirical_risk(Network(net.arch, weights, biases), data, w))
+        risks.append(empirical_risk(Network(net.arch, weights, biases).eval_batch(data.X),
+                                    data, w))
     return weights, biases, risks
 
 
@@ -600,7 +610,7 @@ def test_train_linear_model_approaches_noise_floor():
                       seed=0, batch_size=1)
     trained, _ = train_sgd(init_network(arch, 0), data, cfg, WeightFn())
     floor = sd * sd
-    assert empirical_risk(trained, test, WeightFn()) <= 1.1 * floor * 1.35
+    assert empirical_risk(trained.eval_batch(test.X), test, WeightFn()) <= 1.1 * floor * 1.35
 
 
 def test_training_divergence_detected():
@@ -636,6 +646,27 @@ def test_schedule_validation():
         TrainConfig(epochs=1, lr_schedule=((5, 0.1),))
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, lr_schedule=((0, 0.1), (0, 0.2)))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"epochs": 2, "lr_schedule": ((0, 0.5), (1.9, 0.01))},
+    {"epochs": 2, "lr_schedule": ((0, 0.5), ("1", 0.01))},
+    {"epochs": 2.5},
+    {"epochs": "2"},
+    {"epochs": 2, "batch_size": 1.5},
+    {"epochs": 2, "batch_size": True},
+], ids=["fraction_threshold", "string_threshold", "fraction_epochs", "string_epochs",
+        "fraction_batch_size", "bool_batch_size"])
+def test_train_config_refuses_a_non_integer(kwargs):
+    # read as the CLI reads an integer, never truncated
+    with pytest.raises(ConfigError, match="expected an integer"):
+        TrainConfig(**kwargs)
+
+
+def test_train_config_reads_an_integral_float_as_an_int():
+    cfg = TrainConfig(epochs=3.0, lr_schedule=((0.0, 0.1), (3.0, 0.01)), batch_size=3.0)
+    assert (cfg.epochs, cfg.batch_size, cfg.lr_schedule) == (3, 3, ((0, 0.1), (3, 0.01)))
+    assert {type(v) for v in (cfg.epochs, cfg.batch_size, *dict(cfg.lr_schedule))} == {int}
 
 
 # -- pruning ---------------------------------------------------------------
