@@ -159,7 +159,7 @@ def _write_json(path: Path, payload: dict, provenance: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _model_from_spec(spec, seed: int):
+def _model_from_spec(spec):
     from .simulate import high_d_model, linear_model, low_d_model, seasonal_model, zero_model
     presets = {"low_d": low_d_model, "high_d": high_d_model,
                "seasonal": seasonal_model}
@@ -168,12 +168,12 @@ def _model_from_spec(spec, seed: int):
             raise ConfigError(
                 f"model: unknown preset {spec!r}; choose from {sorted(presets)}"
             )
-        return presets[spec](seed=seed)
+        return presets[spec]()
     kinds = {"zero": zero_model, "linear": linear_model, "seasonal": seasonal_model}
     casts = {"kind": _str, "d": _at_least(1), "r": _at_least(1),
              "noise_sd": _at_least(0, _float), "v": np.asarray, "a": np.asarray,
              "period": _at_least(1), "decay": _float}
-    return _section(spec, "model", _kinded(kinds), casts, ["kind"], seed=seed)
+    return _section(spec, "model", _kinded(kinds), casts, ["kind"])
 
 
 def _weight_from_spec(spec):
@@ -193,14 +193,14 @@ def cmd_simulate(cfg: dict, seed: int | None, out_dir: Path) -> int:
         "model": _typed((str, dict)), "n": _int, "burn_in": (_at_least(0), 1000),
         "out_csv": (_str, "series.csv"), "seed": (_seed, 0)}, ["model", "n"], seed=seed)
     prov = _provenance(cfg, c["seed"])
-    model = _model_from_spec(c["model"], c["seed"])
+    model = _model_from_spec(c["model"])
     n, burn_in = c["n"], c["burn_in"]
     if n < model.r + 1:
         raise ConfigError(f"n: need n >= r+1 = {model.r + 1}, got {n}")
     series = generate(model, n, burn_in=burn_in, seed=c["seed"])
     out_csv = out_dir / c["out_csv"]
     save_series_csv(out_csv, series, provenance=prov)
-    sidecar = {"model": model.describe(), "n": n, "burn_in": burn_in}
+    sidecar = {"model": {**model.describe(), "seed": c["seed"]}, "n": n, "burn_in": burn_in}
     _write_json(out_csv.with_suffix(out_csv.suffix + ".json"), sidecar, prov)
     print(f"wrote {out_csv} ({n} x {model.d})")
     return 0

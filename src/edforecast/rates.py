@@ -72,17 +72,17 @@ def independent() -> DependenceSpec:
     return DependenceSpec(kind="independent")
 
 
-def mixing_polynomial(alpha: float, kappa: float = 1.0) -> DependenceSpec:
-    """Mixing coefficients beta(k) = min(1, kappa (k+1)^-(alpha+1)).
+def mixing_polynomial(alpha: float) -> DependenceSpec:
+    """Mixing coefficients beta(k) = min(1, (k+1)^-(alpha+1)).
 
     The exponent alpha+1 makes sum_k k^(alpha-1) beta(k) finite, the
     summability regime of the polynomial-decay rate statement.
     """
-    return DependenceSpec(kind="mixing_polynomial", alpha=alpha, kappa=kappa)
+    return DependenceSpec(kind="mixing_polynomial", alpha=alpha)
 
 
-def mixing_exponential(rho: float, kappa: float = 1.0) -> DependenceSpec:
-    return DependenceSpec(kind="mixing_exponential", rho=rho, kappa=kappa)
+def mixing_exponential(rho: float) -> DependenceSpec:
+    return DependenceSpec(kind="mixing_exponential", rho=rho)
 
 
 def functional_delta(delta: Callable[[int], float],

@@ -57,7 +57,7 @@ def test_criterion_1_low_d_reproduction():
     w = WeightFn()
     risks = []
     for s in (0, 1, 2):
-        series = generate(low_d_model(seed=100 + s), 2000, burn_in=1000)
+        series = generate(low_d_model(), 2000, burn_in=1000, seed=100 + s)
         data = lag_embed(series[:1000], 1)
         test = lag_embed(series[1000:], 1)
         cfg = TrainConfig(epochs=60, lr_schedule=((0, 0.003), (30, 0.0002)),
@@ -74,7 +74,7 @@ def test_criterion_1_low_d_reproduction():
 
 def test_criterion_2_high_d_reproduction():
     t0 = time.monotonic()
-    series = generate(high_d_model(seed=0), 2000, burn_in=1000, seed=21)
+    series = generate(high_d_model(), 2000, burn_in=1000, seed=21)
     data = lag_embed(series[:1000], 1)
     test = lag_embed(series[1000:], 1)
     arch = Architecture(5, (30, 60, 30, 2, 30, 60, 30), L1=3)
@@ -181,8 +181,7 @@ def test_criterion_5_lambda_calculus():
 def test_criterion_6_functional_dependence_estimator():
     t0 = time.monotonic()
     a, sd = 0.7, 1.0
-    model = linear_model(np.array([[1.0]]), np.array([[a]]), noise_sd=sd,
-                         seed=0, name="ar1")
+    model = linear_model(np.array([[1.0]]), np.array([[a]]), noise_sd=sd, name="ar1")
     ok = True
     worst = 0.0
     for k in range(1, 11):

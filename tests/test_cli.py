@@ -512,15 +512,24 @@ def test_certify_large_certificate_stays_small_in_memory(tmp_path):
     # peaked at about 400 MB
     src = Path(__file__).resolve().parents[1] / "src"
     cfg = write_cfg(tmp_path, "cert.json", {"target": "sinsum", "N": 200, "m": 12})
+    # the child's own peak, VmHWM, in kB: Linux keeps ru_maxrss across exec, so
+    # there it would report the pytest process's peak if that were higher;
+    # without /proc (macOS) the child reads ru_maxrss (bytes on macOS)
     code = ("import resource, sys\n"
             "from edforecast.cli import main\n"
             f"rc = main(['certify', '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
-            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+            "try:\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        kb = next(int(ln.split()[1]) for ln in status if ln.startswith('VmHWM:'))\n"
+            "except OSError:\n"
+            "    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    kb /= 1024 if sys.platform == 'darwin' else 1\n"
+            "print(rc, kb)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    rc, maxrss = proc.stdout.split()[-2:]
-    peak_mb = int(maxrss) / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
+    rc, kb = proc.stdout.split()[-2:]
+    peak_mb = float(kb) / 1024.0
     assert rc == "0"
     assert peak_mb < 150.0, f"certify sinsum N=200 m=12 peaked at {peak_mb:.1f} MB"
     cert = json.loads((tmp_path / "certificate.json").read_text())
@@ -588,8 +597,14 @@ def test_rates_rejects_negative_kappa(tmp_path, capsys):
     ("dependence", {"kind": "mixing_weird"}, "unknown kind 'mixing_weird'; choose from"),
     ("model", {"kind": "zero", "d": 2, "period": 5},
      "zero_model() got an unexpected keyword argument 'period'"),
+    # a mixing kind's coefficients have the constant 1; only the fdm kinds scale Delta
+    ("dependence", {"kind": "mixing_polynomial", "alpha": 2.0, "kappa": 5.0},
+     "mixing_polynomial() got an unexpected keyword argument 'kappa'"),
+    ("dependence", {"kind": "mixing_exponential", "rho": 0.5, "kappa": 1e9},
+     "mixing_exponential() got an unexpected keyword argument 'kappa'"),
 ], ids=["rho_on_mixing_polynomial", "alpha_on_independent", "alpha_on_fdm_exponential",
-        "unknown_dependence_kind", "period_on_zero_model"])
+        "unknown_dependence_kind", "period_on_zero_model", "kappa_on_mixing_polynomial",
+        "kappa_on_mixing_exponential"])
 def test_key_the_kind_does_not_take_is_config_error(tmp_path, capsys, section, spec, message):
     if section == "dependence":
         command, payload = "rates", {"dependence": spec, "profile": {"beta": 1.0, "t": 1}}

@@ -307,8 +307,8 @@ def beta_mix(spec, k):
     if spec.kind == "independent":
         return 0.0 if k >= 1 else 1.0
     if spec.kind == "mixing_polynomial":
-        return min(1.0, spec.kappa * (k + 1.0) ** (-(spec.alpha + 1.0)))
-    return min(1.0, spec.kappa * spec.rho ** k)
+        return min(1.0, (k + 1.0) ** (-(spec.alpha + 1.0)))
+    return min(1.0, spec.rho ** k)
 
 
 def q_star(beta_fn, x):
@@ -381,10 +381,10 @@ def test_q_star_times_x_below_lambda():
 
 
 def test_beta_mix_sequences():
-    pol = mixing_polynomial(2.0, kappa=1.0)
+    pol = mixing_polynomial(2.0)
     assert beta_mix(pol, 0) == 1.0
     assert beta_mix(pol, 1) == pytest.approx(2.0 ** -3)
-    exp = mixing_exponential(0.5, kappa=1.0)
+    exp = mixing_exponential(0.5)
     assert beta_mix(exp, 3) == pytest.approx(0.125)
     ind = independent()
     assert beta_mix(ind, 0) == 1.0 and beta_mix(ind, 5) == 0.0

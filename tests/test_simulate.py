@@ -20,9 +20,8 @@ from edforecast.simulate import (
 )
 
 
-def ar1_model(a=0.7, sd=1.0, seed=0):
-    return linear_model(np.array([[1.0]]), np.array([[a]]), noise_sd=sd, seed=seed,
-                        name="ar1")
+def ar1_model(a=0.7, sd=1.0):
+    return linear_model(np.array([[1.0]]), np.array([[a]]), noise_sd=sd, name="ar1")
 
 
 def test_zero_model_zero_noise_gives_zeros():
@@ -56,17 +55,17 @@ def test_generated_series_bounded():
 
 
 def test_generation_deterministic():
-    model = low_d_model(seed=3)
-    a = generate(model, 100, burn_in=50)
-    b = generate(model, 100, burn_in=50)
+    model = low_d_model()
+    a = generate(model, 100, burn_in=50, seed=3)
+    b = generate(model, 100, burn_in=50, seed=3)
     assert np.array_equal(a, b)
 
 
 def test_generate_rejects_negative_burn_in():
-    model = low_d_model(seed=3)
+    model = low_d_model()
     with pytest.raises(ValueError, match="burn_in"):
-        generate(model, 10, burn_in=-5)
-    assert generate(model, 10, burn_in=0).shape == (10, model.d)
+        generate(model, 10, burn_in=-5, seed=3)
+    assert generate(model, 10, burn_in=0, seed=3).shape == (10, model.d)
 
 
 def test_trained_network_as_evolution_map():
@@ -76,9 +75,8 @@ def test_trained_network_as_evolution_map():
 
     A = np.array([[0.3, 0.1], [0.0, 0.2]])
     net = Network(Architecture(1, (2, 2, 2)), [A, np.eye(2)], [np.zeros(2)])
-    model = TimeSeriesModel(d=2, r=1, f0=net.eval_batch, noise_sd=0.1, seed=8,
-                            name="net-driven")
-    series = generate(model, 100, burn_in=50)
+    model = TimeSeriesModel(d=2, r=1, f0=net.eval_batch, noise_sd=0.1, name="net-driven")
+    series = generate(model, 100, burn_in=50, seed=8)
     assert series.shape == (100, 2)
     assert np.all(np.isfinite(series))
 
@@ -89,9 +87,9 @@ def test_unstable_model_raises_with_diagnostic():
         generate(model, 100, burn_in=5000)
 
 
-def reference_generate(model, n, burn_in=1000, seed=None):
+def reference_generate(model, n, burn_in=1000, seed=0):
     # the former generate: the divergence check runs after every step
-    rng = np.random.default_rng(model.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     d, r = model.d, model.r
     state = np.zeros(d * r)
     out = np.empty((n, d))
@@ -109,13 +107,13 @@ def reference_generate(model, n, burn_in=1000, seed=None):
 
 def test_generate_matches_per_step_reference():
     r2 = linear_model(np.array([[0.5], [0.3]]), np.array([[0.4, 0.2, -0.3, 0.1]]),
-                      noise_sd=0.7, r=2, seed=3)
-    for model, n, burn_in in ((low_d_model(seed=1), 9000, 1000),
-                              (high_d_model(seed=2), 3000, 5000),
-                              (seasonal_model(seed=4), 4096, 0),
-                              (r2, 5000, 4095)):
-        assert np.array_equal(generate(model, n, burn_in=burn_in),
-                              reference_generate(model, n, burn_in=burn_in))
+                      noise_sd=0.7, r=2)
+    for model, n, burn_in, seed in ((low_d_model(), 9000, 1000, 1),
+                                    (high_d_model(), 3000, 5000, 2),
+                                    (seasonal_model(), 4096, 0, 4),
+                                    (r2, 5000, 4095, 3)):
+        assert np.array_equal(generate(model, n, burn_in=burn_in, seed=seed),
+                              reference_generate(model, n, burn_in=burn_in, seed=seed))
 
 
 def _blows_past_threshold(X):
@@ -123,28 +121,26 @@ def _blows_past_threshold(X):
     return np.where(np.abs(X) > 40.0, np.nan, 0.9 * X)
 
 
-@pytest.mark.parametrize("model, n, burn_in", [
-    (linear_model(np.array([[2.0]]), np.array([[1.5]]), noise_sd=1.0), 100, 5000),
-    (linear_model(np.array([[1.0]]), np.array([[1.005]]), noise_sd=1.0, seed=1),
-     20000, 100),
-    (TimeSeriesModel(d=1, r=1, f0=_blows_past_threshold, noise_sd=12.0, seed=2),
-     20000, 10),
+@pytest.mark.parametrize("model, n, burn_in, seed", [
+    (linear_model(np.array([[2.0]]), np.array([[1.5]]), noise_sd=1.0), 100, 5000, 0),
+    (linear_model(np.array([[1.0]]), np.array([[1.005]]), noise_sd=1.0), 20000, 100, 1),
+    (TimeSeriesModel(d=1, r=1, f0=_blows_past_threshold, noise_sd=12.0), 20000, 10, 2),
 ], ids=["in_burn_in", "second_chunk", "non_finite"])
-def test_generate_reports_first_diverged_step_without_warnings(model, n, burn_in):
+def test_generate_reports_first_diverged_step_without_warnings(model, n, burn_in, seed):
     with pytest.raises(UnstableModelError) as ref:
-        reference_generate(model, n, burn_in=burn_in)
+        reference_generate(model, n, burn_in=burn_in, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UnstableModelError) as got:
-            generate(model, n, burn_in=burn_in)
+            generate(model, n, burn_in=burn_in, seed=seed)
     step = str(ref.value).split(" step ")[1]
     assert str(got.value).startswith(f"path diverged at step {step}")
 
 
 def test_ar1_autocovariance_matches_closed_form():
     a, sd, n = 0.6, 1.0, 100_000
-    model = ar1_model(a=a, sd=sd, seed=5)
-    x = generate(model, n, burn_in=2000)[:, 0]
+    model = ar1_model(a=a, sd=sd)
+    x = generate(model, n, burn_in=2000, seed=5)[:, 0]
     var_target = sd * sd / (1 - a * a)
     for k in (0, 1, 3):
         emp = float(np.mean(x[: n - k] * x[k:]))
@@ -155,8 +151,8 @@ def test_ar1_autocovariance_matches_closed_form():
 
 
 def test_stationary_mean_near_zero():
-    model = low_d_model(seed=9)
-    series = generate(model, 50_000, burn_in=1000)
+    model = low_d_model()
+    series = generate(model, 50_000, burn_in=1000, seed=9)
     sd = np.std(series, axis=0)
     assert np.all(np.abs(series.mean(axis=0)) < 3 * sd / np.sqrt(50_000) * 10)
 
@@ -214,15 +210,15 @@ def test_lag_embed_too_short():
 
 
 def test_prediction_error_of_truth_is_noise_variance():
-    model = low_d_model(seed=1)
-    est, se = prediction_error_mc(model.f0, model, n_mc=100_000)
+    model = low_d_model()
+    est, se = prediction_error_mc(model.f0, model, n_mc=100_000, seed=7920)
     assert abs(est - 0.25) < 3 * se
 
 
 def test_prediction_error_zero_predictor_matches_long_run_average():
-    model = low_d_model(seed=2)
+    model = low_d_model()
     zero = lambda X: np.zeros((X.shape[0], model.d))
-    est, se = prediction_error_mc(zero, model, n_mc=200_000)
+    est, se = prediction_error_mc(zero, model, n_mc=200_000, seed=7921)
     # independent oracle: long sample path average of |X|^2/d
     series = generate(model, 1_000_000, burn_in=2000, seed=123)
     oracle = float(np.mean(np.sum(series * series, axis=1) / model.d))
@@ -230,9 +226,9 @@ def test_prediction_error_zero_predictor_matches_long_run_average():
 
 
 def test_prediction_error_zero_weight_gives_zero():
-    model = low_d_model(seed=3)
+    model = low_d_model()
     zero_w = lambda X: np.zeros(X.shape[0])
-    est, se = prediction_error_mc(model.f0, model, w=zero_w, n_mc=1000)
+    est, se = prediction_error_mc(model.f0, model, w=zero_w, n_mc=1000, seed=7922)
     assert est == 0.0
 
 
@@ -242,28 +238,29 @@ def test_prediction_error_zero_weight_gives_zero():
 def test_fdm_iid_series_is_zero():
     model = zero_model(d=2, r=1, noise_sd=1.0)
     for k in (1, 3):
-        delta, se = estimate_fdm(model, k, n_mc=2000, burn_in=10)
+        delta, se = estimate_fdm(model, k, n_mc=2000, burn_in=10, seed=104729)
         assert delta == 0.0
 
 
 def test_fdm_ar1_closed_form():
     a, sd = 0.7, 1.0
-    model = ar1_model(a=a, sd=sd, seed=11)
+    model = ar1_model(a=a, sd=sd)
     for k in (1, 4):
-        delta, se = estimate_fdm(model, k, q=2.0, n_mc=20_000, burn_in=50)
+        delta, se = estimate_fdm(model, k, q=2.0, n_mc=20_000, burn_in=50, seed=104740)
         target = a ** k * np.sqrt(2.0) * sd
         assert abs(delta - target) < 3 * se
 
 
 def test_fdm_nonincreasing_in_k():
-    model = ar1_model(a=0.8, seed=13)
-    deltas = [estimate_fdm(model, k, n_mc=20_000, burn_in=50)[0] for k in (1, 3, 5, 8)]
+    model = ar1_model(a=0.8)
+    deltas = [estimate_fdm(model, k, n_mc=20_000, burn_in=50, seed=104742)[0]
+              for k in (1, 3, 5, 8)]
     assert all(a >= b for a, b in zip(deltas, deltas[1:]))
 
 
 def test_fdm_variance_scales_with_paths():
     # halving the number of paths roughly doubles the estimator variance
-    model = ar1_model(a=0.7, seed=17)
+    model = ar1_model(a=0.7)
     big, small = [], []
     for rep in range(20):
         big.append(estimate_fdm(model, 2, n_mc=4000, burn_in=20, seed=1000 + rep)[0])
@@ -272,15 +269,66 @@ def test_fdm_variance_scales_with_paths():
     assert 1.5 < ratio < 2.5
 
 
-@pytest.mark.parametrize("burn_in", [300, 2000])
-@pytest.mark.parametrize("diagnostic", ["prediction_error_mc", "estimate_fdm"])
-def test_monte_carlo_diagnostics_refuse_a_diverging_model(diagnostic, burn_in):
+def reference_estimate_fdm(model, k, q=2.0, n_mc=10000, burn_in=300, seed=0):
+    # the path and its coupled copy as two arrays, each advanced on its own
+    rng = np.random.default_rng(seed)
+    d = model.d
+    states = np.zeros((n_mc, d * model.r))
+    for _ in range(burn_in):
+        states = push_lag(states, model.f0(states) + model.innovations(rng, n_mc))
+    coupled = states.copy()
+    eps_swap = model.innovations(rng, n_mc)
+    eps_star = model.innovations(rng, n_mc)
+    states = push_lag(states, model.f0(states) + eps_swap)
+    coupled = push_lag(coupled, model.f0(coupled) + eps_star)
+    for _ in range(k):
+        eps = model.innovations(rng, n_mc)
+        states = push_lag(states, model.f0(states) + eps)
+        coupled = push_lag(coupled, model.f0(coupled) + eps)
+    diff = np.abs(states[:, :d] - coupled[:, :d]) ** q
+    moments = np.mean(diff, axis=0)
+    j = int(np.argmax(moments))
+    m = moments[j]
+    se_m = float(np.std(diff[:, j], ddof=1) / np.sqrt(n_mc))
+    delta = float(m ** (1.0 / q))
+    return delta, (se_m * delta / (q * m) if m > 0 else se_m)
+
+
+def test_fdm_lanes_match_two_array_reference():
+    # the path and its copy run as one array of 2 n_mc lanes; each lane's
+    # bits are those of the path or the copy advanced on its own
+    from edforecast.network import Architecture
+    from edforecast.train import init_network
+
+    r2 = linear_model(np.array([[0.5], [0.3]]), np.array([[0.4, 0.2, -0.3, 0.1]]),
+                      noise_sd=0.7, r=2)
+    net = init_network(Architecture(2, (3, 8, 8, 3)), 5)
+    net_model = TimeSeriesModel(d=3, r=1, f0=net.eval_batch, noise_sd=0.2)
+    for model, seed in ((low_d_model(), 104732), (r2, 11), (net_model, 12)):
+        for k in (1, 5):
+            got = estimate_fdm(model, k, q=2.0, n_mc=1500, burn_in=40, seed=seed)
+            assert got == reference_estimate_fdm(model, k, q=2.0, n_mc=1500, burn_in=40,
+                                                 seed=seed)
+
+
+@pytest.mark.parametrize("diagnostic, burn_in, k", [
+    ("prediction_error_mc", 300, None), ("prediction_error_mc", 2000, None),
+    ("prediction_error_mc", 65, None),
+    ("estimate_fdm", 300, 2), ("estimate_fdm", 2000, 2),
+    ("estimate_fdm", 50, 40), ("estimate_fdm", 50, 2000),
+], ids=["prediction_error_mc-300", "prediction_error_mc-2000", "prediction_error_mc-65",
+        "estimate_fdm-300", "estimate_fdm-2000", "estimate_fdm-50-k40", "estimate_fdm-50-k2000"])
+def test_monte_carlo_diagnostics_refuse_a_diverging_model(diagnostic, burn_in, k):
     # spectral radius 1.5: the lanes pass 1e12 by step 300 and overflow by step
-    # 2000; as generate does, the burn-in raises instead of returning a figure or NaN
+    # 2000 of the burn-in; after a burn-in of 65 they pass it at the one step
+    # that follows, and after one of 50 within 41 coupled steps (k = 40) or
+    # overflow (k = 2000). As generate does, each run raises where its lanes
+    # end instead of returning a figure or NaN
     model = linear_model([[1.0]], [[1.5]])
     run = {"prediction_error_mc": lambda: prediction_error_mc(lambda X: X, model, n_mc=500,
-                                                              burn_in=burn_in),
-           "estimate_fdm": lambda: estimate_fdm(model, 2, n_mc=500, burn_in=burn_in)}
+                                                              burn_in=burn_in, seed=7919),
+           "estimate_fdm": lambda: estimate_fdm(model, k, n_mc=500, burn_in=burn_in,
+                                                seed=104729)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UnstableModelError, match=r"spectral radius 1\.5000"):
@@ -288,8 +336,8 @@ def test_monte_carlo_diagnostics_refuse_a_diverging_model(diagnostic, burn_in):
 
 
 def test_truth_predictor_risk_converges_to_noise_variance():
-    model = low_d_model(seed=4)
-    series = generate(model, 100_000, burn_in=1000)
+    model = low_d_model()
+    series = generate(model, 100_000, burn_in=1000, seed=4)
     data = lag_embed(series, 1)
     from edforecast.train import WeightFn, empirical_risk
 
