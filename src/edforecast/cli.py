@@ -387,23 +387,20 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
             raise ConfigError(f"{meta_path}: scaler: lo and hi need {d} entries each")
     data = lag_embed(series, r, scaler=scaler)
     w = _weight_from_spec(c["weight"])
-    metrics = {
-        "empirical_risk": empirical_risk(net.eval_batch(data.X), data, w),
-        "naive_risk": naive_predict(data, w),
-        "n_samples": len(data),
-    }
     n = len(data)
-    k_errors = {}
-    for k in dict.fromkeys(c["k_steps"]):  # each distinct horizon once, in the list's order
-        # per-coordinate squared error of the j-step forecast from every start, j = 1..k
-        if k > n:
-            raise ConfigError(f"k_steps: horizon {k} exceeds test sample count {n}")
-        m = n - (k - 1)
-        k_errors[str(k)] = [
-            float(np.mean(np.sum((pred - data.Y[j : j + m]) ** 2, axis=1) / d))
-            for j, pred in enumerate(multi_step_forecast(net, data.X[:m], k))
-        ]
-    metrics["k_step_mse"] = k_errors
+    k_errors = {k: [] for k in c["k_steps"]}  # each distinct horizon once, in the list's order
+    K = max(k_errors, default=1)
+    if K > n:
+        raise ConfigError(f"k_steps: horizon {K} exceeds test sample count {n}")
+    # one forecast from every start to the longest horizon: a row's forecast does
+    # not depend on its batch, so horizon k's j-step errors are the first n - (k - 1)
+    for j, pred in enumerate(multi_step_forecast(net, data.X, K)):
+        risk = empirical_risk(pred, data, w) if j == 0 else risk
+        for k in [k for k in k_errors if k > j]:  # the horizons step j + 1 is part of
+            e = pred[: n - (k - 1)] - data.Y[j : j + n - (k - 1)]
+            k_errors[k].append(float(np.mean(np.sum(e ** 2, axis=1) / d)))
+    metrics = {"empirical_risk": risk, "naive_risk": naive_predict(data, w), "n_samples": n,
+               "k_step_mse": {str(k): v for k, v in k_errors.items()}}
     out_json = out_dir / c["out_json"]
     _write_json(out_json, metrics, _provenance(cfg, c["seed"]))
     print(f"wrote {out_json}; risk {metrics['empirical_risk']:.6g}, "

@@ -17,8 +17,8 @@ k*rows)`` view of the activations, or a copy or multiply when B is 1 x 1.
 ``precompose_affine`` keeps its map A as a factor, so a run of its copies
 B @ A_i is ``B ⊗ I_k`` after the stacked A_i: a certificate's layer after
 ``compose``'s interface costs work linear in its copies.  Other layers are
-dense.  On a network with a grouped layer, a batch is split into one chunk
-per CPU.
+dense.  On a network with a grouped layer, a batch runs in blocks of up to
+1,024 rows, not 256, and is split into one chunk per CPU.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ class Architecture:
         return self.p[-1]
 
 
-# Rows per block of the forward kernel: one block's activations stay in
-# cache across all layers.
-_BLOCK_ROWS = 256
+# Rows per block of the forward kernel on a dense-only range, and the most
+# entries of a grouped range's buffer (1 MiB): a block stays in cache.
+_BLOCK_ROWS, _BLOCK_ENTRIES = 256, 2**17
 # The most multiply-adds in a product of a grouped network's kernel: OpenBLAS
 # runs 100^3 on the calling thread, and for more wakes threads that spin on
 # the CPUs the kernel's chunks need.
@@ -162,36 +162,38 @@ class Network:
         return X
 
     def _forward(self, A: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Apply layers start..stop-1 to the rows of A, in blocks of
-        _BLOCK_ROWS rows.  When a layer is grouped, the rows are split at
-        block boundaries into at most one chunk per CPU; the calling thread
-        runs the first and threads started for this call the others, and all
-        have ended when this returns.  A row's output is the same whatever
-        batch it is in, wherever it sits there, and in however many chunks."""
+        """Apply layers start..stop-1 to the rows of A, in blocks of a height
+        that the network and the range fix.  When a layer is grouped, the rows
+        are split at block boundaries into at most one chunk per CPU; the
+        calling thread runs the first and threads started for this call the
+        others, and all have ended when this returns.  A row's output is the
+        same whatever batch it is in, wherever it sits there, and in however many chunks."""
         if self._kernels is None:
             object.__setattr__(self, "_kernels", self._build_kernels())
         kernels = self._kernels[start:stop]
         n, p = A.shape[0], self.arch.p
         out = np.empty((n, p[stop]))
-        args = (kernels, self.arch.L - start, A, out)
-        blocks = -(-n // _BLOCK_ROWS)
+        rows = max([p[start] + 1] + [o + len(B) * g for *_, ops in kernels for B, g, o, *_ in ops])
         # a dense-only net runs on one thread: BLAS spreads a large dense
-        # product itself, and a small dense net is bound by calls holding the GIL
+        # product itself, and a small dense net is bound by calls holding the GIL,
+        # as is a chunk thread, so a grouped range runs blocks of up to 1,024 rows
         grouped = any(type(w) is _Groups for w in self._w[start:stop])
+        nb = max([_BLOCK_ROWS] + [h for h in (512, 1024) if grouped and h * rows <= _BLOCK_ENTRIES])
+        blocks = -(-n // nb)
         k = min(_cpus(), blocks) if blocks > 1 and grouped else 1
+        args = (kernels, self.arch.L - start, A, out, nb)
         # every chunk's buffers come from this thread: memory a short-lived
         # thread allocates stays cached in its own malloc arena, and a new
         # thread may start before the last one has given its arena back.  They
         # start on a page: products on views not 64-byte aligned took up to 60% longer
-        rows = max([p[start] + 1] + [o + len(B) * g for *_, ops in kernels for B, g, o, *_ in ops])
-        raw = np.empty(k * 2 * rows * _BLOCK_ROWS + 512)
-        bufs = raw[-raw.ctypes.data % 4096 // 8 :][: k * 2 * rows * _BLOCK_ROWS].reshape(k, 2, -1)
+        raw = np.empty(k * 2 * rows * nb + 512)
+        bufs = raw[-raw.ctypes.data % 4096 // 8 :][: k * 2 * rows * nb].reshape(k, 2, -1)
         if k == 1:
             _forward_rows(*args, bufs[0], 0, n)
             return out
         from concurrent.futures import ThreadPoolExecutor
 
-        edges = [min(n, _BLOCK_ROWS * (blocks * j // k)) for j in range(k + 1)]
+        edges = [min(n, nb * (blocks * j // k)) for j in range(k + 1)]
         with ThreadPoolExecutor(k - 1, thread_name_prefix="edforecast-forward") as pool:
             futures = [pool.submit(_forward_rows, *args, bufs[j], edges[j], edges[j + 1])
                        for j in range(1, k)]
@@ -252,11 +254,11 @@ class Network:
         return Network(Architecture(self.arch.L, self.arch.p, L1=L1), self._w, self.biases)
 
 
-def _forward_rows(kernels, hidden, A, out, bufs, r0, r1):
-    """Rows r0..r1 of A through ``kernels`` into the same rows of ``out``.
-    Chunk threads run this, so it calls no public function of the package."""
-    n, nb = A.shape[0], _BLOCK_ROWS
-    Z, steps, Y = _plan(kernels, hidden, A.shape[1], bufs)
+def _forward_rows(kernels, hidden, A, out, nb, bufs, r0, r1):
+    """Rows r0..r1 of A through ``kernels`` in ``nb``-row blocks into the same rows
+    of ``out``.  Chunk threads run this, so it calls no public function of the package."""
+    n = A.shape[0]
+    Z, steps, Y = _plan(kernels, hidden, A.shape[1], bufs, nb)
     for b0 in range(r0, r1, nb):  # a short last block ends at A's last row
         w0, e = max(0, min(b0, n - nb)), min(b0 + nb, r1)
         Z[:-1, : n - w0] = A[w0 : w0 + nb].T
@@ -266,12 +268,12 @@ def _forward_rows(kernels, hidden, A, out, bufs, r0, r1):
         out[b0:e] = Y[: out.shape[1], b0 - w0 : e - w0].T
 
 
-def _plan(kernels, hidden, width, bufs):
-    """The input view, the calls ``f(*args)`` and the output view that take
-    a block through ``kernels``, transposed with a last row of ones, each layer
-    from one row of ``bufs`` into the other; the first ``hidden`` layers end
+def _plan(kernels, hidden, width, bufs, nb):
+    """The input view, the calls ``f(*args)`` and the output view that take an
+    ``nb``-row block through ``kernels``, transposed with a last row of ones, each
+    layer from one row of ``bufs`` into the other; the first ``hidden`` layers end
     with a ReLU.  A 1 x 1 block is a copy or a multiply: a BLAS call takes several times as long."""
-    z, nb = bufs[0], _BLOCK_ROWS
+    z = bufs[0]
     Z0 = Z = z[: (width + 1) * nb].reshape(-1, nb)
     steps = []
     for j, (rows, fold, ops) in enumerate(kernels):

@@ -44,7 +44,6 @@ class DependenceSpec:
 
     kind: str
     alpha: float | None = None
-    kappa: float = 1.0
     rho: float | None = None
     delta: Callable[[int], float] | None = None
     delta_tail: Callable[[int], float] | None = None
@@ -58,8 +57,6 @@ class DependenceSpec:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
         if self.kind == "mixing_polynomial" and not (self.alpha and self.alpha > 1):
             raise ValueError("polynomial mixing needs alpha > 1")
         if self.kind == "mixing_exponential" and not (self.rho and 0 < self.rho < 1):
@@ -129,8 +126,10 @@ def fdm_polynomial(alpha: float, kappa: float = 1.0) -> DependenceSpec:
     kappa zeta(alpha, q+1)."""
     if alpha <= 1:
         raise ValueError("polynomial Delta needs alpha > 1 for summability")
+    if not (math.isfinite(kappa) and kappa > 0):  # a scale the spec does not keep
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     return DependenceSpec(
-        kind="functional_delta", alpha=alpha, kappa=kappa,
+        kind="functional_delta", alpha=alpha,
         delta=lambda j: kappa * (j + 1.0) ** (-alpha),
         delta_tail=lambda q: kappa * _hurwitz_zeta(alpha, q + 1.0),
     )
@@ -140,8 +139,10 @@ def fdm_exponential(rho: float, kappa: float = 1.0) -> DependenceSpec:
     """Delta(j) = kappa rho^j, with the exact geometric tail."""
     if not 0 < rho < 1:
         raise ValueError("exponential Delta needs rho in (0,1)")
+    if not (math.isfinite(kappa) and kappa > 0):  # a scale the spec does not keep
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     return DependenceSpec(
-        kind="functional_delta", rho=rho, kappa=kappa,
+        kind="functional_delta", rho=rho,
         delta=lambda j: kappa * rho ** j,
         delta_tail=lambda q: kappa * rho ** q / (1.0 - rho),
     )

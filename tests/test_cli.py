@@ -14,7 +14,7 @@ from edforecast.cli import main
 from edforecast.data import fit_scaler, lag_embed, load_series_csv
 from edforecast.network import Architecture, load_json as load_net
 from edforecast.train import (TrainConfig, WeightFn, empirical_risk, init_network,
-                              naive_predict, train_sgd)
+                              multi_step_forecast, naive_predict, train_sgd)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -250,8 +250,9 @@ def test_train_and_evaluate_roundtrip(tmp_path, capsys):
 
 
 def test_evaluate_runs_each_distinct_horizon_once(tmp_path, monkeypatch):
-    # k_steps [3, 1, 3]: one evaluation for the risk, then 3 and 1 forecast
-    # steps; the repeated 3 is not run again, and the metrics are those of [1, 3]
+    # k_steps [3, 1, 3]: one forecast of 3 steps, whose first also gives the
+    # risk and every horizon's first error; the repeated 3 is not run again,
+    # and the metrics are those of [1, 3]
     monkeypatch.chdir(tmp_path)
     sim = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 120, "seed": 2})
     train = write_cfg(tmp_path, "train.json", {
@@ -265,10 +266,19 @@ def test_evaluate_runs_each_distinct_horizon_once(tmp_path, monkeypatch):
             "out_json": f"{name}.metrics.json"})
         evals.clear()
         assert run(["evaluate", "--config", ev]) == 0
-        assert len(evals) == 5
+        assert len(evals) == 3
         metrics[name] = json.loads((tmp_path / f"{name}.metrics.json").read_text())
     assert metrics["repeated"]["k_step_mse"] == metrics["sorted"]["k_step_mse"]
     assert metrics["repeated"]["empirical_risk"] == metrics["sorted"]["empirical_risk"]
+    # the same bits as a forecast per horizon from only the starts it scores
+    net, data = load_net("model.json"), lag_embed(load_series_csv("series.csv"), 1)
+    assert metrics["sorted"]["empirical_risk"] == empirical_risk(
+        net.eval_batch(data.X), data, WeightFn())
+    for k in (1, 3):
+        m = len(data) - (k - 1)
+        assert metrics["sorted"]["k_step_mse"][str(k)] == [
+            float(np.mean(np.sum((pred - data.Y[j : j + m]) ** 2, axis=1) / data.d))
+            for j, pred in enumerate(multi_step_forecast(net, data.X[:m], k))]
 
 
 def test_evaluate_lag_mismatch_is_config_error(tmp_path):

@@ -364,6 +364,16 @@ def has_grouped_layer(net):
     return any(type(w) is network._Groups for w in net._w)
 
 
+def block_rows(fn, A):
+    """The rows per block of the forward kernel in ``fn``, an evaluation of a
+    network on inputs like A: the height it hands ``_forward_rows`` on A's first row."""
+    heights, rows = [], network._forward_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_forward_rows", lambda *args: heights.append(args[4]) or rows(*args))
+        fn(A[:1])
+    return heights[0]
+
+
 # (target, N, m): the certificate sizes of the benchmark's certify workload
 CERT_PLANS = {"zero": (10, 6), "linear": (10, 6), "product2": (23, 8), "sinsum": (25, 12)}
 
@@ -441,6 +451,22 @@ def test_forward_kernel_block_edges(cert_nets, kind, rows):
     assert all(type(w) is np.ndarray for w in net.weights)
 
 
+def test_block_height_follows_the_network():
+    # a dense net runs 256-row blocks; a certificate the most rows, a power of
+    # two from 256 to 1,024, whose activation buffers hold at most 2^17 entries
+    rng = np.random.default_rng(101)
+    dense = random_net(rng, (16, 24, 8, 24, 16), L1=2)
+    X = rng.uniform(0, 1, size=(1, 16))
+    assert [block_rows(fn, A) for fn, A in ((dense.eval_batch, X), (dense.encoder_batch, X),
+                                            (dense.decoder_batch, dense.encoder_batch(X)))] == [256] * 3
+    heights = {}
+    for name, N, m in (("linear", 10, 6), ("product2", 23, 8), ("sinsum", 25, 12), ("product2", 49, 10)):
+        net = build_approximator(catalog()[name], ApproxPlan(N=N, m=m))[0]
+        heights[name, N] = block_rows(net.eval_batch, np.zeros((1, net.arch.in_dim)))
+    assert heights == {("linear", 10): 1024, ("product2", 23): 1024, ("sinsum", 25): 512,
+                       ("product2", 49): 256}
+
+
 @pytest.fixture
 def chunked(monkeypatch):
     """``chunked(k)`` makes every later evaluation see k CPUs, so it splits
@@ -464,11 +490,11 @@ def chunked(monkeypatch):
     return use
 
 
-def folded_forward(net, A, start, stop):
+def folded_forward(net, A, start, stop, nb):
     """Oracle: the bias-folded block loop on one thread, each layer a fresh
     ``K @ Z`` array with K = [[W, -b], [0, 1]] (below L) built from the dense
     ``weights``, as the forward kernel ran before its buffers and chunks, on
-    blocks of 256 rows as it runs them now."""
+    blocks of ``nb`` rows as it runs them now."""
     kernels = []
     for i, w in enumerate(net.weights):
         hidden = int(i < net.arch.L)
@@ -480,23 +506,23 @@ def folded_forward(net, A, start, stop):
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     out = np.empty((n, net.arch.p[stop]))
-    for r0 in range(0, n, 256):
-        # every block is 256 rows: a short last one is the window ending at
+    for r0 in range(0, n, nb):
+        # every block is nb rows: a short last one is the window ending at
         # A's last row, and an A shorter than that is padded with zero rows
-        w0 = max(0, min(r0, n - 256))
-        Z = np.ones((net.arch.p[start] + 1, 256))
+        w0 = max(0, min(r0, n - nb))
+        Z = np.ones((net.arch.p[start] + 1, nb))
         Z[:-1] = 0.0
-        Z[:-1, : min(n, 256)] = A[w0 : w0 + 256].T
+        Z[:-1, : min(n, nb)] = A[w0 : w0 + nb].T
         for i in range(start, stop):
             Z = kernels[i] @ Z
             if i < net.arch.L:
                 np.maximum(Z, 0.0, out=Z)
-        e = min(r0 + 256, n)
+        e = min(r0 + nb, n)
         out[r0:e] = Z[: net.arch.p[stop], r0 - w0 : e - w0].T
     return out
 
 
-@pytest.mark.parametrize("rows", [511, 512, 513, 767, 4000])
+@pytest.mark.parametrize("rows", [511, 512, 513, 767, 4000, "nb-1", "nb", "nb+1", "2nb+1"])
 @pytest.mark.parametrize("kind", ["certificate", "dense", "depth0"])
 def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows):
     # a row's values do not depend on the chunk it lands in, so every split
@@ -504,10 +530,14 @@ def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows)
     # single-thread folded loop; a certificate net's grouped layers run other
     # products than that loop's dense ones, so there, as against the two-pass
     # oracle everywhere, the dense tolerance holds.  Only a net with a
-    # grouped layer is split; a dense-only one runs on the calling thread.
+    # grouped layer is split, and only a batch of more than one block; a
+    # dense-only one runs on the calling thread.  Batch sizes are fixed, or
+    # taken from the net's block height nb.
     net = _kernel_nets(cert_nets)[kind]
     if kind == "certificate":  # a bottleneck, so the encoder and decoder split too
         net = net.with_l1(net.arch.L // 2)
+    nb = block_rows(net.eval_batch, np.zeros((1, net.arch.in_dim)))
+    rows = {"nb-1": nb - 1, "nb": nb, "nb+1": nb + 1, "2nb+1": 2 * nb + 1}.get(rows, rows)
     X = np.random.default_rng(rows).uniform(0, 1, size=(rows, net.arch.in_dim))
     calls = [(net.eval_batch, X, 0, net.arch.L + 1)]
     if net.arch.L1 is not None:
@@ -516,8 +546,8 @@ def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows)
         calls += [(net.encoder_batch, X, 0, L1), (net.decoder_batch, z, L1, net.arch.L + 1)]
     chunked(1)
     serial = [fn(A) for fn, A, _, _ in calls]
-    for got, (_, A, start, stop) in zip(serial, calls):
-        folded = folded_forward(net, A, start, stop)
+    for got, (fn, A, start, stop) in zip(serial, calls):
+        folded = folded_forward(net, A, start, stop, block_rows(fn, A))
         if kind == "certificate":
             assert_matches_dense(got, folded)
         else:
@@ -527,34 +557,36 @@ def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows)
         submitted = chunked(k)
         for (fn, A, _, _), ref in zip(calls, serial):
             assert np.array_equal(fn(A), ref)
-        assert (len(submitted) > 0) == (kind == "certificate")
-
-
-# batch sizes of the row-invariance test: one and two rows, the block edges
-# and a few random sizes up to 1,000
-INVARIANCE_SIZES = [1, 2, 255, 256, 257, 511, 513, 1000] + [
-    int(v) for v in np.random.default_rng(83).integers(3, 1000, size=4)]
+        assert (len(submitted) > 0) == (kind == "certificate" and rows > nb)
 
 
 @pytest.mark.parametrize("kind", ["dense", "depth0", "product2", "sinsum", "encoder", "decoder"])
 def test_row_output_depends_on_that_row_alone(cert_nets, chunked, kind):
-    # every block runs 256 rows, a short one as a window or zero-padded, so
-    # a row gets the same bits alone, at a random position among other rows,
-    # and in one, two or three chunks
+    # every block runs nb rows, a short one as a window or zero-padded, so a
+    # row gets the same bits alone, at a random position among other rows,
+    # and in one, two or three chunks.  Batches of one and two rows, the
+    # block edges and four random sizes below 4 nb draw from a pool of
+    # 1,000 * 256 / nb rows, each evaluated alone in one nb-row block (as
+    # many blocks as 1,000 rows at 256); a batch larger than the pool
+    # repeats rows
     rng = np.random.default_rng(89)
     cert = cert_nets["sinsum" if kind == "sinsum" else "product2"]  # with a bottleneck
     net = {"dense": random_net(rng, (16, 16, 24, 8, 24, 8, 8)),
            "depth0": _kernel_nets(cert_nets)["depth0"]}.get(kind, cert.with_l1(cert.arch.L // 2))
-    pool = rng.uniform(0, 1, size=(1000, net.arch.in_dim))
     fn = {"encoder": net.encoder_batch, "decoder": net.decoder_batch}.get(kind, net.eval_batch)
+    pool = rng.uniform(0, 1, size=(1000, net.arch.in_dim))
     if kind == "decoder":
         pool = net.encoder_batch(pool)
+    nb = block_rows(fn, pool)
+    pool = pool[: 1000 * 256 // nb]
+    sizes = [1, 2, nb - 1, nb, nb + 1, 2 * nb - 1, 2 * nb + 1] + [
+        int(v) for v in np.random.default_rng(83).integers(3, 4 * nb, size=4)]
     chunked(1)
     alone = np.vstack([fn(pool[i : i + 1]) for i in range(len(pool))])
     for k in (1, 2, 3):
         submitted = chunked(k)
-        for size in INVARIANCE_SIZES:
-            rows = rng.permutation(len(pool))[:size]
+        for size in sizes:
+            rows = rng.choice(len(pool), size, replace=size > len(pool))
             assert np.array_equal(fn(pool[rows]), alone[rows]), (k, size)
         assert (len(submitted) > 0) == (k > 1 and has_grouped_layer(net))
 
@@ -564,7 +596,11 @@ def test_no_chunk_thread_outlives_an_evaluation(cert_nets, monkeypatch):
     # when it returns, whichever of the three entry points it came through
     net = cert_nets["product2"]
     net = net.with_l1(net.arch.L // 2)
-    X = np.random.default_rng(97).uniform(0, 1, size=(1500, net.arch.in_dim))
+    X = np.zeros((1, net.arch.in_dim))
+    # enough rows for three blocks on every layer range
+    nb = max(block_rows(fn, A) for fn, A in ((net.eval_batch, X), (net.encoder_batch, X),
+                                             (net.decoder_batch, net.encoder_batch(X))))
+    X = np.random.default_rng(97).uniform(0, 1, size=(2 * nb + 1, net.arch.in_dim))
     Z = net.encoder_batch(X)
     rows, ran = network._forward_rows, []
 
@@ -589,8 +625,8 @@ def test_grouped_products_stay_below_the_blas_thread_size(cert_nets):
     # OpenBLAS runs a product of at most 10^6 multiply-adds on the calling
     # thread; a larger one in a chunk thread would wake threads of its own
     net = cert_nets["sinsum"]
-    net.eval_batch(np.zeros((1, net.arch.in_dim)))
-    _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim, np.empty((2, 10**6)))
+    nb = block_rows(net.eval_batch, np.zeros((1, net.arch.in_dim)))
+    _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim, np.empty((2, 10**6)), nb)
     products = [(args[0].shape, args[1].shape) for f, args in steps if f is np.matmul]
     assert all(r * c * w <= network._PRODUCT_MACS for (r, c), (_, w) in products)
     # compose's split interface [W, -W] is stored as a fold of the head's
@@ -605,8 +641,8 @@ def test_grouped_products_stay_below_the_blas_thread_size(cert_nets):
 def test_no_blas_call_for_a_1x1_block(cert_nets, target):
     # the ones-row carries and scalar pass-throughs are copies or multiplies
     net = cert_nets[target]
-    net.eval_batch(np.zeros((1, net.arch.in_dim)))
-    _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim, np.empty((2, 10**6)))
+    nb = block_rows(net.eval_batch, np.zeros((1, net.arch.in_dim)))
+    _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim, np.empty((2, 10**6)), nb)
     assert not any(f is np.matmul and args[0].shape == (1, 1) for f, args in steps)
     assert any(f is np.copyto for f, _ in steps)
 

@@ -523,6 +523,8 @@ def test_spec_validation():
         DependenceSpec(kind="mixing_exponential", rho=1.2)
     with pytest.raises(ValueError):
         DependenceSpec(kind="nope")
+    with pytest.raises(TypeError, match="kappa"):  # only the fdm factories take a scale
+        DependenceSpec(kind="mixing_polynomial", alpha=2.0, kappa=5.0)
     with pytest.raises(ValueError):
         SmoothnessProfile.isotropic(0.5, 1)
 
