@@ -387,15 +387,15 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
             raise ConfigError(f"{meta_path}: scaler: lo and hi need {d} entries each")
     data = lag_embed(series, r, scaler=scaler)
     w = _weight_from_spec(c["weight"])
-    n = len(data)
     k_errors = {k: [] for k in c["k_steps"]}  # each distinct horizon once, in the list's order
-    K = max(k_errors, default=1)
+    n, K = len(data), max(k_errors, default=1)
     if K > n:
         raise ConfigError(f"k_steps: horizon {K} exceeds test sample count {n}")
     # one forecast from every start to the longest horizon: a row's forecast does
     # not depend on its batch, so horizon k's j-step errors are the first n - (k - 1)
     for j, pred in enumerate(multi_step_forecast(net, data.X, K)):
-        risk = empirical_risk(pred, data, w) if j == 0 else risk
+        if j == 0:
+            risk = empirical_risk(pred, data, w)
         for k in [k for k in k_errors if k > j]:  # the horizons step j + 1 is part of
             e = pred[: n - (k - 1)] - data.Y[j : j + n - (k - 1)]
             k_errors[k].append(float(np.mean(np.sum(e ** 2, axis=1) / d)))

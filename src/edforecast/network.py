@@ -17,8 +17,8 @@ k*rows)`` view of the activations, or a copy or multiply when B is 1 x 1.
 ``precompose_affine`` keeps its map A as a factor, so a run of its copies
 B @ A_i is ``B ⊗ I_k`` after the stacked A_i: a certificate's layer after
 ``compose``'s interface costs work linear in its copies.  Other layers are
-dense.  On a network with a grouped layer, a batch runs in blocks of up to
-1,024 rows, not 256, and is split into one chunk per CPU.
+dense.  On a network with a grouped layer, a batch is split into one chunk
+per CPU.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class Architecture:
 
 
 # Rows per block of the forward kernel on a dense-only range, and the most
-# entries of a grouped range's buffer (1 MiB): a block stays in cache.
+# entries of a grouped range's buffer (1 MiB): taller blocks slowed `certify`.
 _BLOCK_ROWS, _BLOCK_ENTRIES = 256, 2**17
 # The most multiply-adds in a product of a grouped network's kernel: OpenBLAS
 # runs 100^3 on the calling thread, and for more wakes threads that spin on

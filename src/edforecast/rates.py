@@ -121,31 +121,31 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     return head + rest
 
 
+def _delta_scale(kappa: float) -> float:  # an fdm Delta's scale, which the spec does not keep
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
+    return kappa
+
+
 def fdm_polynomial(alpha: float, kappa: float = 1.0) -> DependenceSpec:
     """Delta(j) = kappa (j+1)^-alpha, with the Hurwitz-zeta tail
     kappa zeta(alpha, q+1)."""
     if alpha <= 1:
         raise ValueError("polynomial Delta needs alpha > 1 for summability")
-    if not (math.isfinite(kappa) and kappa > 0):  # a scale the spec does not keep
-        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
-    return DependenceSpec(
-        kind="functional_delta", alpha=alpha,
-        delta=lambda j: kappa * (j + 1.0) ** (-alpha),
-        delta_tail=lambda q: kappa * _hurwitz_zeta(alpha, q + 1.0),
-    )
+    kappa = _delta_scale(kappa)
+    return DependenceSpec(kind="functional_delta", alpha=alpha,
+                          delta=lambda j: kappa * (j + 1.0) ** (-alpha),
+                          delta_tail=lambda q: kappa * _hurwitz_zeta(alpha, q + 1.0))
 
 
 def fdm_exponential(rho: float, kappa: float = 1.0) -> DependenceSpec:
     """Delta(j) = kappa rho^j, with the exact geometric tail."""
     if not 0 < rho < 1:
         raise ValueError("exponential Delta needs rho in (0,1)")
-    if not (math.isfinite(kappa) and kappa > 0):  # a scale the spec does not keep
-        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
-    return DependenceSpec(
-        kind="functional_delta", rho=rho,
-        delta=lambda j: kappa * rho ** j,
-        delta_tail=lambda q: kappa * rho ** q / (1.0 - rho),
-    )
+    kappa = _delta_scale(kappa)
+    return DependenceSpec(kind="functional_delta", rho=rho,
+                          delta=lambda j: kappa * rho ** j,
+                          delta_tail=lambda q: kappa * rho ** q / (1.0 - rho))
 
 
 # -- conjugate calculus -----------------------------------------------------

@@ -565,10 +565,8 @@ def test_row_output_depends_on_that_row_alone(cert_nets, chunked, kind):
     # every block runs nb rows, a short one as a window or zero-padded, so a
     # row gets the same bits alone, at a random position among other rows,
     # and in one, two or three chunks.  Batches of one and two rows, the
-    # block edges and four random sizes below 4 nb draw from a pool of
-    # 1,000 * 256 / nb rows, each evaluated alone in one nb-row block (as
-    # many blocks as 1,000 rows at 256); a batch larger than the pool
-    # repeats rows
+    # block edges and four random sizes below 4 nb draw from 1,000 rows; a
+    # batch larger than that takes every row before it repeats one
     rng = np.random.default_rng(89)
     cert = cert_nets["sinsum" if kind == "sinsum" else "product2"]  # with a bottleneck
     net = {"dense": random_net(rng, (16, 16, 24, 8, 24, 8, 8)),
@@ -578,7 +576,6 @@ def test_row_output_depends_on_that_row_alone(cert_nets, chunked, kind):
     if kind == "decoder":
         pool = net.encoder_batch(pool)
     nb = block_rows(fn, pool)
-    pool = pool[: 1000 * 256 // nb]
     sizes = [1, 2, nb - 1, nb, nb + 1, 2 * nb - 1, 2 * nb + 1] + [
         int(v) for v in np.random.default_rng(83).integers(3, 4 * nb, size=4)]
     chunked(1)
@@ -586,7 +583,7 @@ def test_row_output_depends_on_that_row_alone(cert_nets, chunked, kind):
     for k in (1, 2, 3):
         submitted = chunked(k)
         for size in sizes:
-            rows = rng.choice(len(pool), size, replace=size > len(pool))
+            rows = np.resize(rng.permutation(len(pool)), size)
             assert np.array_equal(fn(pool[rows]), alone[rows]), (k, size)
         assert (len(submitted) > 0) == (k > 1 and has_grouped_layer(net))
 
