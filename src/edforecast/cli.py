@@ -80,6 +80,11 @@ def _floats(value):
     return np.array([_float(v) for v in _list(value)])
 
 
+def _float_array(value):
+    """A number or a list nested to any depth, each entry read by ``_float``."""
+    return np.vectorize(_float, otypes=[float])(np.array(value, dtype=object))
+
+
 def _or_none(cast):
     return lambda value: None if value is None else cast(value)
 
@@ -171,7 +176,7 @@ def _model_from_spec(spec):
         return presets[spec]()
     kinds = {"zero": zero_model, "linear": linear_model, "seasonal": seasonal_model}
     casts = {"kind": _str, "d": _at_least(1), "r": _at_least(1),
-             "noise_sd": _at_least(0, _float), "v": np.asarray, "a": np.asarray,
+             "noise_sd": _at_least(0, _float), "v": _float_array, "a": _float_array,
              "period": _at_least(1), "decay": _float}
     return _section(spec, "model", _kinded(kinds), casts, ["kind"])
 

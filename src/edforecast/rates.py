@@ -36,9 +36,9 @@ class DependenceSpec:
     """Decay model for the dependence of the observed process.
 
     ``mixing_*`` kinds describe absolutely regular mixing coefficients;
-    ``functional_delta`` describes a decreasing majorant Delta(k) of the
-    (rescaled) functional dependence measure.  Extra constants of the
-    theory (theta, L_G, c0, the submultiplicativity constant) only move
+    ``fdm_*`` and (measured) ``functional_delta`` kinds a decreasing majorant
+    Delta(k) of the (rescaled) functional dependence measure.  Extra constants
+    of the theory (theta, L_G, c0, the submultiplicativity constant) only move
     unreported multiplicative constants and are not stored here.
     """
 
@@ -50,19 +50,19 @@ class DependenceSpec:
 
     def __post_init__(self):
         kinds = ("independent", "mixing_polynomial", "mixing_exponential",
-                 "functional_delta")
+                 "fdm_polynomial", "fdm_exponential", "functional_delta")
         if self.kind not in kinds:
             raise ValueError(f"unknown dependence kind {self.kind!r}")
         for name in ("alpha", "rho"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.kind == "mixing_polynomial" and not (self.alpha and self.alpha > 1):
-            raise ValueError("polynomial mixing needs alpha > 1")
-        if self.kind == "mixing_exponential" and not (self.rho and 0 < self.rho < 1):
-            raise ValueError("exponential mixing needs rho in (0,1)")
-        if self.kind == "functional_delta" and self.delta is None:
-            raise ValueError("functional_delta needs a Delta sequence")
+        if self.kind.endswith("_polynomial") and not (self.alpha and self.alpha > 1):
+            raise ValueError(f"{self.kind} needs alpha > 1")
+        if self.kind.endswith("_exponential") and not (self.rho and 0 < self.rho < 1):
+            raise ValueError(f"{self.kind} needs rho in (0,1)")
+        if (self.delta is None) == (self.kind in kinds[3:]):  # the last three carry a Delta
+            raise ValueError(f"{self.kind} {'takes no' if self.delta else 'needs a'} Delta sequence")
 
 
 def independent() -> DependenceSpec:
@@ -130,20 +130,16 @@ def _delta_scale(kappa: float) -> float:  # an fdm Delta's scale, which the spec
 def fdm_polynomial(alpha: float, kappa: float = 1.0) -> DependenceSpec:
     """Delta(j) = kappa (j+1)^-alpha, with the Hurwitz-zeta tail
     kappa zeta(alpha, q+1)."""
-    if alpha <= 1:
-        raise ValueError("polynomial Delta needs alpha > 1 for summability")
     kappa = _delta_scale(kappa)
-    return DependenceSpec(kind="functional_delta", alpha=alpha,
+    return DependenceSpec(kind="fdm_polynomial", alpha=alpha,
                           delta=lambda j: kappa * (j + 1.0) ** (-alpha),
                           delta_tail=lambda q: kappa * _hurwitz_zeta(alpha, q + 1.0))
 
 
 def fdm_exponential(rho: float, kappa: float = 1.0) -> DependenceSpec:
     """Delta(j) = kappa rho^j, with the exact geometric tail."""
-    if not 0 < rho < 1:
-        raise ValueError("exponential Delta needs rho in (0,1)")
     kappa = _delta_scale(kappa)
-    return DependenceSpec(kind="functional_delta", rho=rho,
+    return DependenceSpec(kind="fdm_exponential", rho=rho,
                           delta=lambda j: kappa * rho ** j,
                           delta_tail=lambda q: kappa * rho ** q / (1.0 - rho))
 
@@ -202,26 +198,6 @@ def _psi_ceil_inverse(phi: Callable[[float], float], dphi: Callable[[float], flo
     smallest integer k >= 1 with psi(k) >= target."""
     return _first_index(lambda k: conjugate(phi, dphi, k) * k >= target, 1, 2 ** 60,
                         "psi stays below 1/x for every k below 2^60")
-
-
-def mix_envelope(spec: DependenceSpec, x: float) -> float:
-    """Explicit-constant upper envelope for lambda_mix from the decay proofs.
-
-    Polynomial decay: 2 C_alpha^{-1/(alpha+1)} (x^{alpha/(alpha+1)} or x).
-    Exponential decay: c_rho (1 or log(1/x)) x with
-    c_rho = max(4 + 2/log(a), 2(1 + e/(a-1))), a = (rho+1)/(2 rho).
-    """
-    if spec.kind == "mixing_polynomial":
-        al = spec.alpha
-        const = 2.0 * c_alpha(al) ** (-1.0 / (al + 1.0))
-        return const * max(x ** (al / (al + 1.0)), x)
-    if spec.kind == "mixing_exponential":
-        a = (spec.rho + 1.0) / (2.0 * spec.rho)
-        c_rho = max(4.0 + 2.0 / math.log(a), 2.0 * (1.0 + math.e / (a - 1.0)))
-        return c_rho * max(1.0, math.log(1.0 / x)) * x
-    if spec.kind == "independent":
-        return x
-    raise ValueError(f"mix_envelope undefined for kind {spec.kind!r}")
 
 
 # -- functional dependence ------------------------------------------------
@@ -309,7 +285,7 @@ def v_tilde(spec: DependenceSpec, z: float) -> float:
     if z < 0.0:
         raise ValueError("z must be nonnegative")
     s = math.sqrt(z)
-    if spec.kind == "independent" or spec.delta is None:
+    if spec.delta is None:
         return s
     if s == 0.0:
         return 0.0
@@ -334,33 +310,41 @@ def lambda_dep(spec: DependenceSpec, x: float) -> float:
                        "no fixed point found; Delta not summable?")
 
 
-def dep_envelope(spec: DependenceSpec, x: float) -> float:
-    """Unit-constant envelope shapes for lambda_dep (constants are not
-    explicit in the decay statements, so callers fit them)."""
-    if spec.kind == "independent":
-        return x
-    if spec.alpha is not None:
-        al = spec.alpha
-        return max(x ** (al / (al + 1.0)), x)
-    if spec.rho is not None:
-        return x * max(1.0, math.log(1.0 / x)) ** 2
-    raise ValueError("envelope shape needs a polynomial or exponential spec")
-
-
 def rate_function(spec: DependenceSpec, x: float) -> float:
     """The oracle inequality's rate function Lambda(x): ``lambda_dep`` under
     the functional dependence measure, else ``lambda_mix`` (x itself for
     independent data)."""
-    if spec.kind == "functional_delta":
-        return lambda_dep(spec, x)
-    return lambda_mix(spec, x)
+    if spec.delta is None:
+        return lambda_mix(spec, x)
+    return lambda_dep(spec, x)
+
+
+def envelope_shape(spec: DependenceSpec) -> tuple[float, float, int]:
+    """The (c, q, l) of ``rate_envelope``: the constant, rate exponent and log
+    power of the kind's decay statement.  The mixing proofs give explicit
+    constants (c_rho with a = (rho+1)/(2 rho)); the functional-dependence
+    ones do not, so c = 1 there and callers fit one."""
+    kind, al = spec.kind, spec.alpha
+    if kind == "independent":
+        return 1.0, 1.0, 0
+    if kind == "mixing_polynomial":
+        return 2.0 * c_alpha(al) ** (-1.0 / (al + 1.0)), al / (al + 1.0), 0
+    if kind == "mixing_exponential":
+        a = (spec.rho + 1.0) / (2.0 * spec.rho)
+        return max(4.0 + 2.0 / math.log(a), 2.0 * (1.0 + math.e / (a - 1.0))), 1.0, 1
+    if kind == "fdm_polynomial":
+        return 1.0, al / (al + 1.0), 0
+    if kind == "fdm_exponential":
+        return 1.0, 1.0, 2
+    raise ValueError(f"{kind} has no envelope shape: its Delta is measured, not a decay law")
 
 
 def rate_envelope(spec: DependenceSpec, x: float) -> float:
-    """The envelope shape that goes with ``rate_function(spec, x)``."""
-    if spec.kind == "functional_delta":
-        return dep_envelope(spec, x)
-    return mix_envelope(spec, x)
+    """c max(1, log(1/x))^l max(x^q, x), the envelope of ``rate_function``."""
+    if x <= 0.0:
+        raise ValueError("x must be positive")
+    c, q, l = envelope_shape(spec)
+    return c * max(1.0, math.log(1.0 / x)) ** l * max(x ** q, x)
 
 
 # -- entropy bound and rate selection -------------------------------------

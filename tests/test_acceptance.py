@@ -25,15 +25,14 @@ from edforecast.network import Architecture, Network
 from edforecast.rates import (
     SmoothnessProfile,
     choose_N,
-    dep_envelope,
     entropy_bound,
     fdm_exponential,
     fdm_polynomial,
     independent,
     lambda_dep,
     lambda_mix,
-    mix_envelope,
     mixing_polynomial,
+    rate_envelope,
 )
 from edforecast.simulate import estimate_fdm, generate, high_d_model, linear_model, low_d_model
 from edforecast.train import (
@@ -159,14 +158,14 @@ def test_criterion_5_lambda_calculus():
     for alpha in (1.5, 2.0, 4.0):
         spec = mixing_polynomial(alpha)
         for x in np.logspace(-8, 2, 60):
-            if lambda_mix(spec, float(x)) > mix_envelope(spec, float(x)) * (1 + 1e-9):
+            if lambda_mix(spec, float(x)) > rate_envelope(spec, float(x)) * (1 + 1e-9):
                 env_ok = False
     # functional-dependence decay shapes: fitted constant stays bounded
     shape_ok = True
     fits = []
     for spec in (fdm_polynomial(2.0), fdm_exponential(0.5)):
         ratios = np.array([
-            lambda_dep(spec, float(x)) / dep_envelope(spec, float(x))
+            lambda_dep(spec, float(x)) / rate_envelope(spec, float(x))
             for x in np.logspace(-8, 1, 40)
         ])
         fits.append(float(ratios.max()))

@@ -652,6 +652,33 @@ def test_seasonal_period_zero_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "series.csv").exists()
 
 
+@pytest.mark.parametrize("params, key", [
+    ({"v": [[True]], "a": [[0.5]]}, "v"),
+    ({"v": [[0.5]], "a": [[False]]}, "a"),
+    ({"v": "abc", "a": [[0.5]]}, "v"),
+    ({"v": [[float("nan")]], "a": [[0.5]]}, "v"),
+    ({"v": [[0.5]], "a": [[float("inf")]]}, "a"),
+], ids=["bool_v", "bool_a", "string_v", "nan_v", "infinite_a"])
+def test_linear_model_matrix_entries_follow_the_number_rule(tmp_path, capsys, params, key):
+    cfg = write_cfg(tmp_path, "sim.json", {"model": {"kind": "linear", **params}, "n": 40})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert f"config error: model: {key}: invalid value" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "series.csv").exists()
+
+
+def test_linear_model_matrices_keep_their_accepted_shapes(tmp_path):
+    # a nested list, a flat list, a bare number and numeric strings all read alike
+    rows = []
+    for name, v, a in (("nested", [[0.5]], [[0.5]]), ("flat", ["0.5"], [0.5]),
+                       ("bare", 0.5, "0.5")):
+        cfg = write_cfg(tmp_path, f"{name}.json",
+                        {"model": {"kind": "linear", "v": v, "a": a}, "n": 40})
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / name]) == 0
+        text = (tmp_path / name / "series.csv").read_text().splitlines()
+        rows.append([ln for ln in text if not ln.startswith("#")])
+    assert rows[0] == rows[1] == rows[2]
+
+
 def test_unreadable_config_value_names_its_field(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": "fifty"})
     assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 2

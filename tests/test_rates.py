@@ -17,7 +17,7 @@ from edforecast.rates import (
     c_alpha,
     choose_N,
     conjugate,
-    dep_envelope,
+    envelope_shape,
     entropy_bound,
     fdm_exponential,
     fdm_polynomial,
@@ -25,7 +25,6 @@ from edforecast.rates import (
     independent,
     lambda_dep,
     lambda_mix,
-    mix_envelope,
     mixing_exponential,
     mixing_polynomial,
     phi_exponential,
@@ -132,14 +131,14 @@ def test_polynomial_envelope_pointwise(alpha):
     # Lambda(x) <= 2 C_alpha^{-1/(alpha+1)} (x^{alpha/(alpha+1)} or x)
     spec = mixing_polynomial(alpha)
     for x in np.logspace(-8, 2, 80):
-        assert lambda_mix(spec, x) <= mix_envelope(spec, x) * (1 + 1e-9)
+        assert lambda_mix(spec, x) <= rate_envelope(spec, x) * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.7, 0.9])
 def test_exponential_envelope_pointwise(rho):
     spec = mixing_exponential(rho)
     for x in np.logspace(-6, 1, 40):
-        assert lambda_mix(spec, x) <= mix_envelope(spec, x) * (1 + 1e-9)
+        assert lambda_mix(spec, x) <= rate_envelope(spec, x) * (1 + 1e-9)
 
 
 def test_numeric_psi_inverse_agrees_with_polynomial_route():
@@ -242,7 +241,7 @@ def test_lambda_dep_converges_at_tiny_x():
     spec = fdm_exponential(0.5)
     for x in (1e-100, 1e-200):
         lam = lambda_dep(spec, x)
-        assert 0.1 < lam / dep_envelope(spec, x) < 10.0
+        assert 0.1 < lam / rate_envelope(spec, x) < 10.0
         assert v_tilde(spec, lam) <= lam / math.sqrt(x) * (1 + 1e-9)
 
 
@@ -251,7 +250,7 @@ def test_lambda_dep_envelope_shapes_bounded():
     # the ratio Lambda/envelope stays within a bounded band over the grid
     for spec in (fdm_polynomial(2.0), fdm_polynomial(1.5), fdm_exponential(0.5)):
         ratios = np.array([
-            lambda_dep(spec, x) / dep_envelope(spec, x)
+            lambda_dep(spec, x) / rate_envelope(spec, x)
             for x in np.logspace(-8, 1, 40)
         ])
         fitted = float(ratios.max())
@@ -469,12 +468,75 @@ def test_oracle_bound_independent_formula():
     assert oracle_bound(independent(), n, N, prof) == pytest.approx(expect, rel=1e-12)
 
 
+def ref_mix_envelope(spec, x):
+    # the mixing envelopes written out kind by kind, the reference that the one
+    # (c, q, l) formula must match bit for bit
+    if spec.kind == "mixing_polynomial":
+        al = spec.alpha
+        const = 2.0 * c_alpha(al) ** (-1.0 / (al + 1.0))
+        return const * max(x ** (al / (al + 1.0)), x)
+    if spec.kind == "mixing_exponential":
+        a = (spec.rho + 1.0) / (2.0 * spec.rho)
+        c_rho = max(4.0 + 2.0 / math.log(a), 2.0 * (1.0 + math.e / (a - 1.0)))
+        return c_rho * max(1.0, math.log(1.0 / x)) * x
+    if spec.kind == "independent":
+        return x
+    raise ValueError(f"mix_envelope undefined for kind {spec.kind!r}")
+
+
+def ref_dep_envelope(spec, x):
+    # the functional-dependence envelopes, the shape read off whichever of
+    # alpha and rho the spec holds
+    if spec.kind == "independent":
+        return x
+    if spec.alpha is not None:
+        al = spec.alpha
+        return max(x ** (al / (al + 1.0)), x)
+    if spec.rho is not None:
+        return x * max(1.0, math.log(1.0 / x)) ** 2
+    raise ValueError("envelope shape needs a polynomial or exponential spec")
+
+
+ENVELOPE_SPECS = [
+    (independent(), ref_mix_envelope),
+    *((mixing_polynomial(al), ref_mix_envelope) for al in (1.5, 2.0, 4.0)),
+    *((mixing_exponential(rho), ref_mix_envelope) for rho in (0.3, 0.5, 0.9)),
+    *((fdm_polynomial(al), ref_dep_envelope) for al in (1.5, 2.0)),
+    *((fdm_exponential(rho), ref_dep_envelope) for rho in (0.5, 0.7)),
+]
+
+
+@pytest.mark.parametrize("spec, ref", ENVELOPE_SPECS,
+                         ids=[f"{s.kind}-{s.alpha or s.rho}" for s, _ in ENVELOPE_SPECS])
+def test_rate_envelope_matches_the_kind_by_kind_envelopes_bit_for_bit(spec, ref):
+    # c, then the log power, then max(x^q, x): that product order keeps every bit
+    for x in [float(x) for x in np.logspace(-300, 3, 4000)] + BENCH_XS:
+        assert rate_envelope(spec, x) == ref(spec, x)
+
+
+@pytest.mark.parametrize("spec", [
+    independent(), mixing_polynomial(2.0), mixing_polynomial(4.0),
+    mixing_exponential(0.5), mixing_exponential(0.9), fdm_polynomial(1.5),
+    fdm_polynomial(2.0), fdm_exponential(0.5), fdm_exponential(0.9),
+], ids=lambda v: f"{v.kind}-{v.alpha or v.rho}")
+def test_envelope_shape_is_the_solvers_slope(spec):
+    # the kind's q is the log-log slope of Lambda(x) / max(1, log(1/x))^l far
+    # below x = 1; on [1e-12, 1e-8] lower-order log terms still move it by 0.021
+    _, q, l = envelope_shape(spec)
+
+    def log_shape(x):
+        return math.log(rate_function(spec, x) / max(1.0, math.log(1.0 / x)) ** l)
+
+    slope = (log_shape(1e-20) - log_shape(1e-30)) / (math.log(1e-20) - math.log(1e-30))
+    assert abs(slope - q) <= 0.01
+
+
 @pytest.mark.parametrize("spec, lam, env", [
-    (independent(), lambda_mix, mix_envelope),
-    (mixing_polynomial(2.0), lambda_mix, mix_envelope),
-    (mixing_exponential(0.5), lambda_mix, mix_envelope),
-    (fdm_polynomial(2.0), lambda_dep, dep_envelope),
-    (fdm_exponential(0.5), lambda_dep, dep_envelope),
+    (independent(), lambda_mix, ref_mix_envelope),
+    (mixing_polynomial(2.0), lambda_mix, ref_mix_envelope),
+    (mixing_exponential(0.5), lambda_mix, ref_mix_envelope),
+    (fdm_polynomial(2.0), lambda_dep, ref_dep_envelope),
+    (fdm_exponential(0.5), lambda_dep, ref_dep_envelope),
 ], ids=["independent", "mixing_polynomial", "mixing_exponential", "fdm_polynomial",
         "fdm_exponential"])
 def test_rate_function_is_the_kinds_lambda(spec, lam, env):
@@ -525,6 +587,21 @@ def test_spec_validation():
         DependenceSpec(kind="nope")
     with pytest.raises(TypeError, match="kappa"):  # only the fdm factories take a scale
         DependenceSpec(kind="mixing_polynomial", alpha=2.0, kappa=5.0)
+    delta = lambda j: 0.5 ** j
+    with pytest.raises(ValueError, match="takes no Delta"):
+        DependenceSpec(kind="mixing_polynomial", alpha=2.0, delta=delta)
+    for make, param in ((fdm_polynomial, {"alpha": 2.0}), (fdm_exponential, {"rho": 0.5})):
+        assert make(**param).kind == make.__name__  # the config's kind names the spec
+        with pytest.raises(ValueError, match="needs a Delta"):
+            DependenceSpec(kind=make.__name__, **param)
+    with pytest.raises(ValueError, match="fdm_polynomial needs alpha > 1"):
+        fdm_polynomial(1.0)
+    with pytest.raises(ValueError, match="fdm_exponential needs rho"):
+        fdm_exponential(1.0)
+    with pytest.raises(ValueError, match="functional_delta"):
+        rate_envelope(functional_delta(delta), 0.1)
+    with pytest.raises(ValueError, match="positive"):
+        rate_envelope(independent(), 0.0)
     with pytest.raises(ValueError):
         SmoothnessProfile.isotropic(0.5, 1)
 
