@@ -14,12 +14,14 @@ Both are evaluated exactly where closed forms exist.  Otherwise
 ``lambda_mix`` searches the integers k for the first with psi(k) >= 1/x,
 taking each phi_star(k) at the root of phi'(z) = k, and ``lambda_dep``
 bisects for ybar; every bisection runs until its midpoint rounds onto a
-bracket end.  All oracle-level bounds are reported up to their
-unspecified constant (taken as 1).
+bracket end; in one ``lambda_dep`` call each V(z) searches for j* (the first
+j with Delta(j) <= sqrt(z)) from the last j* and takes each tail once.  All
+oracle-level bounds are reported up to their unspecified constant, taken as 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -53,8 +55,10 @@ class DependenceSpec:
                  "fdm_polynomial", "fdm_exponential", "functional_delta")
         if self.kind not in kinds:
             raise ValueError(f"unknown dependence kind {self.kind!r}")
-        for name in ("alpha", "rho"):
+        for name, family in (("alpha", "_polynomial"), ("rho", "_exponential")):
             value = getattr(self, name)
+            if value is not None and not self.kind.endswith(family):
+                raise ValueError(f"{self.kind} takes no {name}")
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.kind.endswith("_polynomial") and not (self.alpha and self.alpha > 1):
@@ -86,9 +90,9 @@ def functional_delta(delta: Callable[[int], float],
                      tail: Callable[[int], float] | None = None) -> DependenceSpec:
     """Functional dependence given by a sequence Delta(j) >= 0.
 
-    Delta must be non-increasing: ``v_tilde`` bisects for the first j with
-    Delta(j) <= sqrt(z), and without ``tail`` (the sum from q onward)
-    ``beta_dep`` uses it to reject a non-summable Delta before its walk.
+    Delta must be non-increasing: V gallops from the last j* to the first j
+    with Delta(j) <= sqrt(z), and without ``tail`` (the sum from q onward,
+    once per j*) ``beta_dep`` uses it to reject a non-summable Delta first.
     """
     return DependenceSpec(kind="functional_delta", delta=delta, delta_tail=tail)
 
@@ -235,18 +239,20 @@ def beta_dep(spec: DependenceSpec, q: int) -> float:
 
 
 def _first_index(pred: Callable[[int], bool], start: int, limit: int,
-                 error: str) -> int:
+                 error: str, hint: int = 0) -> int:
     """Smallest i >= start with pred(i), for a pred that stays true once true.
 
-    Doubles an upper end until pred holds there (raising
-    RateComputationError(error) once it passes ``limit``), then bisects
-    between it and the last index where pred failed.
+    Gallops from max(start, hint), each probe twice as far from hint as the
+    last: down while pred holds (not below start), up while it fails (raising
+    RateComputationError(error) past ``limit``); then bisects the bracket.
     """
-    if pred(start):
-        return start
-    lo, hi = start, max(1, 2 * start)
-    while not pred(hi):
-        lo, hi = hi, 2 * hi
+    lo = hi = max(start, hint)
+    if pred(hi):
+        while hi > start and pred(lo := max(start, hi - max(1, hint - hi))):
+            hi = lo
+    else:
+        while (hi := lo + max(1, lo - hint)) <= limit and not pred(hi):
+            lo = hi
         if hi > limit:
             raise RateComputationError(error)
     while lo + 1 < hi:
@@ -280,33 +286,47 @@ def _root(pred: Callable[[float], bool], lo: float, hi: float, error: str) -> fl
             lo = mid
 
 
+def _v_walker(spec: DependenceSpec) -> Callable[[float], float]:
+    """V over one solve: j* searches gallop from the last j*, and each Delta(j)
+    and tail is taken once; for a non-increasing Delta, bit for bit v_tilde."""
+    delta = functools.cache(lambda j: float(spec.delta(j)))
+    tail = functools.cache(lambda q: beta_dep(spec, q))
+    j_star = 0
+
+    def v(z: float) -> float:
+        nonlocal j_star
+        if z < 0.0:
+            raise ValueError("z must be nonnegative")
+        s = math.sqrt(z)
+        if spec.delta is None or s == 0.0:
+            return s
+        if not (delta(j_star) <= s and (j_star == 0 or delta(j_star - 1) > s)):
+            j_star = _first_index(lambda j: delta(j) <= s, 0, 2 ** 60,
+                                  "Delta does not decay to zero", hint=j_star)
+        return s * (1 + j_star) + tail(j_star)
+
+    return v
+
+
 def v_tilde(spec: DependenceSpec, z: float) -> float:
-    """Variance proxy sqrt(z) + sum_j min(sqrt(z), Delta(j))."""
-    if z < 0.0:
-        raise ValueError("z must be nonnegative")
-    s = math.sqrt(z)
-    if spec.delta is None:
-        return s
-    if s == 0.0:
-        return 0.0
-    # j_star = first index with Delta(j) <= sqrt(z); Delta decreasing
-    j_star = _first_index(lambda j: float(spec.delta(j)) <= s, 0, 2 ** 60,
-                          "Delta does not decay to zero")
-    return s * (1 + j_star) + beta_dep(spec, j_star)
+    """Variance proxy sqrt(z) + sum_j min(sqrt(z), Delta(j)): one call of a
+    fresh V walker, whose j* search starts from 0."""
+    return _v_walker(spec)(z)
 
 
 def lambda_dep(spec: DependenceSpec, x: float) -> float:
     """Functional-dependence rate function sqrt(x) * ybar(x).
 
     ybar is the minimal positive fixed point of V(sqrt(x) y) <= y, located
-    by bisection; the returned bracket end satisfies the inequality.
+    by bisection on one V walker; the returned end satisfies the inequality.
     """
     if x <= 0.0:
         raise ValueError("x must be positive")
     sqx = math.sqrt(x)
+    v = _v_walker(spec)
     # V(z) >= sqrt(z) forces the positive fixed point ybar >= sqrt(x), so
     # sqrt(x)/2 always sits strictly below it, where V(sqrt(x) y) > y
-    return sqx * _root(lambda y: v_tilde(spec, sqx * y) <= y, 0.5 * sqx, max(1.0, sqx),
+    return sqx * _root(lambda y: v(sqx * y) <= y, 0.5 * sqx, max(1.0, sqx),
                        "no fixed point found; Delta not summable?")
 
 

@@ -15,6 +15,8 @@ ALLOWED = {
     "prediction_error_mc": "the Monte Carlo prediction error of the simulation claim",
     "estimate_fdm": "the functional dependence estimate the acceptance suite checks",
     "entropy_bound": "the bracketing-entropy bound an acceptance criterion names",
+    "v_tilde": "the paper's variance proxy V at one z; lambda_dep runs the same walker "
+               "privately, and its fixed-point tests check against this one",
 }
 
 

@@ -228,11 +228,52 @@ def _lambda_dep_200_steps(spec, x):
 
 
 def test_lambda_dep_early_stop_is_exact():
-    specs = (independent(), fdm_polynomial(2.0), fdm_polynomial(1.5),
-             fdm_exponential(0.5))
+    # lambda_dep's one walker against a bisection on fresh v_tilde calls,
+    # down to x = 1e-30 where j* sits far from 0: polynomial Delta at three
+    # decay speeds, exponential Delta at three scales, and a tail-less Delta
+    # that runs beta_dep's generic walk
+    specs = [independent(), fdm_polynomial(2.0), fdm_polynomial(1.5), fdm_exponential(0.5),
+             *(fdm_polynomial(a, kappa=3.0) for a in (1.1, 2.0, 5.0)),
+             *(fdm_exponential(0.1, kappa=k) for k in (0.2, 0.5, 0.9)),
+             functional_delta(lambda j: 0.5 ** j)]
     for spec in specs:
-        for x in np.logspace(-8, 1, 40):
+        for x in np.logspace(-30, 1, 40):
             assert lambda_dep(spec, float(x)) == _lambda_dep_200_steps(spec, float(x))
+
+
+def _counting(spec):
+    # the spec with its Delta and tail wrapped to count their calls
+    counts = {"delta": 0, "tail": 0}
+
+    def delta(j):
+        counts["delta"] += 1
+        return spec.delta(j)
+
+    def tail(q):
+        counts["tail"] += 1
+        return spec.delta_tail(q)
+
+    return DependenceSpec(kind=spec.kind, alpha=spec.alpha, rho=spec.rho,
+                          delta=delta, delta_tail=tail), counts
+
+
+def test_lambda_dep_reuses_its_search_within_one_call():
+    # alpha = 2 at three x spanning the rates benchmark's grids, each with the
+    # Delta count of a bisection that searched j* from 0 and took the tail at
+    # every step
+    for x, fresh_deltas in ((1.78e-6, 385), (2.37e-3, 163), (0.5, 57)):
+        spec, counts = _counting(fdm_polynomial(2.0))
+        lambda_dep(spec, x)
+        assert counts["tail"] <= 5
+        assert counts["delta"] <= fresh_deltas / 2
+    # j* far from 0: the gallop makes no more Delta calls than the fresh searches' 1,765
+    spec, counts = _counting(fdm_polynomial(1.1))
+    lambda_dep(spec, 1e-20)
+    assert counts["delta"] <= 1765
+    # nothing is kept from one call to the next
+    first = dict(counts)
+    lambda_dep(spec, 1e-20)
+    assert counts == {name: 2 * n for name, n in first.items()}
 
 
 def test_lambda_dep_converges_at_tiny_x():
@@ -338,6 +379,17 @@ def test_q_star_immediate():
     beta = lambda q: 0.5 ** q
     assert q_star(beta, 0.5) == 1
     assert q_star(beta, 0.9) == 1
+
+
+def test_first_index_is_the_same_from_every_hint():
+    # galloping up or down from any hint lands on the first true index, never below start
+    for start in (0, 1, 5):
+        for first in range(start, 70):
+            for hint in range(0, 80):
+                got = _first_index(lambda i: i >= first, start, 2 ** 10, "unreached", hint=hint)
+                assert got == first
+    with pytest.raises(RateComputationError, match="unreached"):
+        _first_index(lambda i: False, 0, 2 ** 10, "unreached", hint=600)
 
 
 def test_q_star_piecewise_monotone():
@@ -590,6 +642,16 @@ def test_spec_validation():
     delta = lambda j: 0.5 ** j
     with pytest.raises(ValueError, match="takes no Delta"):
         DependenceSpec(kind="mixing_polynomial", alpha=2.0, delta=delta)
+    # a parameter the kind does not read is refused, not carried along
+    for kind, name, params in (
+            ("mixing_exponential", "alpha", {"rho": 0.5, "alpha": 3.0}),
+            ("fdm_exponential", "alpha", {"rho": 0.5, "alpha": 2.0, "delta": delta}),
+            ("independent", "alpha", {"alpha": 2.0}),
+            ("mixing_polynomial", "rho", {"alpha": 2.0, "rho": 0.5}),
+            ("fdm_polynomial", "rho", {"alpha": 2.0, "rho": 0.5, "delta": delta}),
+            ("functional_delta", "rho", {"rho": 0.5, "delta": delta})):
+        with pytest.raises(ValueError, match=f"{kind} takes no {name}"):
+            DependenceSpec(kind=kind, **params)
     for make, param in ((fdm_polynomial, {"alpha": 2.0}), (fdm_exponential, {"rho": 0.5})):
         assert make(**param).kind == make.__name__  # the config's kind names the spec
         with pytest.raises(ValueError, match="needs a Delta"):
