@@ -137,11 +137,13 @@ class Workspace:
     pre-activations, ReLU masks and activations (one buffer for each kind),
     and 0-d constants.  A one-sample step's operands are gathered once, one
     tuple per layer in the order the step visits them (``forward``,
-    ``output``, ``backward``, ``first``).  The step makes 6L + 7
-    numpy calls (6L + 6 at sample weight 1.0), 37 at L = 5: 3L + 2
-    ``ndarray.dot`` products, one ``heaviside`` for every mask, and one
-    ``negative`` that turns the bias section of ``g``, where the backward
-    loop leaves each layer's masked signal, into bias gradients.
+    ``output``, ``backward``, ``first``), each product as its left operand's
+    bound ``ndarray.dot``, with ``ufuncs`` looked up when the workspace is
+    made.  The step makes 6L + 7 numpy calls (6L + 6 at sample weight 1.0),
+    37 at L = 5: 3L + 2 ``ndarray.dot`` products, one ``heaviside`` for
+    every mask, and one ``negative`` that turns the bias section of ``g``,
+    where the backward loop leaves each layer's masked signal, into bias
+    gradients.
     """
 
     def __init__(self, net: Network):
@@ -154,13 +156,14 @@ class Workspace:
         self.z, self.masks, acts = np.empty((3, hidden))
         z, masks, acts = (np.split(row, np.cumsum(p[1:L])) for row in (self.z, self.masks, acts))
         self.zero, self.scale = np.array(0.0), np.array(2.0 / net.arch.out_dim)
-        self.forward = tuple(zip(W[:L], net.biases, z, acts))
+        self.ufuncs = (np.subtract, np.maximum, np.heaviside, np.multiply, np.negative)
+        self.forward = tuple(zip([W_i.dot for W_i in W[:L]], net.biases, z, acts))
         g = g_b + [np.empty(p[L + 1])]  # the signal into each layer, a hidden one in its bias slot
-        self.output = (W[L], g[L])
-        self.backward = tuple((g[i + 1], W[i + 1], masks[i], g_b[i],
-                               g[i + 1][:, None], acts[i][None, :], g_w[i + 1])
+        self.output = (W[L].dot, g[L])
+        self.backward = tuple((g[i + 1][:, None].dot, acts[i][None, :], g_w[i + 1],
+                               g[i + 1].dot, W[i + 1], g_b[i], masks[i])
                               for i in range(L - 1, -1, -1))
-        self.first = (g[0][:, None], g_w[0])
+        self.first = (g[0][:, None].dot, g_w[0])
 
 
 def gradient(ws: Workspace, X: np.ndarray, Y: np.ndarray, wts: np.ndarray):
@@ -176,35 +179,38 @@ def gradient(ws: Workspace, X: np.ndarray, Y: np.ndarray, wts: np.ndarray):
     One sample runs the batch-of-one path's operations in the same order (an
     outer product with one term per entry is exact), so each value is the same,
     though a zero may change sign.  Its 6L + 7 calls (see ``Workspace``) are
-    ufuncs with ``out`` and products ``A.dot(B, out)``: the C routine of
-    ``np.dot`` (so the same bits) without its dispatcher.  A sample weight of
-    exactly 1.0 skips its multiply.
+    ufuncs and the bound products ``A.dot(B, out)``: the C routine of
+    ``np.dot`` (so the same bits) without its dispatcher.  Each passes its
+    output positionally, with no keyword to parse, except ``np.maximum``,
+    where numpy deprecates that.  A sample weight of exactly 1.0 skips its
+    multiply.  ``train_sgd`` calls this function once per step.
     """
     net, g_w, g_b = ws.net, ws.g_w, ws.g_b
     X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y)
     if X.ndim == 1:
-        W_out, g_z = ws.output
+        out_dot, g_z = ws.output
         if Y.shape != g_z.shape:
             raise _target_error(net, Y, g_z.shape)
+        subtract, maximum, heaviside, multiply, negative = ws.ufuncs
         zero, a = ws.zero, X
-        for W_i, b_i, z_i, a_next in ws.forward:
-            W_i.dot(a, z_i)
-            np.subtract(z_i, b_i, out=z_i)
-            np.maximum(z_i, zero, out=a_next)
+        for W_dot, b_i, z_i, a_next in ws.forward:
+            W_dot(a, z_i)
+            subtract(z_i, b_i, z_i)
+            maximum(z_i, zero, out=a_next)
             a = a_next
-        np.heaviside(ws.z, zero, out=ws.masks)
-        W_out.dot(a, g_z)
-        np.subtract(g_z, Y, out=g_z)
-        np.multiply(g_z, ws.scale, out=g_z)
+        heaviside(ws.z, zero, ws.masks)
+        out_dot(a, g_z)
+        subtract(g_z, Y, g_z)
+        multiply(g_z, ws.scale, g_z)
         if wts != 1.0:
-            np.multiply(g_z, wts, out=g_z)
-        for g_next, W_next, mask_i, g_i, col, row, gw_next in ws.backward:
-            col.dot(row, gw_next)
-            g_next.dot(W_next, g_i)
-            np.multiply(g_i, mask_i, out=g_i)
-        col, gw_0 = ws.first
-        col.dot(X[None, :], gw_0)
-        np.negative(ws.bias_part, out=ws.bias_part)
+            multiply(g_z, wts, g_z)
+        for col_dot, row, gw_next, g_dot, W_next, g_i, mask_i in ws.backward:
+            col_dot(row, gw_next)
+            g_dot(W_next, g_i)
+            multiply(g_i, mask_i, g_i)
+        col_dot, gw_0 = ws.first
+        col_dot(X[None, :], gw_0)
+        negative(ws.bias_part, ws.bias_part)
         return g_w, g_b
     L, W, B = net.arch.L, net.weights, net.biases
     if len(X) == 0:
@@ -252,7 +258,8 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     Deterministic for fixed (seed, config, data).  Returns the trained
     network and the per-epoch learning curve; with ``prune_to_s`` the net is
     pruned after the last epoch, whose record holds the pruned net's risks.
-    Aborts with diagnostics if the train risk exceeds 1e6 times its initial value.
+    Aborts with diagnostics if the train risk is not finite or exceeds 1e6
+    times its initial value.
     """
     rng = np.random.default_rng(cfg.seed)
     # Flat parameters theta and the workspace's flat gradient g make a step's update a few
@@ -262,6 +269,9 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     ws = Workspace(Network(net.arch, weights, biases))
     g, decayed = ws.g, np.empty_like(theta)
     decay, lo, hi = np.array(2.0 * cfg.l2_lambda), np.array(-1.0), np.array(1.0)
+    l2_lambda, project = cfg.l2_lambda, cfg.project_entries  # the update's, once per run
+    multiply, add, subtract, maximum, minimum = (np.multiply, np.add, np.subtract,
+                                                 np.maximum, np.minimum)
 
     def risks(model):
         return (empirical_risk(model.eval_batch(data.X), data, w), None if test_data is None
@@ -280,21 +290,21 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
             (X[s : s + bs], Y[s : s + bs], wts[s : s + bs]) for s in range(0, n_samples, bs))
         for xb, yb, wb in batches:
             gradient(ws, xb, yb, wb)
-            if cfg.l2_lambda:  # weight decay: the only place L2 enters
-                np.multiply(theta, decay, out=decayed)
-                np.add(g, decayed, out=g)
-            np.multiply(g, lr, out=g)
-            np.subtract(theta, g, out=theta)
-            if cfg.project_entries:
-                np.maximum(theta, lo, out=theta)
-                np.minimum(theta, hi, out=theta)
+            if l2_lambda:  # weight decay: the only place L2 enters
+                multiply(theta, decay, decayed)
+                add(g, decayed, g)
+            multiply(g, lr, g)
+            subtract(theta, g, theta)
+            if project:
+                maximum(theta, lo, out=theta)
+                minimum(theta, hi, out=theta)
         train_risk, test_risk = risks(Network(net.arch, weights, biases))
         curve.append(EpochRecord(epoch=epoch, train_risk=train_risk, test_risk=test_risk))
         if not np.isfinite(train_risk) or train_risk > ceiling:
-            raise TrainingDiverged(
-                f"train risk {train_risk:.3e} exceeded 1e6 x initial {initial:.3e} "
-                f"at epoch {epoch} (lr={lr:g}); reduce the learning rate"
-            )
+            what = (f"exceeded 1e6 x initial {initial:.3e}" if np.isfinite(train_risk)
+                    else f"is not finite (initial {initial:.3e})")
+            raise TrainingDiverged(f"train risk {train_risk:.3e} {what} at epoch {epoch} "
+                                   f"(lr={lr:g}); reduce the learning rate")
 
     result = Network(net.arch, *_unflatten(theta.copy(), net))
     if cfg.prune_to_s is not None:

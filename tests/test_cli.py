@@ -734,6 +734,20 @@ def test_diverging_training_exits_3(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_training_risk_exits_3_saying_so(tmp_path, capsys):
+    sim = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 200, "seed": 0})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
+    # the first steps overflow, so the first epoch's risk is NaN, not a finite blow-up
+    cfg = write_cfg(tmp_path, "train.json", {
+        "train_csv": str(tmp_path / "series.csv"), "train_fraction": 0.5,
+        "arch": {"p": [5, 8, 5]}, "train": {"epochs": 2, "lr_schedule": [[0, 1e308]]}})
+    capsys.readouterr()
+    numeric_failure(run(["train", "--config", cfg, "--out", tmp_path]), capsys,
+                    "train risk nan is not finite (initial ")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_unstable_model_simulation_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sim.json", {
         "model": {"kind": "linear", "v": [[2.0]], "a": [[1.5]]}, "n": 100, "burn_in": 5000})

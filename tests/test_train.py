@@ -529,6 +529,53 @@ def test_one_sgd_step_makes_one_mask_call_and_one_negation(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_every_ufunc_call_of_an_sgd_step_writes_into_an_output(monkeypatch):
+    # the step allocates nothing: each ufunc call of a train_sgd step on the L = 5
+    # sweep cell names its output, positionally or as out=, and returns it
+    net, data, weight = flat_sgd_case("sweep_cell")
+    L, log, real_gradient = net.arch.L, [], train_module.gradient
+
+    class OutputCheckingNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not isinstance(attr, np.ufunc):
+                return attr
+
+            def checked(*args, **kwargs):
+                out = args[attr.nin:]
+                if "out" in kwargs:
+                    out = kwargs["out"] if isinstance(kwargs["out"], tuple) else (kwargs["out"],)
+                result = attr(*args, **kwargs)
+                log.append((name, len(out) == 1 and isinstance(out[0], np.ndarray)
+                            and result is out[0]))
+                return result
+            return checked
+
+    def marked_gradient(ws, X, Y, wts):
+        log.append("gradient")
+        return real_gradient(ws, X, Y, wts)
+
+    cfg = TrainConfig(epochs=1, lr_schedule=((0, 0.05),), l2_lambda=1e-4, seed=2,
+                      project_entries=True)
+    monkeypatch.setattr(train_module, "np", OutputCheckingNumpy())
+    monkeypatch.setattr(train_module, "gradient", marked_gradient)
+    checked, _ = train_sgd(net, data, cfg, weight)
+    monkeypatch.undo()
+    marks = [i for i, entry in enumerate(log) if entry == "gradient"]
+    assert len(marks) == len(data)
+    # the last step's update runs into the epoch's risk evaluation, so it is left out
+    for start, end in zip(marks, marks[1:]):
+        step = log[start + 1 : end]
+        # the gradient's 3L + 5 ufuncs (one fewer at sample weight 1.0), 6 in the update
+        assert len(step) in (3 * L + 4 + 6, 3 * L + 5 + 6)
+        assert [name for name, has_out in step if not has_out] == []
+    assert {entry[0] for entry in log if entry != "gradient"} >= {
+        "subtract", "maximum", "minimum", "heaviside", "multiply", "negative", "add"}
+    plain, _ = train_sgd(net, data, cfg, weight)
+    for a, b in zip(checked.weights + checked.biases, plain.weights + plain.biases):
+        assert np.array_equal(a, b)
+
+
 def test_one_sample_gradient_rejects_a_sample_of_the_wrong_length():
     net, x, y = one_sample_case("random", 5)
     ws = Workspace(net)
