@@ -32,7 +32,6 @@ import numpy as np
 
 from . import ConfigError
 from .network import (
-    Architecture,
     Network,
     compose,
     deepen,
@@ -222,10 +221,7 @@ def mult_net(m: int) -> Network:
     weights.append(w_last)
     biases.append(np.array([0.25]))
     weights.append(np.array([[1.0]]))
-
-    L = m + 2
-    p = (2,) + (width,) * (m + 1) + (1, 1)
-    return Network(Architecture(L, p), weights, biases)
+    return Network(weights, biases)
 
 
 def multiprod_net(m: int, t: int) -> Network:
@@ -245,8 +241,7 @@ def multiprod_net(m: int, t: int) -> Network:
         w0 = np.eye(full, t)
         bias = np.zeros(full)
         bias[t:] = -1.0
-        stages.append(Network(Architecture(1, (t, full, full)),
-                              [w0, np.eye(full)], [bias]))
+        stages.append(Network([w0, np.eye(full)], [bias]))
     width, mult = full, mult_net(m)
     while width > 1:
         stages.append(parallel([precompose_affine(mult, _selector([2 * i, 2 * i + 1], width))
@@ -282,8 +277,7 @@ def hat_net(center, M: int, m: int, t: int, prod: Network) -> Network:
     for j in range(t):
         w1[j, 2 * j] = -1.0
         w1[j, 2 * j + 1] = -1.0
-    tents = Network(Architecture(2, (t, 2 * t, t, t)),
-                    [w0, w1, np.eye(t)], [b0, b1])
+    tents = Network([w0, w1, np.eye(t)], [b0, b1])
     if t == 1:
         return tents
     return compose(prod, tents)
@@ -293,7 +287,7 @@ def _constant_one_net(in_dim: int, L: int) -> Network:
     """Depth-L network emitting the constant 1 regardless of its input."""
     weights = [np.zeros((1, in_dim))] + [np.eye(1) for _ in range(L)]
     biases = [np.array([-1.0])] + [np.zeros(1) for _ in range(L - 1)]
-    return Network(Architecture(L, (in_dim,) + (1,) * (L + 1)), weights, biases)
+    return Network(weights, biases)
 
 
 # -- Taylor patches --------------------------------------------------------

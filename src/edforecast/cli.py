@@ -280,8 +280,7 @@ def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
     if c["arch"] is None:
         raise ConfigError("config: training needs an 'arch' section")
     r = c["r"]
-    arch = _section(c["arch"], "arch", lambda p, L1=None: Architecture(len(p) - 2, p, L1=L1),
-                    {"p": _ints, "L1": _or_none(_int)}, ["p"])
+    arch = _section(c["arch"], "arch", Architecture, {"p": _ints, "L1": _or_none(_int)}, ["p"])
     d = series_train.shape[1]
     if arch.in_dim != d * r or arch.out_dim != d:
         raise ConfigError(
@@ -326,7 +325,7 @@ def _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir) -> int:
     for r in r_values:
         data, test_data = _embed(series_train, series_test, r, c["normalize"])
         for m in m_values:
-            arch = Architecture(5, (r * d, r * d, 24, m, 24, d, d), L1=3)
+            arch = Architecture((r * d, r * d, 24, m, 24, d, d), L1=3)
             risks = []
             for run in range(runs):
                 run_tc = replace(tc, seed=tc.seed + 1000 * run)

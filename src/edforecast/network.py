@@ -42,30 +42,31 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer count and width vector.
+    """Width vector and bottleneck position.
 
-    ``L`` hidden layers, widths ``p = (p0, ..., p_{L+1})``.  ``L1`` marks the
-    bottleneck position (the L1-th hidden layer).
+    Widths ``p = (p0, ..., p_{L+1})`` fix the depth, ``L = len(p) - 2``
+    hidden layers.  ``L1`` marks the bottleneck position (the L1-th hidden
+    layer).
     """
 
-    L: int
     p: tuple
     L1: int | None = None
 
     def __post_init__(self):
-        def whole(v):  # an int (as the combinators pass) as it is, else as the CLI reads one
+        def whole(v):  # an int (as a weight's shape gives) as it is, else as the CLI reads one
             return v if type(v) is int else integral(v, ShapeError)
-        object.__setattr__(self, "L", whole(self.L))
         object.__setattr__(self, "p", tuple(map(whole, self.p)))
         object.__setattr__(self, "L1", None if self.L1 is None else whole(self.L1))
         if self.L < 0:
-            raise ShapeError(f"L must be nonnegative, got {self.L}")
-        if len(self.p) != self.L + 2:
-            raise ShapeError(f"width vector has length {len(self.p)}, expected L+2={self.L + 2}")
+            raise ShapeError(f"width vector {self.p} needs at least 2 widths")
         if any(v < 1 for v in self.p):
             raise ShapeError(f"widths must be >= 1, got {self.p}")
         if self.L1 is not None and not (1 <= self.L1 <= self.L):
             raise ShapeError(f"L1={self.L1} outside 1..L={self.L}")
+
+    @property
+    def L(self) -> int:
+        return len(self.p) - 2
 
     @property
     def in_dim(self) -> int:
@@ -100,30 +101,28 @@ class _Groups(NamedTuple):
 
 class Network:
     """Immutable ReLU network; weights[i] is a (p[i+1], p[i]) float64 array,
-    allocated anew for a grouped layer.  The first evaluation caches a kernel
-    per layer, so the stored layers must not be mutated after it; build a new
-    Network over changed arrays instead."""
+    allocated anew for a grouped layer; ``arch`` holds the widths p the layers
+    chain through, read from the weights, and the bottleneck position ``L1``.
+    The first evaluation caches a kernel per layer, so the stored layers must
+    not be mutated after it; build a new Network over changed arrays instead."""
 
     __slots__ = ("arch", "_w", "_grouped", "biases", "_kernels")
 
-    def __init__(self, arch: Architecture, weights, biases):
+    def __init__(self, weights, biases, L1: int | None = None):
         weights = [w if type(w) is _Groups else np.asarray(w, dtype=np.float64)
                    for w in weights]
         biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        if len(weights) != arch.L + 1:
-            raise ShapeError(f"expected {arch.L + 1} weight matrices, got {len(weights)}")
-        if len(biases) != arch.L:
-            raise ShapeError(f"expected {arch.L} bias vectors, got {len(biases)}")
+        if len(biases) != len(weights) - 1:
+            raise ShapeError(f"{len(biases)} biases for {len(weights)} weights, expected one fewer")
+        p = [None]  # p[i], weight i's input width, is weight i-1's rows
         for i, w in enumerate(weights):
-            want = (arch.p[i + 1], arch.p[i])
-            if w.shape != want:
-                raise ShapeError(f"weight {i} has shape {w.shape}, expected {want}")
-        for i, b in enumerate(biases):
-            if b.shape != (arch.p[i + 1],):
-                raise ShapeError(
-                    f"bias {i} has shape {b.shape}, expected ({arch.p[i + 1]},)"
-                )
-        object.__setattr__(self, "arch", arch)
+            if len(w.shape) != 2 or p[i] not in (None, w.shape[1]):
+                cols = "" if p[i] is None else f" with {p[i]} columns, weight {i - 1}'s rows"
+                raise ShapeError(f"weight {i} has shape {w.shape}, expected a matrix{cols}")
+            if i < len(biases) and biases[i].shape != w.shape[:1]:
+                raise ShapeError(f"bias {i} has shape {biases[i].shape}, expected {w.shape[:1]}")
+            p[i:] = w.shape[::-1]
+        object.__setattr__(self, "arch", Architecture(tuple(p), L1))
         object.__setattr__(self, "_w", weights)
         object.__setattr__(self, "_grouped", any(type(w) is _Groups for w in weights))
         object.__setattr__(self, "biases", biases)
@@ -251,7 +250,7 @@ class Network:
         return sum(_nnz(a) for a in self._w + self.biases)
 
     def with_l1(self, L1: int | None) -> "Network":
-        return Network(Architecture(self.arch.L, self.arch.p, L1=L1), self._w, self.biases)
+        return Network(self._w, self.biases, L1)
 
 
 def _forward_rows(kernels, hidden, A, out, nb, bufs, r0, r1):
@@ -330,11 +329,11 @@ def lipschitz_empirical(net: Network, X: np.ndarray, Xp: np.ndarray) -> float:
 
 def identity_network(dim: int) -> Network:
     """Depth-0 network computing x -> x."""
-    return Network(Architecture(0, (dim, dim)), [np.eye(dim)], [])
+    return Network([np.eye(dim)], [])
 
 
 def compose(f: Network, g: Network, interface: str = "split") -> Network:
-    """Single network computing f(g(x)); depth L_f + L_g + 1.
+    """Single network computing f(g(x)) by g's layers, then f's: depth L_f + L_g + 1.
 
     The extra hidden layer carries g's output across the ReLU interface.
     ``interface="split"`` (default) stores positive and negative parts in
@@ -349,27 +348,24 @@ def compose(f: Network, g: Network, interface: str = "split") -> Network:
             f"compose: g outputs dim {q} but f expects dim {f.arch.in_dim}"
         )
     if interface == "split":
-        p = g.arch.p[:-1] + (2 * q,) + f.arch.p[1:]
         weights = g._w[:-1] + [_plus_minus(g._w[-1], 0), _plus_minus(f._w[0], 1)] + f._w[1:]
         biases = g.biases + [np.zeros(2 * q)] + f.biases
     elif interface == "relu":
-        p = g.arch.p[:-1] + (q,) + f.arch.p[1:]
         weights = g._w + f._w
         biases = g.biases + [np.zeros(q)] + f.biases
     else:
         raise ValueError(f"unknown interface {interface!r}")
-    arch = Architecture(g.arch.L + f.arch.L + 1, p)
-    return Network(arch, weights, biases)
+    return Network(weights, biases)
 
 
 def parallel(nets: Sequence[Network]) -> Network:
     """Stack networks side by side on a shared input.
 
-    All nets must agree on input dimension and depth (deepen first if not);
-    the output is the concatenation of the individual outputs.  A run of
-    neighbouring nets with equal layers after the first (and one output
-    each, if more than one) lays its hidden units out unit-major, so each of
-    those layers holds a group per run, or is the one dense block it has.
+    All nets must agree on input dimension and depth (deepen first if not),
+    the result's depth; its widths are theirs summed, its output theirs
+    concatenated.  A run of neighbouring nets with equal layers after the
+    first (and one output each, if more than one) lays its hidden units out
+    unit-major, so each layer holds a group per run, or its one dense block.
     """
     if not nets:
         raise ShapeError("parallel of empty list")
@@ -405,11 +401,11 @@ def parallel(nets: Sequence[Network]) -> Network:
         weights.append(groups[0][0] if one else _Groups((p[i + 1], p[i]), groups))
     biases = [np.concatenate([_interleave([n.biases[i] for n in r]) for r in runs])
               for i in range(L)]
-    return Network(Architecture(L, p), weights, biases)
+    return Network(weights, biases)
 
 
 def deepen(net: Network, target_L: int) -> Network:
-    """Pad with identity pass-through layers in front of the network.
+    """Pad with identity layers of the input width in front, to depth ``target_L``.
 
     Exact on nonnegative inputs only: the pass-through is relu(x) = x.
     """
@@ -421,10 +417,8 @@ def deepen(net: Network, target_L: int) -> Network:
     if k == 0:
         return net
     d = net.arch.in_dim
-    p = (d,) * (k + 1) + net.arch.p[1:]
-    weights = [np.eye(d) for _ in range(k)] + net._w
-    biases = [np.zeros(d) for _ in range(k)] + list(net.biases)
-    return Network(Architecture(net.arch.L + k, p), weights, biases)
+    return Network([np.eye(d) for _ in range(k)] + net._w,
+                   [np.zeros(d) for _ in range(k)] + net.biases)
 
 
 def precompose_affine(net: Network, A: np.ndarray, offset=None) -> Network:
@@ -445,8 +439,7 @@ def precompose_affine(net: Network, A: np.ndarray, offset=None) -> Network:
                 raise ShapeError("depth-0 network cannot absorb an input offset")
         else:
             biases[0] = biases[0] - shift
-    arch = Architecture(net.arch.L, (A.shape[1],) + net.arch.p[1:], L1=net.arch.L1)
-    return Network(arch, weights, biases)
+    return Network(weights, biases, net.arch.L1)
 
 
 def postcompose_affine(net: Network, C: np.ndarray) -> Network:
@@ -456,9 +449,7 @@ def postcompose_affine(net: Network, C: np.ndarray) -> Network:
         raise ShapeError(
             f"postcompose: matrix expects dim {C.shape[1]}, net outputs {net.arch.out_dim}"
         )
-    weights = net._w[:-1] + [C @ _dense(net._w[-1])]
-    arch = Architecture(net.arch.L, net.arch.p[:-1] + (C.shape[0],), L1=net.arch.L1)
-    return Network(arch, weights, net.biases)
+    return Network(net._w[:-1] + [C @ _dense(net._w[-1])], net.biases, net.arch.L1)
 
 
 def _dense(w) -> np.ndarray:
@@ -569,11 +560,14 @@ def from_dict(doc: dict) -> Network:
     if doc.get("format") != SERIAL_FORMAT:
         raise ConfigError(f"unsupported network format {doc.get('format')!r}")
     try:
-        a = doc["arch"]
-        arch = Architecture(a["L"], tuple(a["p"]), L1=a.get("L1"))
-        net = Network(arch, doc["weights"], doc["biases"])
+        a = doc["arch"]  # read as the CLI reads an integer, then checked against the weights
+        L, p = integral(a["L"], ShapeError), tuple(integral(v, ShapeError) for v in a["p"])
+        net = Network(doc["weights"], doc["biases"], a.get("L1"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"network document: {exc!r}") from None
+    if (L, p) != (net.arch.L, net.arch.p):
+        raise ConfigError(f"network document: arch has L={L}, p={list(p)}, but its weights "
+                          f"give L={net.arch.L}, p={list(net.arch.p)}")
     for kind, arrays in (("weight", net.weights), ("bias", net.biases)):
         for i, arr in enumerate(arrays):
             if not np.all(np.isfinite(arr)):

@@ -28,22 +28,24 @@ class TrainingDiverged(NumericFailure):
 class WeightFn:
     """Weight function on the lag-input space, with values in [0,1].
 
-    ``constant_one`` weighs every sample equally.  ``box_ramp`` is 1 on the
-    inner box [varsigma, 1-varsigma]^p, 0 outside [0,1]^p (p the input
-    dimension), and ramps linearly in the sup-distance to the inner box in
-    between; it is (1/varsigma)-Lipschitz.
+    ``constant_one`` weighs every sample equally and takes no varsigma.
+    ``box_ramp`` (varsigma 0.1 unless given) is 1 on the inner box [varsigma,
+    1-varsigma]^p, 0 outside [0,1]^p (p the input dimension), and ramps linearly
+    in the sup-distance to the inner box in between; it is (1/varsigma)-Lipschitz.
     """
 
     kind: str = "constant_one"
-    varsigma: float = 0.1
+    varsigma: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("constant_one", "box_ramp"):
             raise ConfigError(f"unknown weight kind {self.kind!r}")
+        if self.kind == "constant_one" and self.varsigma is not None:
+            raise ConfigError("constant_one takes no varsigma")
+        if self.kind == "box_ramp" and self.varsigma is None:
+            object.__setattr__(self, "varsigma", 0.1)
         if self.kind == "box_ramp" and not (0.0 < self.varsigma < 0.5):
-            raise ConfigError(
-                f"box_ramp needs 0 < varsigma < 1/2, got {self.varsigma}"
-            )
+            raise ConfigError(f"box_ramp needs 0 < varsigma < 1/2, got {self.varsigma}")
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -108,7 +110,7 @@ def init_network(arch: Architecture, seed: int) -> Network:
         bound = 1.0 / np.sqrt(arch.p[i])
         weights.append(rng.uniform(-bound, bound, size=(arch.p[i + 1], arch.p[i])))
     biases = [np.zeros(arch.p[i + 1]) for i in range(arch.L)]
-    return Network(arch, weights, biases)
+    return Network(weights, biases, arch.L1)
 
 
 def empirical_risk(pred: np.ndarray, data: LagDataset, w: WeightFn) -> float:
@@ -266,7 +268,7 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
     # in-place whole-vector operations; each risk is taken on a fresh Network built then
     theta = np.concatenate([a.ravel() for a in net.weights + net.biases])
     weights, biases = _unflatten(theta, net)
-    ws = Workspace(Network(net.arch, weights, biases))
+    ws = Workspace(Network(weights, biases, net.arch.L1))
     g, decayed = ws.g, np.empty_like(theta)
     decay, lo, hi = np.array(2.0 * cfg.l2_lambda), np.array(-1.0), np.array(1.0)
     l2_lambda, project = cfg.l2_lambda, cfg.project_entries  # the update's, once per run
@@ -277,36 +279,37 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
         return (empirical_risk(model.eval_batch(data.X), data, w), None if test_data is None
                 else empirical_risk(model.eval_batch(test_data.X), test_data, w))
 
-    initial = empirical_risk(Network(net.arch, weights, biases).eval_batch(data.X), data, w)
+    initial = empirical_risk(Network(weights, biases, net.arch.L1).eval_batch(data.X), data, w)
     ceiling = 1e6 * max(initial, 1e-12)
     curve, n_samples, sample_wts = [], len(data), w(data.X)
-    for epoch in range(cfg.epochs):
-        lr = np.array(cfg.rate_at(epoch))
-        order = rng.permutation(n_samples)
-        X, Y, wts = data.X[order], data.Y[order], sample_wts[order]
-        # batch_size 1 passes row views, which gradient steps as one sample
-        bs = cfg.batch_size
-        batches = zip(X, Y, wts) if bs == 1 else (
-            (X[s : s + bs], Y[s : s + bs], wts[s : s + bs]) for s in range(0, n_samples, bs))
-        for xb, yb, wb in batches:
-            gradient(ws, xb, yb, wb)
-            if l2_lambda:  # weight decay: the only place L2 enters
-                multiply(theta, decay, decayed)
-                add(g, decayed, g)
-            multiply(g, lr, g)
-            subtract(theta, g, theta)
-            if project:
-                maximum(theta, lo, out=theta)
-                minimum(theta, hi, out=theta)
-        train_risk, test_risk = risks(Network(net.arch, weights, biases))
-        curve.append(EpochRecord(epoch=epoch, train_risk=train_risk, test_risk=test_risk))
-        if not np.isfinite(train_risk) or train_risk > ceiling:
-            what = (f"exceeded 1e6 x initial {initial:.3e}" if np.isfinite(train_risk)
-                    else f"is not finite (initial {initial:.3e})")
-            raise TrainingDiverged(f"train risk {train_risk:.3e} {what} at epoch {epoch} "
-                                   f"(lr={lr:g}); reduce the learning rate")
+    with np.errstate(over="ignore", invalid="ignore"):  # the risk check reports divergence
+        for epoch in range(cfg.epochs):
+            lr = np.array(cfg.rate_at(epoch))
+            order = rng.permutation(n_samples)
+            X, Y, wts = data.X[order], data.Y[order], sample_wts[order]
+            # batch_size 1 passes row views, which gradient steps as one sample
+            bs = cfg.batch_size
+            batches = zip(X, Y, wts) if bs == 1 else (
+                (X[s : s + bs], Y[s : s + bs], wts[s : s + bs]) for s in range(0, n_samples, bs))
+            for xb, yb, wb in batches:
+                gradient(ws, xb, yb, wb)
+                if l2_lambda:  # weight decay: the only place L2 enters
+                    multiply(theta, decay, decayed)
+                    add(g, decayed, g)
+                multiply(g, lr, g)
+                subtract(theta, g, theta)
+                if project:
+                    maximum(theta, lo, out=theta)
+                    minimum(theta, hi, out=theta)
+            train_risk, test_risk = risks(Network(weights, biases, net.arch.L1))
+            curve.append(EpochRecord(epoch=epoch, train_risk=train_risk, test_risk=test_risk))
+            if not np.isfinite(train_risk) or train_risk > ceiling:
+                what = (f"exceeded 1e6 x initial {initial:.3e}" if np.isfinite(train_risk)
+                        else f"is not finite (initial {initial:.3e})")
+                raise TrainingDiverged(f"train risk {train_risk:.3e} {what} at epoch {epoch} "
+                                       f"(lr={lr:g}); reduce the learning rate")
 
-    result = Network(net.arch, *_unflatten(theta.copy(), net))
+    result = Network(*_unflatten(theta.copy(), net), net.arch.L1)
     if cfg.prune_to_s is not None:
         result = prune_to_sparsity(result, cfg.prune_to_s)
         if curve:  # the last epoch ends with the pruning: record the pruned net's risks
@@ -327,7 +330,7 @@ def prune_to_sparsity(net: Network, s: int) -> Network:
     keep = np.argsort(-np.abs(theta), kind="stable")[:s]
     kept = np.zeros_like(theta)
     kept[keep] = theta[keep]
-    pruned = Network(net.arch, *_unflatten(kept, net))
+    pruned = Network(*_unflatten(kept, net), net.arch.L1)
     assert pruned.sparsity() <= s
     return pruned
 

@@ -52,7 +52,7 @@ def report(idx, name, ok, detail):
 
 def test_criterion_1_low_d_reproduction():
     t0 = time.monotonic()
-    arch = Architecture(5, (5, 20, 10, 1, 10, 20, 5), L1=3)
+    arch = Architecture((5, 20, 10, 1, 10, 20, 5), L1=3)
     w = WeightFn()
     risks = []
     for s in (0, 1, 2):
@@ -76,7 +76,7 @@ def test_criterion_2_high_d_reproduction():
     series = generate(high_d_model(), 2000, burn_in=1000, seed=21)
     data = lag_embed(series[:1000], 1)
     test = lag_embed(series[1000:], 1)
-    arch = Architecture(5, (30, 60, 30, 2, 30, 60, 30), L1=3)
+    arch = Architecture((30, 60, 30, 2, 30, 60, 30), L1=3)
     w = WeightFn()
     # two restarts of 50 epochs each (100 epochs total); the better basin is
     # selected by final training risk, never by test data
@@ -217,10 +217,10 @@ def test_criterion_7_gradient_correctness():
     worst = 0.0
     for case_idx, (p, l1, lam) in enumerate(cases):
         rng = np.random.default_rng(50 + case_idx)
-        arch = Architecture(len(p) - 2, p, L1=l1)
+        arch = Architecture(p, L1=l1)
         base = init_network(arch, 70 + case_idx)
-        net = Network(arch, base.weights,
-                      [b - 0.07 for b in base.biases])
+        net = Network(base.weights,
+                      [b - 0.07 for b in base.biases], arch.L1)
         X = None
         for _ in range(50):
             cand = rng.uniform(0, 1, size=(8, p[0]))
@@ -254,8 +254,8 @@ def test_criterion_7_gradient_correctness():
                     dn = [m.copy() for m in net.weights]
                     up[i][r, c] += h
                     dn[i][r, c] -= h
-                    fd = (fd_loss(Network(arch, up, net.biases), X, Y, w, lam)
-                          - fd_loss(Network(arch, dn, net.biases), X, Y, w, lam)) / (2 * h)
+                    fd = (fd_loss(Network(up, net.biases, arch.L1), X, Y, w, lam)
+                          - fd_loss(Network(dn, net.biases, arch.L1), X, Y, w, lam)) / (2 * h)
                     rel = abs(g_w[i][r, c] - fd) / max(abs(fd), 1e-3)
                     worst = max(worst, rel)
         for i, vec in enumerate(net.biases):
@@ -264,8 +264,8 @@ def test_criterion_7_gradient_correctness():
                 dn = [b.copy() for b in net.biases]
                 up[i][r] += h
                 dn[i][r] -= h
-                fd = (fd_loss(Network(arch, net.weights, up), X, Y, w, lam)
-                      - fd_loss(Network(arch, net.weights, dn), X, Y, w, lam)) / (2 * h)
+                fd = (fd_loss(Network(net.weights, up, arch.L1), X, Y, w, lam)
+                      - fd_loss(Network(net.weights, dn, arch.L1), X, Y, w, lam)) / (2 * h)
                 rel = abs(g_b[i][r] - fd) / max(abs(fd), 1e-3)
                 worst = max(worst, rel)
     ok = worst < 1e-4

@@ -121,7 +121,7 @@ def test_train_epochs_zero_keeps_initial_net(tmp_path):
     net = load_net(tmp_path / "model.json")
     from edforecast.network import Architecture
     from edforecast.train import init_network
-    ref = init_network(Architecture(3, (5, 8, 1, 8, 5), L1=2), 3)
+    ref = init_network(Architecture((5, 8, 1, 8, 5), L1=2), 3)
     for a, b in zip(net.weights, ref.weights):
         assert np.array_equal(a, b)
 
@@ -734,7 +734,7 @@ def test_diverging_training_exits_3(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the failure line is the one report
 def test_non_finite_training_risk_exits_3_saying_so(tmp_path, capsys):
     sim = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 200, "seed": 0})
     assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
@@ -841,7 +841,7 @@ def test_sweep_embeds_each_lag_count_once_and_scores_each_run_once(tmp_path, mon
         data = lag_embed(series[:60], r, normalize=True)
         test = lag_embed(series[60:], r, scaler=data.scaler)
         for m in m_values:
-            arch = Architecture(5, (r * d, r * d, 24, m, 24, d, d), L1=3)
+            arch = Architecture((r * d, r * d, 24, m, 24, d, d), L1=3)
             _, curve = train_sgd(init_network(arch, 0), data, tc, WeightFn(), test_data=test)
             expect.append([r, m, curve[-1].test_risk])
     rows = [ln.split(",") for ln in (tmp_path / "sweep.csv").read_text().splitlines()
@@ -1075,6 +1075,32 @@ def test_malformed_sidecar_content_is_config_error(tmp_path, monkeypatch, capsys
     assert run(["evaluate", *args]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert list(Path("out").iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("L", 2, "arch has L=2, p=[2, 3, 2], but its weights give L=1, p=[2, 3, 2]"),
+    ("p", [2, 4, 2], "arch has L=1, p=[2, 4, 2], but its weights give L=1, p=[2, 3, 2]"),
+], ids=["depth_off_by_one", "wrong_width"])
+def test_model_json_whose_arch_disagrees_with_its_weights_is_config_error(
+        tmp_path, monkeypatch, capsys, key, value, message):
+    args = strict_setup(tmp_path, monkeypatch, "evaluate", "k_steps", [1])
+    doc = json.loads(Path("model.json").read_text())
+    doc["arch"][key] = value
+    Path("model.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["evaluate", *args]) == 2
+    assert f"config error: network document: {message}" in capsys.readouterr().err
+    assert list(Path("out").iterdir()) == []
+
+
+def test_constant_one_weight_refuses_a_varsigma(tmp_path, monkeypatch, capsys):
+    # constant_one never reads a varsigma, so a config that sets one is refused
+    args = strict_setup(tmp_path, monkeypatch, "train", "weight",
+                        {"kind": "constant_one", "varsigma": 0.3})
+    capsys.readouterr()
+    assert run(["train", *args]) == 2
+    assert "config error: weight: constant_one takes no varsigma" in capsys.readouterr().err
+    assert not Path("out", "model.json").exists()
 
 
 def test_sidecar_written_by_train_reads_back(tmp_path, monkeypatch):

@@ -56,10 +56,9 @@ def lipschitz_upper(net):
 
 
 def random_net(rng, p, L1=None):
-    arch = Architecture(len(p) - 2, tuple(p), L1=L1)
     weights = [rng.uniform(-1, 1, size=(p[i + 1], p[i])) for i in range(len(p) - 1)]
     biases = [rng.uniform(-1, 1, size=p[i + 1]) for i in range(len(p) - 2)]
-    return Network(arch, weights, biases)
+    return Network(weights, biases, L1)
 
 
 def test_eval_identity():
@@ -68,8 +67,7 @@ def test_eval_identity():
 
 
 def test_eval_relu_definition():
-    arch = Architecture(1, (1, 1, 1))
-    net = Network(arch, [np.array([[1.0]]), np.array([[1.0]])], [np.array([0.0])])
+    net = Network([np.array([[1.0]]), np.array([[1.0]])], [np.array([0.0])])
     assert np.array_equal(net.eval_batch([[-2.0], [3.0]]), [[0.0], [3.0]])
 
 
@@ -101,9 +99,8 @@ def test_encoder_is_bottleneck_activation():
 
 
 def test_encoder_identity_propagation():
-    arch = Architecture(2, (3, 3, 3, 3), L1=1)
     eye = np.eye(3)
-    net = Network(arch, [eye, eye, eye], [np.zeros(3), np.zeros(3)])
+    net = Network([eye, eye, eye], [np.zeros(3), np.zeros(3)], L1=1)
     x = np.array([0.2, 0.0, 0.9])
     assert np.allclose(net.encoder_batch([x]), [x])
 
@@ -125,8 +122,7 @@ def test_encoder_requires_l1():
 
 def test_sparsity_counts():
     assert identity_network(4).sparsity() == 4
-    arch = Architecture(1, (2, 2, 2))
-    zero = Network(arch, [np.zeros((2, 2)), np.zeros((2, 2))], [np.zeros(2)])
+    zero = Network([np.zeros((2, 2)), np.zeros((2, 2))], [np.zeros(2)])
     assert zero.sparsity() == 0
 
 
@@ -136,7 +132,7 @@ def test_sparsity_matches_entry_scan():
     # sparsify randomly, then count by brute-force scan
     weights = [np.where(rng.uniform(size=w.shape) < 0.5, 0.0, w) for w in net.weights]
     biases = [np.where(rng.uniform(size=b.shape) < 0.5, 0.0, b) for b in net.biases]
-    net = Network(net.arch, weights, biases)
+    net = Network(weights, biases, net.arch.L1)
     count = 0
     for m in weights:
         for row in m:
@@ -150,8 +146,7 @@ def test_sparsity_matches_entry_scan():
 
 def test_lipschitz_upper_examples():
     assert lipschitz_upper(identity_network(5)) == 1.0
-    arch = Architecture(0, (2, 2))
-    net = Network(arch, [np.array([[2.0, 0.0], [0.0, 3.0]])], [])
+    net = Network([np.array([[2.0, 0.0], [0.0, 3.0]])], [])
     assert lipschitz_upper(net) == 3.0
 
 
@@ -170,7 +165,7 @@ def test_lipschitz_upper_finite_for_clipped_deep_net():
     weights = [np.clip(rng.uniform(-1, 1, size=(p[i + 1], p[i])), -1, 1)
                for i in range(len(p) - 1)]
     biases = [np.zeros(p[i + 1]) for i in range(len(p) - 2)]
-    net = Network(Architecture(64, p), weights, biases)
+    net = Network(weights, biases)
     bound = lipschitz_upper(net)
     assert np.isfinite(bound)
     assert bound <= float(np.prod([float(w) for w in p[1:]]))
@@ -255,7 +250,7 @@ def test_deepen_then_compose_matches_direct():
     g = random_net(rng, (2, 3, 2))
     # force nonnegative outputs so the pass-through padding in deepen(f, .)
     # sees the range it is exact on
-    g = Network(g.arch, g.weights[:-1] + [np.abs(g.weights[-1])], g.biases)
+    g = Network(g.weights[:-1] + [np.abs(g.weights[-1])], g.biases, g.arch.L1)
     f = random_net(rng, (2, 3, 1))
     direct = compose(f, g)
     padded = compose(deepen(f, 4), g)
@@ -281,7 +276,7 @@ def test_class_membership_and_monotone_sparsity():
     # zeroing any entry never violates a satisfied sparsity constraint
     weights = [w.copy() for w in net.weights]
     weights[0][0, 0] = 0.0
-    smaller = Network(net.arch, weights, net.biases)
+    smaller = Network(weights, net.biases, net.arch.L1)
     assert in_class(smaller) and smaller.sparsity() == s_budget - 1
 
 
@@ -313,11 +308,35 @@ def test_serialization_file_roundtrip(tmp_path):
 
 def test_architecture_validation():
     with pytest.raises(ShapeError):
-        Architecture(1, (2, 2))
+        Architecture((2, 0, 2))
     with pytest.raises(ShapeError):
-        Architecture(1, (2, 0, 2))
-    with pytest.raises(ShapeError):
-        Architecture(1, (2, 3, 2), L1=2)
+        Architecture((2, 3, 2), L1=2)
+
+
+def test_widths_and_depth_are_read_from_the_weights():
+    net = Network([np.ones((3, 2)), np.ones((4, 3)), np.ones((1, 4))],
+                  [np.zeros(3), np.zeros(4)], L1=1)
+    assert net.arch == Architecture((2, 3, 4, 1), L1=1)
+    assert net.arch.L == 2 and net.with_l1(2).arch == Architecture((2, 3, 4, 1), L1=2)
+
+
+@pytest.mark.parametrize("weights, biases, message", [
+    ([np.ones((3, 2)), np.ones((1, 4))], [np.zeros(3)],
+     r"weight 1 has shape \(1, 4\), expected a matrix with 3 columns, weight 0's rows"),
+    ([np.ones((3, 2)), np.ones((1, 3))], [np.zeros(2)],
+     r"bias 0 has shape \(2,\), expected \(3,\)"),
+    ([np.ones((3, 2)), np.ones((1, 3))], [np.zeros(3), np.zeros(1)],
+     "2 biases for 2 weights, expected one fewer"),
+    ([np.ones((3, 2)), np.ones((1, 3))], [],
+     "0 biases for 2 weights, expected one fewer"),
+    ([np.ones((3, 2)), np.ones(3)], [np.zeros(3)],
+     r"weight 1 has shape \(3,\), expected a matrix with 3 columns"),
+    ([np.ones(2)], [], r"weight 0 has shape \(2,\), expected a matrix$"),
+], ids=["input_width", "bias_length", "extra_bias", "missing_bias", "1d_weight",
+        "1d_first_weight"])
+def test_network_refuses_layers_that_do_not_chain(weights, biases, message):
+    with pytest.raises(ShapeError, match=message):
+        Network(weights, biases)
 
 
 # -- forward kernel against the dense per-layer loop it replaced -------------
@@ -429,7 +448,7 @@ def test_folded_kernel_layout_on_dense_net_with_biases():
 
 def _kernel_nets(cert_nets):
     rng = np.random.default_rng(59)
-    depth0 = Network(Architecture(0, (3, 4)), [rng.uniform(-1, 1, size=(4, 3))], [])
+    depth0 = Network([rng.uniform(-1, 1, size=(4, 3))], [])
     return {"certificate": cert_nets["product2"],
             "dense": random_net(rng, (3, 20, 8, 20, 3), L1=2), "depth0": depth0}
 
@@ -667,8 +686,7 @@ def dense_parallel(nets):
             r, c = r + n.arch.p[i + 1], c + n.arch.p[i]
         weights.append(w)
     biases = [np.concatenate([n.biases[i] for n in nets]) for i in range(L)]
-    p = (nets[0].arch.in_dim,) + tuple(sum(n.arch.p[i] for n in nets) for i in range(1, L + 2))
-    return Network(Architecture(L, p), weights, biases)
+    return Network(weights, biases)
 
 
 def unordered(w):
@@ -713,8 +731,8 @@ def test_grouped_assembly_matches_the_dense_one(monkeypatch, target, N, m):
 def test_parallel_stores_repeated_blocks_as_groups():
     rng = np.random.default_rng(87)
     a = random_net(rng, (3, 4, 2, 1))
-    a = Network(a.arch, [a.weights[0], np.where(a.weights[1] > 0, a.weights[1], 0.0),
-                         a.weights[2]], a.biases)
+    a = Network([a.weights[0], np.where(a.weights[1] > 0, a.weights[1], 0.0),
+                 a.weights[2]], a.biases, a.arch.L1)
     b, wide = random_net(rng, (3, 2, 3, 1)), random_net(rng, (3, 4, 2, 2))
     nets = [a, a, a, b, a, a, wide, wide]
     net = parallel(nets)
@@ -763,7 +781,7 @@ def test_concurrent_first_evaluations_match_a_serial_one(cert_nets):
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            net = Network(base.arch, base._w, base.biases)  # a fresh kernel cache
+            net = Network(base._w, base.biases, base.arch.L1)  # a fresh kernel cache
             barrier = threading.Barrier(4)
             results = [None] * 4
 
@@ -837,6 +855,13 @@ def test_save_json_writes_the_document_and_a_newline(tmp_path):
     assert path.read_text(encoding="utf-8") == json.dumps(to_dict(net)) + "\n"
 
 
+@pytest.mark.parametrize("key, value", [("L", 2), ("L", 0), ("p", [2, 4, 2]), ("p", [2, 3])])
+def test_from_dict_rejects_an_arch_that_disagrees_with_its_weights(key, value):
+    doc = to_dict(random_net(np.random.default_rng(79), (2, 3, 2)))
+    with pytest.raises(ConfigError, match="but its weights give L=1, p=\\[2, 3, 2\\]"):
+        from_dict({**doc, "arch": {**doc["arch"], key: value}})
+
+
 def test_from_dict_rejects_non_finite_entries():
     net = random_net(np.random.default_rng(67), (2, 3, 4, 1))
     doc = to_dict(net)
@@ -859,7 +884,8 @@ def test_from_dict_rejects_a_non_integer_arch_entry(key, value):
     assert doc["arch"] == {"L": 1, "L1": None, "p": [2, 3, 2]}
     with pytest.raises(ConfigError, match="network document: ShapeError"):
         from_dict({**doc, "arch": {**doc["arch"], key: value}})
-    with pytest.raises(ShapeError, match="expected an integer"):
-        Architecture(**{**doc["arch"], key: value})
+    if key != "L":  # an Architecture has no L field: its depth is len(p) - 2
+        with pytest.raises(ShapeError, match="expected an integer"):
+            Architecture(**{"p": doc["arch"]["p"], "L1": None, key: value})
     whole = from_dict({**doc, "arch": {"L": 1.0, "L1": 1.0, "p": [2.0, 3.0, 2.0]}}).arch
-    assert whole == Architecture(1, (2, 3, 2), L1=1) and type(whole.L) is int
+    assert whole == Architecture((2, 3, 2), L1=1) and type(whole.L) is int

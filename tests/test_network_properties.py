@@ -12,6 +12,7 @@ from edforecast.network import (
     compose,
     deepen,
     from_dict,
+    identity_network,
     parallel,
     postcompose_affine,
     precompose_affine,
@@ -30,7 +31,7 @@ def random_net(rng, in_dim: int, out_dim: int, L: int) -> Network:
     p = (in_dim,) + tuple(int(v) for v in rng.integers(1, 6, size=L)) + (out_dim,)
     weights = [rng.uniform(-1.0, 1.0, size=(p[i + 1], p[i])) for i in range(L + 1)]
     biases = [rng.uniform(-0.5, 0.5, size=p[i + 1]) for i in range(L)]
-    return Network(Architecture(L, p), weights, biases)
+    return Network(weights, biases)
 
 
 def inputs(rng, dim: int, low: float = -2.0) -> np.ndarray:
@@ -56,7 +57,7 @@ def test_compose_relu_is_exact_on_nonnegative_interface(seed, d_in, q, d_out, L_
     rng = np.random.default_rng(seed)
     f, g = random_net(rng, q, d_out, L_f), random_net(rng, d_in, q, L_g)
     # a nonnegative output map over ReLU activations: g(x) >= 0 for every x
-    g = Network(g.arch, g.weights[:-1] + [np.abs(g.weights[-1])], g.biases)
+    g = Network(g.weights[:-1] + [np.abs(g.weights[-1])], g.biases, g.arch.L1)
     X = inputs(rng, d_in)
     assert_close(compose(f, g, interface="relu").eval_batch(X),
                  f.eval_batch(g.eval_batch(X)))
@@ -99,6 +100,35 @@ def test_pre_and_postcompose_affine(seed, d_in, d_new, d_out, L, k):
 
 
 @PROPERTY
+@given(seed=seeds, d_in=dims, q=dims, d_out=dims, L_f=depths, L_g=depths,
+       extra=st.integers(0, 3), grouped=st.booleans())
+def test_combinators_give_the_widths_and_depth_of_their_layer_chains(
+        seed, d_in, q, d_out, L_f, L_g, extra, grouped):
+    # a combinator's shape is read from the weights it chains; this oracle
+    # writes each result's width vector out from its operands'
+    rng = np.random.default_rng(seed)
+    f = grouped_net(rng, q, L_f) if grouped else random_net(rng, q, d_out, L_f)
+    g, h = random_net(rng, d_in, q, L_g), random_net(rng, d_in, d_out, L_g)
+    fp, gp, hp = f.arch.p, g.arch.p, h.arch.p
+    split, relu = compose(f, g), compose(f, g, interface="relu")
+    assert split.arch == Architecture(gp[:-1] + (2 * q,) + fp[1:])
+    assert relu.arch == Architecture(gp[:-1] + (q,) + fp[1:])
+    assert split.arch.L == relu.arch.L == L_f + L_g + 1
+    assert deepen(g, L_g + extra).arch == Architecture((d_in,) * (extra + 1) + gp[1:])
+    assert deepen(g, L_g + extra).arch.L == L_g + extra
+    both = parallel([g, h])
+    assert both.arch == Architecture((d_in,) + tuple(a + b for a, b in zip(gp[1:], hp[1:])))
+    assert both.arch.L == L_g
+    L1 = int(rng.integers(1, L_f + 1)) if L_f else None
+    net, A = f.with_l1(L1), rng.uniform(-1.0, 1.0, size=(q, d_in))
+    C = rng.uniform(-1.0, 1.0, size=(2, net.arch.out_dim))
+    assert precompose_affine(net, A).arch == Architecture((d_in,) + fp[1:], L1)
+    assert postcompose_affine(net, C).arch == Architecture(fp[:-1] + (2,), L1)
+    assert identity_network(d_in).arch == Architecture((d_in, d_in))
+    assert identity_network(d_in).arch.L == 0
+
+
+@PROPERTY
 @given(seed=seeds, d_in=dims, d_out=dims, L=depths)
 def test_dict_roundtrip_through_json(seed, d_in, d_out, L):
     rng = np.random.default_rng(seed)
@@ -117,7 +147,7 @@ def grouped_net(rng, d: int, L: int) -> Network:
         net = random_net(rng, d, 1, L)
         keep = rng.uniform(0.02, 1.0)
         weights = [np.where(rng.uniform(size=w.shape) < keep, w, 0.0) for w in net.weights]
-        return Network(net.arch, weights, net.biases)
+        return Network(weights, net.biases, net.arch.L1)
 
     return parallel([one()] * (d - 1) + [one()])
 
@@ -127,7 +157,7 @@ def grouped_net(rng, d: int, L: int) -> Network:
 def test_combinators_on_grouped_layers_match_them_on_the_dense_views(seed, d, L):
     rng = np.random.default_rng(seed)
     grouped = [grouped_net(rng, d, L) for _ in range(3)]
-    views = [Network(n.arch, n.weights, n.biases) for n in grouped]
+    views = [Network(n.weights, n.biases, n.arch.L1) for n in grouped]
     A = rng.uniform(-1.0, 1.0, size=(d, d + 1))
     offset = rng.uniform(-1.0, 1.0, size=d) if L > 0 else None
     C = rng.uniform(-1.0, 1.0, size=(2, d))

@@ -74,7 +74,7 @@ def test_trained_network_as_evolution_map():
     from edforecast.simulate import TimeSeriesModel
 
     A = np.array([[0.3, 0.1], [0.0, 0.2]])
-    net = Network(Architecture(1, (2, 2, 2)), [A, np.eye(2)], [np.zeros(2)])
+    net = Network([A, np.eye(2)], [np.zeros(2)])
     model = TimeSeriesModel(d=2, r=1, f0=net.eval_batch, noise_sd=0.1, name="net-driven")
     series = generate(model, 100, burn_in=50, seed=8)
     assert series.shape == (100, 2)
@@ -302,7 +302,7 @@ def test_fdm_lanes_match_two_array_reference():
 
     r2 = linear_model(np.array([[0.5], [0.3]]), np.array([[0.4, 0.2, -0.3, 0.1]]),
                       noise_sd=0.7, r=2)
-    net = init_network(Architecture(2, (3, 8, 8, 3)), 5)
+    net = init_network(Architecture((3, 8, 8, 3)), 5)
     net_model = TimeSeriesModel(d=3, r=1, f0=net.eval_batch, noise_sd=0.2)
     for model, seed in ((low_d_model(), 104732), (r2, 11), (net_model, 12)):
         for k in (1, 5):

@@ -79,27 +79,27 @@ def test_weight_config_errors():
 
 
 def test_risk_zero_for_exact_predictor():
-    net = Network(Architecture(0, (2, 2)), [np.eye(2)], [])
+    net = Network([np.eye(2)], [])
     data = make_dataset([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]])
     assert empirical_risk(net.eval_batch(data.X), data, WeightFn()) == 0.0
 
 
 def test_risk_hand_computed_single_pair():
     # one pair, d=2, residual (1,1), W=1, n=2: (1/2)*(1/2)*2 = 0.5
-    net = Network(Architecture(0, (2, 2)), [np.zeros((2, 2))], [])
+    net = Network([np.zeros((2, 2))], [])
     data = make_dataset([[5.0, 5.0]], [[1.0, 1.0]], r=1, n=2)
     assert empirical_risk(net.eval_batch(data.X), data, WeightFn()) == pytest.approx(0.5)
 
 
 def test_risk_vanishes_under_zero_weight():
-    net = Network(Architecture(0, (2, 2)), [np.zeros((2, 2))], [])
+    net = Network([np.zeros((2, 2))], [])
     data = make_dataset([[-3.0, -3.0]], [[10.0, -7.0]])  # inputs outside [0,1]^2
     w = WeightFn(kind="box_ramp", varsigma=0.1)
     assert empirical_risk(net.eval_batch(data.X), data, w) == 0.0
 
 
 def test_risk_rejects_empty_dataset():
-    net = Network(Architecture(0, (1, 1)), [np.eye(1)], [])
+    net = Network([np.eye(1)], [])
     data = LagDataset(X=np.empty((0, 1)), Y=np.empty((0, 1)), r=1, d=1, n=1)
     with pytest.raises(ValueError):
         empirical_risk(net.eval_batch(data.X), data, WeightFn())
@@ -117,7 +117,7 @@ def test_risk_rejects_predictions_of_another_shape(shape):
 
 
 def test_gradient_zero_residual_is_zero():
-    net = Network(Architecture(0, (2, 2)), [np.eye(2)], [])
+    net = Network([np.eye(2)], [])
     X = np.array([[1.0, 2.0]])
     g_w, g_b = gradient(Workspace(net), X, X.copy(), WeightFn()(X))
     assert all(np.all(g == 0) for g in g_w)
@@ -125,7 +125,7 @@ def test_gradient_zero_residual_is_zero():
 
 def finite_difference_grads(net, X, Y, w, lam, h=1e-6):
     def loss(weights, biases):
-        probe = Network(net.arch, weights, biases)
+        probe = Network(weights, biases, net.arch.L1)
         out = probe.eval_batch(X)
         per = np.sum((Y - out) ** 2, axis=1) / net.arch.out_dim
         total = float(np.mean(per * w(X)))
@@ -196,11 +196,11 @@ def sgd_step_gradient(net, X, Y, w, lam, eta=2.0 ** -10):
 ])
 def test_gradient_matches_finite_differences(p, l1, lam, seed):
     rng = np.random.default_rng(seed)
-    arch = Architecture(len(p) - 2, p, L1=l1)
+    arch = Architecture(p, L1=l1)
     net = init_network(arch, seed + 100)
     # nudge biases so dead paths do not pin pre-activations exactly at 0
-    net = Network(arch, net.weights,
-                  [b - 0.05 * (i + 1) for i, b in enumerate(net.biases)])
+    net = Network(net.weights,
+                  [b - 0.05 * (i + 1) for i, b in enumerate(net.biases)], arch.L1)
     X = kink_free_batch(net, rng, 8)
     Y = rng.uniform(-1, 1, size=(8, p[-1]))
     w = WeightFn()
@@ -227,7 +227,7 @@ def small_series(seed=0, n=60):
 
 def test_train_lr_zero_keeps_net():
     data = lag_embed(small_series(), 1)
-    arch = Architecture(1, (1, 4, 1))
+    arch = Architecture((1, 4, 1))
     net = init_network(arch, 0)
     cfg = TrainConfig(epochs=3, lr_schedule=((0, 0.0),), seed=1)
     trained, curve = train_sgd(net, data, cfg, WeightFn())
@@ -239,7 +239,7 @@ def test_train_lr_zero_keeps_net():
 
 def test_train_deterministic_given_seed():
     data = lag_embed(small_series(), 1)
-    arch = Architecture(2, (1, 6, 6, 1))
+    arch = Architecture((1, 6, 6, 1))
     cfg = TrainConfig(epochs=5, lr_schedule=((0, 0.01),), seed=9, batch_size=4)
     out1, _ = train_sgd(init_network(arch, 3), data, cfg, WeightFn())
     out2, _ = train_sgd(init_network(arch, 3), data, cfg, WeightFn())
@@ -283,7 +283,7 @@ def reference_train_sgd(net, data, cfg, w):
     rng = np.random.default_rng(cfg.seed)
     weights = [wm.copy() for wm in net.weights]
     biases = [bv.copy() for bv in net.biases]
-    current = Network(net.arch, weights, biases)
+    current = Network(weights, biases, net.arch.L1)
     risks = []
     for epoch in range(cfg.epochs):
         lr = cfg.rate_at(epoch)
@@ -301,7 +301,7 @@ def reference_train_sgd(net, data, cfg, w):
                     np.clip(weights[i], -1.0, 1.0, out=weights[i])
                 for i in range(net.arch.L):
                     np.clip(biases[i], -1.0, 1.0, out=biases[i])
-        risks.append(empirical_risk(Network(net.arch, weights, biases).eval_batch(data.X),
+        risks.append(empirical_risk(Network(weights, biases, net.arch.L1).eval_batch(data.X),
                                     data, w))
     return weights, biases, risks
 
@@ -315,9 +315,9 @@ def reference_train_sgd(net, data, cfg, w):
 def test_flat_sgd_matches_per_layer_reference(batch_size, l2, project, weight, lr):
     data = lag_embed(small_series(seed=3, n=60), 2, normalize=True)
     assert len(data) % 4 == 2
-    arch = Architecture(4, (2, 6, 5, 1, 5, 1), L1=3)
+    arch = Architecture((2, 6, 5, 1, 5, 1), L1=3)
     net = init_network(arch, 8)
-    net = Network(arch, net.weights, [b - 0.05 for b in net.biases])
+    net = Network(net.weights, [b - 0.05 for b in net.biases], arch.L1)
     before = [a.copy() for a in net.weights + net.biases]
     cfg = TrainConfig(epochs=4, lr_schedule=lr, l2_lambda=l2, batch_size=batch_size,
                       seed=12, project_entries=project)
@@ -341,25 +341,25 @@ def flat_sgd_case(kind):
     rng = np.random.default_rng(21)
     if kind == "depth0":
         data = lag_embed(rng.uniform(0, 1, size=(40, 2)), 2)
-        arch = Architecture(0, (4, 2))
+        arch = Architecture((4, 2))
         return init_network(arch, 3), data, WeightFn()
     if kind == "sweep_cell":
         # the benchmark sweep's cell: d = 8, r = 2, bottleneck m = 8
         data = lag_embed(rng.normal(size=(50, 8)), 2, normalize=True)
-        arch = Architecture(5, (16, 16, 24, 8, 24, 8, 8), L1=3)
+        arch = Architecture((16, 16, 24, 8, 24, 8, 8), L1=3)
         return init_network(arch, 4), data, WeightFn(kind="box_ramp", varsigma=0.1)
     if kind == "highd":
         # the benchmark's high_d train: d = 30, r = 1, every sample weighing 1.0
         data = lag_embed(rng.normal(size=(40, 30)), 1, normalize=True)
-        arch = Architecture(5, (30, 60, 30, 2, 30, 60, 30), L1=3)
+        arch = Architecture((30, 60, 30, 2, 30, 60, 30), L1=3)
         return init_network(arch, 5), data, WeightFn()
     # input and output width 1, so the sample's row view and the output's
     # column view are width 1, and the first layer is 1 x 1
     data = lag_embed(small_series(seed=5, n=50), 1, normalize=True)
-    arch = Architecture(2, (1, 1, 5, 1), L1=1)
+    arch = Architecture((1, 1, 5, 1), L1=1)
     net = init_network(arch, 6)
-    return Network(arch, [np.array([[0.9]])] + net.weights[1:],
-                   [np.array([0.3]), net.biases[1] - 0.05]), data, WeightFn()
+    return Network([np.array([[0.9]])] + net.weights[1:],
+                   [np.array([0.3]), net.biases[1] - 0.05], arch.L1), data, WeightFn()
 
 
 @pytest.mark.parametrize("kind", ["depth0", "sweep_cell", "highd", "width1"])
@@ -395,7 +395,7 @@ def test_workspace_is_pinned_to_the_network_it_was_built_for():
 
 def test_gradient_into_out_arrays_matches_allocating_call():
     rng = np.random.default_rng(4)
-    arch = Architecture(2, (3, 5, 4, 2))
+    arch = Architecture((3, 5, 4, 2))
     net = init_network(arch, 2)
     X = rng.uniform(0, 1, size=(5, 3))
     Y = rng.uniform(-1, 1, size=(5, 2))
@@ -415,16 +415,16 @@ def one_sample_case(kind, seed):
     """(net, x, y) for the one-sample gradient tests."""
     rng = np.random.default_rng(seed)
     if kind == "depth0":
-        net = Network(Architecture(0, (3, 2)), [rng.uniform(-1, 1, size=(2, 3))], [])
+        net = Network([rng.uniform(-1, 1, size=(2, 3))], [])
         return net, rng.uniform(0, 1, 3), rng.uniform(-1, 1, 2)
-    arch = Architecture(3, (4, 6, 2, 5, 3), L1=2)
+    arch = Architecture((4, 6, 2, 5, 3), L1=2)
     net = init_network(arch, seed)
     x, y = rng.uniform(0, 1, 4), rng.uniform(-1, 1, 3)
     if kind == "relu_kink":
         # hidden unit 0 of layer 0 sits exactly at pre-activation 0, where ReLU'(0) = 0
         b0 = net.biases[0].copy()
         b0[0] = (net.weights[0] @ x)[0]
-        net = Network(arch, net.weights, [b0] + net.biases[1:])
+        net = Network(net.weights, [b0] + net.biases[1:], arch.L1)
         z = net.weights[0] @ x - b0
         assert z[0] == 0.0 and np.any(z < 0.0)
     return net, x, y
@@ -618,9 +618,9 @@ def test_train_curve_tracks_updates_of_a_sparse_initial_net():
     # as a sparse kernel; the curve must follow the weights SGD changes in place
     series = small_series(seed=4, n=120)
     data, test = lag_embed(series[:80], 1), lag_embed(series[80:], 1)
-    arch = Architecture(2, (1, 20, 20, 1))
+    arch = Architecture((1, 20, 20, 1))
     net = init_network(arch, 5)
-    net = Network(arch, [net.weights[0], 0.5 * np.eye(20), net.weights[2]], net.biases)
+    net = Network([net.weights[0], 0.5 * np.eye(20), net.weights[2]], net.biases, arch.L1)
     w = WeightFn()
     epochs = 3
     _, curve = train_sgd(net, data, TrainConfig(epochs=epochs, lr_schedule=((0, 0.05),),
@@ -636,7 +636,7 @@ def test_train_curve_tracks_updates_of_a_sparse_initial_net():
 
 def test_train_projection_keeps_entries_bounded():
     data = lag_embed(small_series(), 1)
-    arch = Architecture(1, (1, 4, 1))
+    arch = Architecture((1, 4, 1))
     cfg = TrainConfig(epochs=4, lr_schedule=((0, 0.5),), seed=2,
                       project_entries=True, batch_size=4)
     trained, _ = train_sgd(init_network(arch, 1), data, cfg, WeightFn())
@@ -652,7 +652,7 @@ def test_train_linear_model_approaches_noise_floor():
         x[i] = 0.5 * x[i - 1] + rng.normal(0, sd)
     data = lag_embed(x[:600, None], 1)
     test = lag_embed(x[600:, None], 1)
-    arch = Architecture(1, (1, 8, 1))
+    arch = Architecture((1, 8, 1))
     cfg = TrainConfig(epochs=40, lr_schedule=((0, 0.05), (25, 0.01)),
                       seed=0, batch_size=1)
     trained, _ = train_sgd(init_network(arch, 0), data, cfg, WeightFn())
@@ -665,7 +665,7 @@ def test_training_divergence_detected():
 
     # a linear map with an oversized step oscillates with growing amplitude
     data = lag_embed(small_series(), 1)
-    arch = Architecture(0, (1, 1))
+    arch = Architecture((1, 1))
     cfg = TrainConfig(epochs=200, lr_schedule=((0, 1e3),), seed=0, batch_size=len(data))
     with pytest.raises(TrainingDiverged, match="exceeded"):
         train_sgd(init_network(arch, 0), data, cfg, WeightFn())
@@ -673,7 +673,7 @@ def test_training_divergence_detected():
 
 def test_prune_applied_through_config():
     data = lag_embed(small_series(), 1)
-    arch = Architecture(1, (1, 6, 1))
+    arch = Architecture((1, 6, 1))
     cfg = TrainConfig(epochs=2, lr_schedule=((0, 0.01),), seed=0,
                       batch_size=4, prune_to_s=5)
     trained, _ = train_sgd(init_network(arch, 0), data, cfg, WeightFn())
@@ -721,7 +721,7 @@ def test_train_config_reads_an_integral_float_as_an_int():
 
 def test_prune_reaches_target_sparsity():
     rng = np.random.default_rng(11)
-    arch = Architecture(1, (3, 5, 2))
+    arch = Architecture((3, 5, 2))
     net = init_network(arch, 4)
     for s in (0, 5, 12):
         pruned = prune_to_sparsity(net, s)
@@ -731,8 +731,7 @@ def test_prune_reaches_target_sparsity():
 
 
 def test_prune_keeps_largest_entries():
-    arch = Architecture(0, (2, 2))
-    net = Network(arch, [np.array([[3.0, -4.0], [0.5, 0.1]])], [])
+    net = Network([np.array([[3.0, -4.0], [0.5, 0.1]])], [])
     pruned = prune_to_sparsity(net, 2)
     assert np.array_equal(pruned.weights[0], [[3.0, -4.0], [0.0, 0.0]])
 
@@ -773,7 +772,7 @@ def stacked_forecast(net, states, k):
 
 def test_multi_step_k1_equals_eval():
     rng = np.random.default_rng(17)
-    arch = Architecture(1, (2, 4, 2))
+    arch = Architecture((2, 4, 2))
     net = init_network(arch, 3)
     x0 = rng.uniform(0, 1, size=2)
     assert np.allclose(stacked_forecast(net, [x0], 1)[0, 0], net.eval_batch([x0])[0])
@@ -783,8 +782,7 @@ def test_multi_step_linear_matches_matrix_power():
     # linear net: f(x) = A x via positive/negative channel trick is overkill;
     # use a nonneg matrix so one hidden relu layer is exact on nonneg states
     A = np.array([[0.5, 0.2], [0.1, 0.4]])
-    arch = Architecture(1, (2, 2, 2))
-    net = Network(arch, [A, np.eye(2)], [np.zeros(2)])
+    net = Network([A, np.eye(2)], [np.zeros(2)])
     x0 = np.array([1.0, 2.0])
     outs = stacked_forecast(net, [x0], 5)[0]
     state = x0
@@ -794,15 +792,14 @@ def test_multi_step_linear_matches_matrix_power():
 
 
 def test_multi_step_zero_net():
-    arch = Architecture(0, (3, 3))
-    net = Network(arch, [np.zeros((3, 3))], [])
+    net = Network([np.zeros((3, 3))], [])
     outs = stacked_forecast(net, [[1.0, 2.0, 3.0]], 4)
     assert np.all(outs == 0.0)
 
 
 def test_multi_step_batch_matches_per_row_loop():
     rng = np.random.default_rng(23)
-    arch = Architecture(2, (6, 8, 5, 2))  # r=3 lags of d=2
+    arch = Architecture((6, 8, 5, 2))  # r=3 lags of d=2
     net = init_network(arch, 4)
     states = rng.uniform(0, 1, size=(300, 6))  # more rows than one forward block
     outs = stacked_forecast(net, states, 5)
@@ -817,7 +814,7 @@ def test_multi_step_batch_matches_per_row_loop():
 
 
 # the sweep-cell net of the forecast benchmark: r=2 lags of d=8, L = 5
-_FORECAST_NET = init_network(Architecture(5, (16, 16, 24, 8, 24, 8, 8)), 31)
+_FORECAST_NET = init_network(Architecture((16, 16, 24, 8, 24, 8, 8)), 31)
 _FORECAST_STATES = np.random.default_rng(37).uniform(-1, 1, size=(600, 16))
 _FORECAST_ALL = stacked_forecast(_FORECAST_NET, _FORECAST_STATES, 8)
 
@@ -836,7 +833,7 @@ def test_multi_step_forecast_of_a_subset_is_those_rows_of_the_whole(rows, k):
 
 def test_multi_step_yields_one_horizon_at_a_time():
     rng = np.random.default_rng(29)
-    net = init_network(Architecture(1, (4, 6, 2)), 5)  # r=2 lags of d=2
+    net = init_network(Architecture((4, 6, 2)), 5)  # r=2 lags of d=2
     states = rng.uniform(0, 1, size=(7, 4))
     steps = multi_step_forecast(net, states, 3)
     first = next(steps)
@@ -847,7 +844,6 @@ def test_multi_step_yields_one_horizon_at_a_time():
 
 def test_multi_step_lag_rotation():
     # r=2, d=1: next state should be (forecast, previous newest)
-    arch = Architecture(0, (2, 1))
-    net = Network(arch, [np.array([[0.0, 1.0]])], [])  # predicts the older lag
+    net = Network([np.array([[0.0, 1.0]])], [])  # predicts the older lag
     outs = stacked_forecast(net, [[5.0, 7.0]], 3)[0]
     assert outs[:, 0].tolist() == [7.0, 5.0, 7.0]
