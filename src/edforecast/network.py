@@ -78,12 +78,11 @@ class Architecture:
 
 
 # Rows per block of the forward kernel on a dense-only range, and the most
-# entries of a grouped range's buffer (1 MiB): taller blocks slowed `certify`.
+# entries of a grouped range's buffer (1 MiB): taller blocks slowed `certify`,
+# and a group's product B ⊗ I_k then does at most 2^17 times B's smaller side
+# in multiply-adds.  OpenBLAS runs up to 100^3 on the calling thread, and for
+# more wakes threads that spin on the CPUs the kernel's chunks need.
 _BLOCK_ROWS, _BLOCK_ENTRIES = 256, 2**17
-# The most multiply-adds in a product of a grouped network's kernel: OpenBLAS
-# runs 100^3 on the calling thread, and for more wakes threads that spin on
-# the CPUs the kernel's chunks need.
-_PRODUCT_MACS = 10**6
 
 
 class _Groups(NamedTuple):
@@ -161,7 +160,7 @@ class Network:
         return X
 
     def _forward(self, A: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Apply layers start..stop-1 to the rows of A, in blocks of a height
+        """Apply layers start..stop-1 to the rows of A, in blocks of one height
         that the network and the range fix.  When a layer is grouped, the rows
         are split at block boundaries into at most one chunk per CPU; the
         calling thread runs the first and threads started for this call the
@@ -175,9 +174,11 @@ class Network:
         rows = max([p[start] + 1] + [o + len(B) * g for *_, ops in kernels for B, g, o, *_ in ops])
         # a dense-only net runs on one thread: BLAS spreads a large dense
         # product itself, and a small dense net is bound by calls holding the GIL,
-        # as is a chunk thread, so a grouped range runs blocks of up to 1,024 rows
+        # as is a chunk thread, so a grouped range runs the tallest power of two
+        # from 8 to 1,024 rows whose buffer holds at most _BLOCK_ENTRIES entries
         grouped = any(type(w) is _Groups for w in self._w[start:stop])
-        nb = max([_BLOCK_ROWS] + [h for h in (512, 1024) if grouped and h * rows <= _BLOCK_ENTRIES])
+        nb = (1 << min(10, max(3, (_BLOCK_ENTRIES // rows).bit_length() - 1)) if grouped
+              else _BLOCK_ROWS)
         blocks = -(-n // nb)
         k = min(_cpus(), blocks) if blocks > 1 and grouped else 1
         args = (kernels, self.arch.L - start, A, out, nb)
@@ -203,14 +204,13 @@ class Network:
 
     def _build_kernels(self):
         """Per layer, (rows written, fold, ops).  An op (B, k, r0, c0, shifts,
-        cols, into) multiplies views from row c0 of the input buffer into row
-        r0 of the output buffer, at most ``cols`` columns at a time, then
-        subtracts each (row, bias) of shifts; ``into`` writes a layer's input
-        map into the input buffer past its ones row instead.  A dense W is
-        one op, [[W, -b], [0, 1]] below L and [W, 0] at L; a grouped W one
-        per group, blocks s * I as [[s]], and below L [1] from the ones row
-        to the ones row.  [W, -W] with fold q runs W on rows q.. of the
-        input after rows 0..q-1 are subtracted from them."""
+        into) multiplies the view from row c0 of the input buffer into row r0
+        of the output buffer, then subtracts each (row, bias) of shifts;
+        ``into`` writes a layer's input map into the input buffer past its
+        ones row instead.  A dense W is one op, [[W, -b], [0, 1]] below L and
+        [W, 0] at L; a grouped W one per group, blocks s * I as [[s]], and
+        below L [1] from the ones row to the ones row.  [W, -W] with fold q
+        runs W on rows q.. of the input after rows 0..q-1 are subtracted."""
         kernels = []
         for i, w in enumerate(self._w):
             (n, m), hidden = w.shape, int(i < self.arch.L)
@@ -232,8 +232,7 @@ class Network:
                 (np.ascontiguousarray(B), k, r0, c0,
                  tuple((r0 + j * k, float(col[0]) if np.all(col == col[0]) else col[:, None])
                        for j, col in enumerate(c[r0 : r0 + B.shape[0] * k].reshape(-1, k))
-                       if col.any()),
-                 max(1, _PRODUCT_MACS // B.size) if self._grouped else None, into)
+                       if col.any()), into)
                 for part, c, into in ((pre, np.zeros(0), True), (groups, b, False))
                 for B, k, r0, c0 in part)))
         return kernels
@@ -271,7 +270,8 @@ def _plan(kernels, hidden, width, bufs, nb):
     """The input view, the calls ``f(*args)`` and the output view that take an
     ``nb``-row block through ``kernels``, transposed with a last row of ones, each
     layer from one row of ``bufs`` into the other; the first ``hidden`` layers end
-    with a ReLU.  A 1 x 1 block is a copy or a multiply: a BLAS call takes several times as long."""
+    with a ReLU.  An op is one product over its k * nb columns, or, for a 1 x 1
+    block, a copy or a multiply: a BLAS call takes several times as long."""
     z = bufs[0]
     Z0 = Z = z[: (width + 1) * nb].reshape(-1, nb)
     steps = []
@@ -280,7 +280,7 @@ def _plan(kernels, hidden, width, bufs, nb):
             steps.append((np.subtract, (Z[:fold], Z[fold : 2 * fold], Z[fold : 2 * fold])))
         y = bufs[(j + 1) % 2]
         Y = y[: rows * nb].reshape(-1, nb)
-        for B, k, o, i, shifts, cols, into in ops:
+        for B, k, o, i, shifts, into in ops:
             (r, c), w = B.shape, k * nb
             Zv = z[i * nb : i * nb + c * w].reshape(c, w)
             Yv = (z if into else y)[o * nb : o * nb + r * w].reshape(r, w)
@@ -288,9 +288,7 @@ def _plan(kernels, hidden, width, bufs, nb):
                 steps.append((np.copyto, (Yv, Zv)) if B[0, 0] == 1.0
                              else (np.multiply, (Zv, float(B[0, 0]), Yv)))
             else:
-                step = cols or w
-                steps += [(np.matmul, (B, Zv[:, t : t + step], Yv[:, t : t + step]))
-                          for t in range(0, w, step)]
+                steps.append((np.matmul, (B, Zv, Yv)))
             for s, bias in shifts:
                 v = y[s * nb : s * nb + w].reshape(k, nb)
                 steps.append((np.subtract, (v, bias, v)))

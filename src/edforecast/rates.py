@@ -239,12 +239,13 @@ def beta_dep(spec: DependenceSpec, q: int) -> float:
 
 
 def _first_index(pred: Callable[[int], bool], start: int, limit: int,
-                 error: str, hint: int = 0) -> int:
+                 error: str | Callable[[], str], hint: int = 0) -> int:
     """Smallest i >= start with pred(i), for a pred that stays true once true.
 
     Gallops from max(start, hint), each probe twice as far from hint as the
     last: down while pred holds (not below start), up while it fails (raising
-    RateComputationError(error) past ``limit``); then bisects the bracket.
+    RateComputationError(error), or error() for a callable, past ``limit``);
+    then bisects the bracket.
     """
     lo = hi = max(start, hint)
     if pred(hi):
@@ -254,7 +255,7 @@ def _first_index(pred: Callable[[int], bool], start: int, limit: int,
         while (hi := lo + max(1, lo - hint)) <= limit and not pred(hi):
             lo = hi
         if hi > limit:
-            raise RateComputationError(error)
+            raise RateComputationError(error() if callable(error) else error)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if pred(mid):
@@ -301,8 +302,8 @@ def _v_walker(spec: DependenceSpec) -> Callable[[float], float]:
         if spec.delta is None or s == 0.0:
             return s
         if not (delta(j_star) <= s and (j_star == 0 or delta(j_star - 1) > s)):
-            j_star = _first_index(lambda j: delta(j) <= s, 0, 2 ** 60,
-                                  "Delta does not decay to zero", hint=j_star)
+            j_star = _first_index(lambda j: delta(j) <= s, 0, 2 ** 60, lambda: (
+                f"Delta(j) stays above sqrt(z) = {s:.6g} for every j below 2^60"), hint=j_star)
         return s * (1 + j_star) + tail(j_star)
 
     return v

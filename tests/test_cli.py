@@ -597,6 +597,18 @@ def test_rates_rejects_negative_kappa(tmp_path, capsys):
     assert "dependence: kappa" in capsys.readouterr().err
 
 
+def test_rates_says_delta_stays_above_sqrt_z_when_the_j_search_runs_out(tmp_path, capsys):
+    # (j+1)^-2 decays, but at x = 1e-300 the fixed-point search asks for the
+    # first Delta(j) below sqrt(z) = 1e-75, which lies past j = 2^60
+    cfg = write_cfg(tmp_path, "rates.json", {
+        "dependence": {"kind": "fdm_polynomial", "alpha": 2},
+        "profile": {"beta": 2, "t": 2},
+        "x_grid": {"min": 1e-300, "max": 0.5, "points": 3},
+    })
+    numeric_failure(run(["rates", "--config", cfg, "--out", tmp_path]), capsys,
+                    "Delta(j) stays above sqrt(z) = 1e-75 for every j below 2^60")
+
+
 @pytest.mark.parametrize("section, spec, message", [
     ("dependence", {"kind": "mixing_polynomial", "alpha": 2.0, "rho": 0.5},
      "mixing_polynomial() got an unexpected keyword argument 'rho'"),

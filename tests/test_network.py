@@ -383,14 +383,20 @@ def has_grouped_layer(net):
     return any(type(w) is network._Groups for w in net._w)
 
 
+def forward_args(fn, A):
+    """The arguments that ``fn``, an evaluation of a network on inputs like A,
+    hands ``_forward_rows`` on A's first row."""
+    calls, rows = [], network._forward_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_forward_rows", lambda *args: calls.append(args) or rows(*args))
+        fn(A[:1])
+    return calls[0]
+
+
 def block_rows(fn, A):
     """The rows per block of the forward kernel in ``fn``, an evaluation of a
-    network on inputs like A: the height it hands ``_forward_rows`` on A's first row."""
-    heights, rows = [], network._forward_rows
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(network, "_forward_rows", lambda *args: heights.append(args[4]) or rows(*args))
-        fn(A[:1])
-    return heights[0]
+    network on inputs like A: the height it hands ``_forward_rows``."""
+    return forward_args(fn, A)[4]
 
 
 # (target, N, m): the certificate sizes of the benchmark's certify workload
@@ -404,6 +410,12 @@ def cert_nets():
         N, m = CERT_PLANS[name]
         nets[name] = build_approximator(hf, ApproxPlan(N=N, m=m))[0]
     return nets
+
+
+@pytest.fixture(scope="module")
+def sinsum81():
+    """A certificate of 572 buffer rows, so its blocks are 128 rows tall."""
+    return build_approximator(catalog()["sinsum"], ApproxPlan(N=81, m=12))[0]
 
 
 @pytest.mark.parametrize("target", sorted(CERT_PLANS))
@@ -436,8 +448,8 @@ def test_folded_kernel_layout_on_dense_net_with_biases():
     net = random_net(np.random.default_rng(71), (3, 20, 8, 2))
     assert all(np.all(b != 0) for b in net.biases)
     net.eval_batch(np.zeros((1, 3)))
-    # a dense network's layer is one uncapped op into the output, with no fold
-    assert all(len(ops) == 1 and ops[0][5:] == (None, False) and fold == 0
+    # a dense network's layer is one op into the output, with no fold
+    assert all(len(ops) == 1 and ops[0][5:] == (False,) and fold == 0
                for _, fold, ops in net._kernels)
     K0, K1, K2 = (ops[0][0] for *_, ops in net._kernels)
     assert np.array_equal(K0, np.block([[net.weights[0], -net.biases[0][:, None]],
@@ -470,9 +482,9 @@ def test_forward_kernel_block_edges(cert_nets, kind, rows):
     assert all(type(w) is np.ndarray for w in net.weights)
 
 
-def test_block_height_follows_the_network():
+def test_block_height_follows_the_network(sinsum81):
     # a dense net runs 256-row blocks; a certificate the most rows, a power of
-    # two from 256 to 1,024, whose activation buffers hold at most 2^17 entries
+    # two from 8 to 1,024, whose activation buffers hold at most 2^17 entries
     rng = np.random.default_rng(101)
     dense = random_net(rng, (16, 24, 8, 24, 16), L1=2)
     X = rng.uniform(0, 1, size=(1, 16))
@@ -482,8 +494,9 @@ def test_block_height_follows_the_network():
     for name, N, m in (("linear", 10, 6), ("product2", 23, 8), ("sinsum", 25, 12), ("product2", 49, 10)):
         net = build_approximator(catalog()[name], ApproxPlan(N=N, m=m))[0]
         heights[name, N] = block_rows(net.eval_batch, np.zeros((1, net.arch.in_dim)))
+    heights["sinsum", 81] = block_rows(sinsum81.eval_batch, np.zeros((1, sinsum81.arch.in_dim)))
     assert heights == {("linear", 10): 1024, ("product2", 23): 1024, ("sinsum", 25): 512,
-                       ("product2", 49): 256}
+                       ("product2", 49): 256, ("sinsum", 81): 128}
 
 
 @pytest.fixture
@@ -579,15 +592,17 @@ def test_forward_kernel_chunks_are_bit_identical(cert_nets, chunked, kind, rows)
         assert (len(submitted) > 0) == (kind == "certificate" and rows > nb)
 
 
-@pytest.mark.parametrize("kind", ["dense", "depth0", "product2", "sinsum", "encoder", "decoder"])
-def test_row_output_depends_on_that_row_alone(cert_nets, chunked, kind):
+@pytest.mark.parametrize("kind", ["dense", "depth0", "product2", "sinsum", "sinsum81",
+                                  "encoder", "decoder"])
+def test_row_output_depends_on_that_row_alone(cert_nets, sinsum81, chunked, kind):
     # every block runs nb rows, a short one as a window or zero-padded, so a
     # row gets the same bits alone, at a random position among other rows,
     # and in one, two or three chunks.  Batches of one and two rows, the
     # block edges and four random sizes below 4 nb draw from 1,000 rows; a
     # batch larger than that takes every row before it repeats one
     rng = np.random.default_rng(89)
-    cert = cert_nets["sinsum" if kind == "sinsum" else "product2"]  # with a bottleneck
+    cert = {"sinsum": cert_nets["sinsum"], "sinsum81": sinsum81}.get(
+        kind, cert_nets["product2"])  # with a bottleneck
     net = {"dense": random_net(rng, (16, 16, 24, 8, 24, 8, 8)),
            "depth0": _kernel_nets(cert_nets)["depth0"]}.get(kind, cert.with_l1(cert.arch.L // 2))
     fn = {"encoder": net.encoder_batch, "decoder": net.decoder_batch}.get(kind, net.eval_batch)
@@ -637,17 +652,24 @@ def test_no_chunk_thread_outlives_an_evaluation(cert_nets, monkeypatch):
         assert not any(t.is_alive() for t in ran if t is not threading.current_thread())
 
 
-def test_grouped_products_stay_below_the_blas_thread_size(cert_nets):
+def test_grouped_products_stay_below_the_blas_thread_size(cert_nets, sinsum81):
     # OpenBLAS runs a product of at most 10^6 multiply-adds on the calling
-    # thread; a larger one in a chunk thread would wake threads of its own
-    net = cert_nets["sinsum"]
-    nb = block_rows(net.eval_batch, np.zeros((1, net.arch.in_dim)))
-    _, steps, _ = network._plan(net._kernels, net.arch.L, net.arch.in_dim, np.empty((2, 10**6)), nb)
-    products = [(args[0].shape, args[1].shape) for f, args in steps if f is np.matmul]
-    assert all(r * c * w <= network._PRODUCT_MACS for (r, c), (_, w) in products)
+    # thread; a larger one in a chunk thread would wake threads of its own.
+    # Each block buffer holds at most 2^17 entries, which bounds the products,
+    # and a group that is not 1 x 1 is one product per block, at 128 rows too
+    for net in [*cert_nets.values(), sinsum81]:
+        kernels, hidden, A, _, nb, bufs, *_ = forward_args(net.eval_batch,
+                                                           np.zeros((1, net.arch.in_dim)))
+        assert len(bufs) == 2 and bufs[0].size <= network._BLOCK_ENTRIES
+        _, steps, _ = network._plan(kernels, hidden, A.shape[1], bufs, nb)
+        products = [(B.shape, Z.shape[1]) for f, (B, Z, *_) in steps if f is np.matmul]
+        assert all(r * c * w <= 10**6 for (r, c), w in products)
+        assert products == [(B.shape, k * nb) for *_, ops in kernels
+                            for B, k, *_ in ops if B.shape != (1, 1)]
+    assert nb == 128
     # compose's split interface [W, -W] is stored as a fold of the head's
     # factored layer, and runs as W on the halves' difference
-    m = CERT_PLANS["sinsum"][1]
+    net, m = cert_nets["sinsum"], CERT_PLANS["sinsum"][1]
     assert [i for i, k in enumerate(net._kernels) if k[1]] == [net.arch.L - (m + 2)]
     w = net._w[net.arch.L - (m + 2)]
     assert type(w) is network._Groups and w.pre is not None and 2 * w.fold == w.shape[1]
