@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 
 class ConfigError(ValueError):
-    """A malformed config value, series file or model file; the message
-    names the field or line, and the command line exits with code 2."""
+    """A malformed config value, series file or model file, raised only by the
+    command line: its message names the field or line, and the exit code is 2."""
 
 
 class NumericFailure(RuntimeError):

@@ -30,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import ConfigError
 from .network import (
     Network,
     compose,
@@ -46,10 +45,6 @@ HOLDER_POINTS, FD_STEP = 256, 1e-6  # validate_holder's sample size and differen
 # build_approximator's largest evaluation lattice (a larger one is replaced by a
 # seeded uniform sample of this many points) and its sample pairs of each kind
 GRID_CAP, PAIR_SAMPLES = 1_000_000, 4000
-
-
-class PlanError(ConfigError):
-    """A plan or stage layout that cannot build the requested network."""
 
 
 @dataclass(frozen=True)
@@ -139,20 +134,20 @@ class ApproxPlan:
 
     def __post_init__(self):
         if self.N < 1 or self.m < 1:
-            raise PlanError(f"need N >= 1 and m >= 1, got N={self.N}, m={self.m}")
+            raise ValueError(f"need N >= 1 and m >= 1, got N={self.N}, m={self.m}")
 
     def grid_resolution(self, t: int) -> int:
         M = max(1, int(round(self.N ** (1.0 / t))) + 2)
         while (M + 1) ** t > self.N:
             M -= 1
         if M < 1:
-            raise PlanError(f"N={self.N} too small for a grid in dimension t={t}")
+            raise ValueError(f"N={self.N} too small for a grid in dimension t={t}")
         return M
 
     def validate_for(self, hf: HolderFunction) -> None:
         need = max((hf.beta + 1.0) ** hf.t, (hf.K + 1.0) * math.e ** hf.t)
         if self.N < need:
-            raise PlanError(
+            raise ValueError(
                 f"N={self.N} below the size requirement "
                 f"max((beta+1)^t, (K+1) e^t) = {need:.6g} "
                 f"for beta={hf.beta}, K={hf.K}, t={hf.t}"
@@ -180,7 +175,7 @@ def mult_net(m: int) -> Network:
     reconstitutes T^k(z) = z/2 - relu(z - 2^(1-2k)) from the stored pair.
     """
     if m < 1:
-        raise PlanError("m must be >= 1")
+        raise ValueError("m must be >= 1")
     width = 7
     idx = {"h_u": 0, "p_u": 1, "a_u": 2, "h_w": 3, "p_w": 4, "a_w": 5, "wk": 6}
     c = [2.0 ** (1 - 2 * k) for k in range(1, m + 2)]
@@ -231,7 +226,7 @@ def multiprod_net(m: int, t: int) -> Network:
     up to the next power of two, wired as bias-only units.
     """
     if t < 1:
-        raise PlanError("t must be >= 1")
+        raise ValueError("t must be >= 1")
     if t == 1:
         return identity_network(1)
     q = math.ceil(math.log2(t))
@@ -260,11 +255,11 @@ def hat_net(center, M: int, m: int, t: int, prod: Network) -> Network:
     multiplies the tents when t > 1."""
     center = np.asarray(center, dtype=np.float64).reshape(-1)
     if center.shape[0] != t:
-        raise PlanError(f"center has dim {center.shape[0]}, expected t={t}")
+        raise ValueError(f"center has dim {center.shape[0]}, expected t={t}")
     scaled = center * M
     if (np.any(np.abs(scaled - np.round(scaled)) > 1e-9)
             or np.any(center < -1e-12) or np.any(center > 1.0 + 1e-12)):
-        raise PlanError(f"center {center} is not on the 1/{M} grid in [0,1]^{t}")
+        raise ValueError(f"center {center} is not on the 1/{M} grid in [0,1]^{t}")
     w0 = np.zeros((2 * t, t))
     b0 = np.zeros(2 * t)
     for j in range(t):
@@ -370,7 +365,7 @@ def build_approximator(hf: HolderFunction, plan: ApproxPlan,
     B = b_constant(K, t)
     holder_report = validate_holder(hf)
     if not holder_report["bound_ok"]:
-        raise PlanError(
+        raise ValueError(
             f"|{hf.name}| exceeds its declared radius K={K}: "
             f"sampled max {holder_report['max_abs_f']:.6g}"
         )
@@ -459,11 +454,11 @@ class StageSpec:
     def __post_init__(self):
         for hf, args in self.components:
             if len(args) != hf.t:
-                raise PlanError(
+                raise ValueError(
                     f"component {hf.name} has t={hf.t} but {len(args)} argument indices"
                 )
             if any(not 0 <= a < self.in_dim for a in args):
-                raise PlanError(f"argument indices {args} outside 0..{self.in_dim - 1}")
+                raise ValueError(f"argument indices {args} outside 0..{self.in_dim - 1}")
 
     @property
     def out_dim(self) -> int:
@@ -495,11 +490,11 @@ def build_encoder_decoder(enc0: StageSpec, enc1: StageSpec, dec: StageSpec,
         plans = (plans, plans, plans)
     plan0, plan1, plan_dec = plans
     if enc1.in_dim != enc0.out_dim:
-        raise PlanError(
+        raise ValueError(
             f"stage chain broken: enc0 emits {enc0.out_dim}, enc1 expects {enc1.in_dim}"
         )
     if dec.in_dim != enc1.out_dim:
-        raise PlanError(
+        raise ValueError(
             f"stage chain broken: enc1 emits {enc1.out_dim}, dec expects {dec.in_dim}"
         )
     d_tilde = enc1.out_dim
@@ -510,12 +505,12 @@ def build_encoder_decoder(enc0: StageSpec, enc1: StageSpec, dec: StageSpec,
 
     encoder = compose(net1, net0)
     if L1_target < encoder.arch.L + 1:
-        raise PlanError(
+        raise ValueError(
             f"L1_target={L1_target} too small: encoder stages need depth "
             f"{encoder.arch.L + 1}"
         )
     if L_target - L1_target < net_dec.arch.L:
-        raise PlanError(
+        raise ValueError(
             f"L_target={L_target} too small: decoder stage needs depth "
             f"{net_dec.arch.L} behind the bottleneck at {L1_target}"
         )

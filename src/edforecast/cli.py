@@ -10,7 +10,8 @@ so re-runs with the same inputs are byte-identical.
 
 Exit codes: 0 success, 2 config error (a malformed config, series or model
 file, or a missing one; the message names the field or line), 3 numeric
-failure.  Any other error is a bug and exits 1 with its traceback.
+failure.  Any other error is a bug and exits 1 with its traceback: only this
+module raises ConfigError, from a library ValueError where input enters.
 """
 
 from __future__ import annotations
@@ -136,11 +137,13 @@ def _kinded(table: dict):
 
 def _load(loader, path, field: str):
     """loader(path) for a file named by a config field; a missing file is a
-    ConfigError naming the field."""
+    ConfigError naming the field, and malformed content one with its message."""
     try:
         return loader(path)
     except FileNotFoundError:
         raise ConfigError(f"{field}: file not found: {path}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_json(path):
@@ -247,11 +250,23 @@ def _train_config_from(spec, cli_seed: int | None, top_seed: int | None):
     return _section(spec, "train", build, casts, ["epochs"])
 
 
+def _check_lags(r: int, field: str, **parts) -> None:
+    """Refuse ``r`` lags, naming ``field``, for a series part of at most r rows."""
+    for part, series in parts.items():
+        if series is not None and len(series) <= r:
+            raise ConfigError(f"{field}: {r} lags need more than {r} rows, "
+                              f"but the {part} part has {len(series)}")
+
+
 def _embed(series_train, series_test, r: int, normalize: bool):
     """The train and test (or None) lag datasets at ``r`` lags, both on the train set's scaler."""
     from .data import lag_embed
-    data = lag_embed(series_train, r, normalize=normalize)
-    return data, None if series_test is None else lag_embed(series_test, r, scaler=data.scaler)
+    _check_lags(r, "r", train=series_train, test=series_test)
+    try:
+        data = lag_embed(series_train, r, normalize=normalize)
+        return data, None if series_test is None else lag_embed(series_test, r, scaler=data.scaler)
+    except ValueError as exc:  # a constant coordinate under normalize
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_train(cfg: dict, seed: int | None, out_dir: Path) -> int:
@@ -319,6 +334,7 @@ def _cmd_train_sweep(c, series_train, series_test, tc, prov, w, out_dir) -> int:
     if runs < 1 or not r_values or not m_values or min(r_values + m_values) < 1:
         raise ConfigError("sweep: needs runs >= 1 and r_values and m_values that are "
                           "non-empty and >= 1")
+    _check_lags(max(r_values), "sweep: r_values", train=series_train, test=series_test)
     d = series_train.shape[1]
     rows = []
     best = None
@@ -389,6 +405,7 @@ def cmd_evaluate(cfg: dict, seed: int | None, out_dir: Path) -> int:
                           {"lo": _floats, "hi": _floats}, ["lo", "hi"])
         if not scaler.lo.shape == scaler.hi.shape == (d,):
             raise ConfigError(f"{meta_path}: scaler: lo and hi need {d} entries each")
+    _check_lags(r, "test_csv", test=series)
     data = lag_embed(series, r, scaler=scaler)
     w = _weight_from_spec(c["weight"])
     k_errors = {k: [] for k in c["k_steps"]}  # each distinct horizon once, in the list's order
@@ -423,7 +440,11 @@ def cmd_certify(cfg: dict, seed: int | None, out_dir: Path) -> int:
     if name not in cat:
         raise ConfigError(f"target: unknown catalog entry {name!r}; "
                           f"choose from {sorted(cat)}")
-    plan = ApproxPlan(N=c["N"], m=c["m"])
+    try:
+        plan = ApproxPlan(N=c["N"], m=c["m"])
+        plan.validate_for(cat[name])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     f_bound = c["f_bound"]
     if f_bound is not None and f_bound <= 0:
         raise ConfigError(f"f_bound: must be finite and > 0, got {f_bound}")

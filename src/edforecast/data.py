@@ -11,14 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ConfigError
-
-
-class DegenerateScaleError(ConfigError):
-    """A coordinate is constant, so min-max normalization is undefined; a
-    config error (exit code 2), as the config asks for normalization."""
-
-
 @dataclass(frozen=True)
 class Scaler:
     """Per-coordinate min-max map onto [0,1]."""
@@ -55,7 +47,7 @@ def fit_scaler(series: np.ndarray) -> Scaler:
     hi = series.max(axis=0)
     degenerate = np.nonzero(hi <= lo)[0]
     if degenerate.size:
-        raise DegenerateScaleError(
+        raise ValueError(
             f"coordinate {int(degenerate[0])} is constant; min-max scale undefined"
         )
     return Scaler(lo=lo, hi=hi)
@@ -75,9 +67,9 @@ def lag_embed(series: np.ndarray, r: int, normalize: bool = False,
         series = series[:, None]
     n, d = series.shape
     if n <= r:
-        raise ConfigError(f"series length {n} too short for lag count r={r}")
+        raise ValueError(f"series length {n} too short for lag count r={r}")
     if not np.all(np.isfinite(series)):
-        raise ConfigError("series contains non-finite values")
+        raise ValueError("series contains non-finite values")
     if normalize or scaler is not None:
         if scaler is None:
             scaler = fit_scaler(series)
@@ -133,7 +125,7 @@ def save_series_csv(path, series: np.ndarray, provenance: dict | None = None) ->
 def load_series_csv(path) -> np.ndarray:
     """Read a series CSV written by :func:`save_series_csv`; a row with the
     wrong field count, a non-numeric field or a non-finite value raises
-    ConfigError naming its line."""
+    ValueError naming its line."""
     rows, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         width = None
@@ -144,21 +136,21 @@ def load_series_csv(path) -> np.ndarray:
             if width is None:
                 header = line.split(",")
                 if header[0] != "t" or len(header) < 2:
-                    raise ConfigError(f"{path}: unexpected series header {header!r}")
+                    raise ValueError(f"{path}: unexpected series header {header!r}")
                 width = len(header)
                 continue
             parts = line.split(",")
             if len(parts) != width:
-                raise ConfigError(f"{path}: line {lineno} has {len(parts)} fields, not {width}")
+                raise ValueError(f"{path}: line {lineno} has {len(parts)} fields, not {width}")
             try:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError:
-                raise ConfigError(f"{path}: line {lineno} has a non-numeric field") from None
+                raise ValueError(f"{path}: line {lineno} has a non-numeric field") from None
             linenos.append(lineno)
     if not rows:
-        raise ConfigError(f"no data rows in {path}")
+        raise ValueError(f"no data rows in {path}")
     series = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(series).all(axis=1)
     if not finite.all():
-        raise ConfigError(f"{path}: line {linenos[int(np.argmin(finite))]} is not finite")
+        raise ValueError(f"{path}: line {linenos[int(np.argmin(finite))]} is not finite")
     return series

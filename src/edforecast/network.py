@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import ConfigError, integral
+from . import integral
 
 SERIAL_FORMAT = "ednet-v1"
 
@@ -552,24 +552,24 @@ def to_dict(net: Network) -> dict:
 
 def from_dict(doc: dict) -> Network:
     """The network a :func:`to_dict` document describes; a malformed
-    document raises ConfigError naming what is wrong."""
+    document raises ValueError naming what is wrong."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"network document: expected a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"network document: expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != SERIAL_FORMAT:
-        raise ConfigError(f"unsupported network format {doc.get('format')!r}")
+        raise ValueError(f"unsupported network format {doc.get('format')!r}")
     try:
         a = doc["arch"]  # read as the CLI reads an integer, then checked against the weights
         L, p = integral(a["L"], ShapeError), tuple(integral(v, ShapeError) for v in a["p"])
         net = Network(doc["weights"], doc["biases"], a.get("L1"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"network document: {exc!r}") from None
+        raise ValueError(f"network document: {exc!r}") from None
     if (L, p) != (net.arch.L, net.arch.p):
-        raise ConfigError(f"network document: arch has L={L}, p={list(p)}, but its weights "
+        raise ValueError(f"network document: arch has L={L}, p={list(p)}, but its weights "
                           f"give L={net.arch.L}, p={list(net.arch.p)}")
     for kind, arrays in (("weight", net.weights), ("bias", net.biases)):
         for i, arr in enumerate(arrays):
             if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{kind} {i} has non-finite entries")
+                raise ValueError(f"{kind} {i} has non-finite entries")
     return net
 
 
@@ -583,5 +583,5 @@ def load_json(path) -> Network:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     return from_dict(doc)

@@ -26,11 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import ConfigError, NumericFailure
-
-
-class RateComputationError(NumericFailure):
-    pass
+from . import NumericFailure
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,8 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     head = math.fsum((a + k) ** -s for k in range(_HZ_HEAD))
     x = a + _HZ_HEAD
     xs = x ** -s
+    if xs == 0.0:  # the tail underflows, and its rising factorial would overflow to NaN
+        return head
     rest = x * xs / (s - 1.0) + 0.5 * xs
     rising = s * xs / x
     for j, coeff in enumerate(_HZ_COEFFS):
@@ -226,7 +224,7 @@ def beta_dep(spec: DependenceSpec, q: int) -> float:
     # rounding of the running sum), no step of the walk below can stop it.
     if float(spec.delta(horizon - 1)) >= max(
             2e-15 * (horizon - q) * float(spec.delta(q)), 1e-315):
-        raise RateComputationError(_DIVERGENT_TAIL)
+        raise NumericFailure(_DIVERGENT_TAIL)
     total = 0.0
     j = q
     while j < horizon:
@@ -235,7 +233,7 @@ def beta_dep(spec: DependenceSpec, q: int) -> float:
         if term < 1e-15 * max(total, 1e-300):
             return total
         j += 1
-    raise RateComputationError(_DIVERGENT_TAIL)
+    raise NumericFailure(_DIVERGENT_TAIL)
 
 
 def _first_index(pred: Callable[[int], bool], start: int, limit: int,
@@ -244,7 +242,7 @@ def _first_index(pred: Callable[[int], bool], start: int, limit: int,
 
     Gallops from max(start, hint), each probe twice as far from hint as the
     last: down while pred holds (not below start), up while it fails (raising
-    RateComputationError(error), or error() for a callable, past ``limit``);
+    NumericFailure(error), or error() for a callable, past ``limit``);
     then bisects the bracket.
     """
     lo = hi = max(start, hint)
@@ -255,7 +253,7 @@ def _first_index(pred: Callable[[int], bool], start: int, limit: int,
         while (hi := lo + max(1, lo - hint)) <= limit and not pred(hi):
             lo = hi
         if hi > limit:
-            raise RateComputationError(error() if callable(error) else error)
+            raise NumericFailure(error() if callable(error) else error)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if pred(mid):
@@ -269,14 +267,14 @@ def _root(pred: Callable[[float], bool], lo: float, hi: float, error: str) -> fl
     """Where pred turns true above lo, for a pred false at lo that stays true
     once true.
 
-    Doubles hi until pred(hi) (raising RateComputationError(error) past
+    Doubles hi until pred(hi) (raising NumericFailure(error) past
     1e200), then bisects [lo, hi] until the midpoint rounds onto an end, when
     no further step could move either; returns that hi.
     """
     while not pred(hi):
         hi *= 2.0
         if hi > 1e200:
-            raise RateComputationError(error)
+            raise NumericFailure(error)
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -407,11 +405,11 @@ class SmoothnessProfile:
     def __post_init__(self):
         for name in ("beta_dec", "beta_enc0", "beta_enc1"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("t_dec", "t_enc0", "t_enc1"):
             t = getattr(self, name)
             if int(t) != t or t < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {t}")
+                raise ValueError(f"{name} must be an integer >= 1, got {t}")
 
     @classmethod
     def isotropic(cls, beta: float, t: int) -> "SmoothnessProfile":

@@ -17,10 +17,6 @@ from . import NumericFailure
 from .data import push_lag
 
 
-class UnstableModelError(NumericFailure):
-    pass
-
-
 @dataclass(frozen=True)
 class TimeSeriesModel:
     d: int
@@ -141,11 +137,11 @@ def generate(model: TimeSeriesModel, n: int, burn_in: int = 1000, seed: int = 0)
 
 
 def _check_bounded(model: TimeSeriesModel, rows: np.ndarray, what: str, first: int = 0):
-    """Raise UnstableModelError at the first row with a non-finite value or one above 1e12."""
+    """Raise NumericFailure at the first row with a non-finite value or one above 1e12."""
     if (bad := ~np.isfinite(rows).all(axis=1) | (np.abs(rows).max(axis=1) > 1e12)).any():
         rad = model.spectral_radius
         note = "" if rad is None else f" (companion spectral radius {rad:.4f})"
-        raise UnstableModelError(f"{what} {first + int(np.argmax(bad))}{note}")
+        raise NumericFailure(f"{what} {first + int(np.argmax(bad))}{note}")
 
 
 def _advance(model: TimeSeriesModel, states: np.ndarray, steps: int,

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ConfigError, NumericFailure, integral
+from . import NumericFailure, integral
 from .data import LagDataset, push_lag
 from .network import Architecture, Network, ShapeError
-
-
-class TrainingDiverged(NumericFailure):
-    pass
 
 
 @dataclass(frozen=True)
@@ -39,13 +35,13 @@ class WeightFn:
 
     def __post_init__(self):
         if self.kind not in ("constant_one", "box_ramp"):
-            raise ConfigError(f"unknown weight kind {self.kind!r}")
+            raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "constant_one" and self.varsigma is not None:
-            raise ConfigError("constant_one takes no varsigma")
+            raise ValueError("constant_one takes no varsigma")
         if self.kind == "box_ramp" and self.varsigma is None:
             object.__setattr__(self, "varsigma", 0.1)
         if self.kind == "box_ramp" and not (0.0 < self.varsigma < 0.5):
-            raise ConfigError(f"box_ramp needs 0 < varsigma < 1/2, got {self.varsigma}")
+            raise ValueError(f"box_ramp needs 0 < varsigma < 1/2, got {self.varsigma}")
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -63,7 +59,8 @@ class TrainConfig:
 
     batch_size defaults to 1 (per-sample stochastic gradient steps): the
     benchmark learning-rate schedules are calibrated to that regime, and
-    mean-gradient mini-batches at the same rates converge far slower.
+    mean-gradient mini-batches at the same rates converge far slower.  An
+    invalid setting, such as a fractional epoch count, raises ValueError.
     """
 
     epochs: int
@@ -75,24 +72,24 @@ class TrainConfig:
     prune_to_s: int | None = None
 
     def __post_init__(self):
-        sched = tuple((integral(e, ConfigError), float(r)) for e, r in self.lr_schedule)
+        sched = tuple((integral(e), float(r)) for e, r in self.lr_schedule)
         object.__setattr__(self, "lr_schedule", sched)
         for key in ("epochs", "batch_size"):
-            object.__setattr__(self, key, integral(getattr(self, key), ConfigError))
+            object.__setattr__(self, key, integral(getattr(self, key)))
         if not sched or sched[0][0] != 0:
-            raise ConfigError("lr_schedule must start at epoch threshold 0")
+            raise ValueError("lr_schedule must start at epoch threshold 0")
         thresholds = [e for e, _ in sched]
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ConfigError("lr_schedule thresholds must be strictly increasing")
+            raise ValueError("lr_schedule thresholds must be strictly increasing")
         if any(r < 0 for _, r in sched):
-            raise ConfigError("lr_schedule learning rates must be nonnegative")
+            raise ValueError("lr_schedule learning rates must be nonnegative")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         s = self.prune_to_s
         if s is not None and (isinstance(s, bool) or not isinstance(s, int) or s < 0):
-            raise ConfigError(f"prune_to_s must be an integer >= 0, got {s!r}")
+            raise ValueError(f"prune_to_s must be an integer >= 0, got {s!r}")
 
     def rate_at(self, epoch: int) -> float:
         rate = self.lr_schedule[0][1]
@@ -306,8 +303,8 @@ def train_sgd(net: Network, data: LagDataset, cfg: TrainConfig, w: WeightFn,
             if not np.isfinite(train_risk) or train_risk > ceiling:
                 what = (f"exceeded 1e6 x initial {initial:.3e}" if np.isfinite(train_risk)
                         else f"is not finite (initial {initial:.3e})")
-                raise TrainingDiverged(f"train risk {train_risk:.3e} {what} at epoch {epoch} "
-                                       f"(lr={lr:g}); reduce the learning rate")
+                raise NumericFailure(f"train risk {train_risk:.3e} {what} at epoch {epoch} "
+                                     f"(lr={lr:g}); reduce the learning rate")
 
     result = Network(*_unflatten(theta.copy(), net), net.arch.L1)
     if cfg.prune_to_s is not None:
@@ -343,7 +340,7 @@ def multi_step_forecast(net: Network, states, k: int):
     (m, d) j-step forecasts, j = 1..k.  The arguments are checked at the call.
     """
     if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {k}")
     d = net.arch.out_dim
     dr = net.arch.in_dim
     if dr % d != 0:

@@ -1,5 +1,6 @@
 """Every public function, class and method of the package is named by other
-package code, or is on a written list with the reason it stays."""
+package code, or is on a written list with the reason it stays; and only the
+command line names ConfigError."""
 
 import ast
 from pathlib import Path
@@ -141,3 +142,10 @@ def test_every_defaulted_parameter_is_passed_by_package_code():
         "a setting only tests use: make it a constant or pass it from package code"
     # the list holds only parameters that exist and that no call passes
     assert sorted(set(ALLOWED_PARAMS) - set(unpassed)) == []
+
+
+def test_only_the_cli_names_config_error():
+    # the library raises ValueError for a bad argument, and the CLI alone turns
+    # one into the exit-2 ConfigError where input enters, so a library bug exits 1
+    _, uses = _walk()
+    assert sorted({file for file, _, ident in uses if ident == "ConfigError"}) == ["cli.py"]

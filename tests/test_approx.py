@@ -8,7 +8,6 @@ import pytest
 from edforecast.approx import (
     ApproxPlan,
     HolderFunction,
-    PlanError,
     StageSpec,
     _as_batch,
     _eval_grid,
@@ -80,7 +79,7 @@ def test_mult_lattice_bound(m):
 
 
 def test_mult_rejects_bad_m():
-    with pytest.raises(PlanError):
+    with pytest.raises(ValueError, match="m must be >= 1"):
         mult_net(0)
 
 
@@ -143,7 +142,7 @@ def test_hat_t1_exact_tent():
 
 
 def test_hat_rejects_off_grid_center():
-    with pytest.raises(PlanError):
+    with pytest.raises(ValueError, match="not on the 1/4 grid"):
         hat_net([0.21], 4, 6, 1, multiprod_net(6, 1))
 
 
@@ -186,7 +185,7 @@ def test_taylor_coeff_magnitudes_within_b():
 
 def test_plan_validation_message_cites_requirement():
     cat = catalog()
-    with pytest.raises(PlanError, match=r"\(beta\+1\)\^t"):
+    with pytest.raises(ValueError, match=r"\(beta\+1\)\^t"):
         build_approximator(cat["product2"], ApproxPlan(N=5, m=6))
 
 
@@ -196,7 +195,7 @@ def test_holder_bound_violation_rejected():
         f=_as_batch(lambda X: np.full(X.shape[0], 5.0)),
         partials={(1,): _as_batch(lambda X: np.zeros(X.shape[0]))},
     )
-    with pytest.raises(PlanError, match="radius"):
+    with pytest.raises(ValueError, match="radius"):
         build_approximator(liar, ApproxPlan(N=9, m=4))
 
 
@@ -317,9 +316,9 @@ def test_encoder_decoder_depth_errors():
     enc1 = StageSpec(in_dim=1, components=((ident, (0,)),))
     dec = StageSpec(in_dim=1, components=((ident, (0,)),))
     plan = ApproxPlan(N=10, m=10)
-    with pytest.raises(PlanError, match="L1_target"):
+    with pytest.raises(ValueError, match="L1_target"):
         build_encoder_decoder(enc0, enc1, dec, plan, L1_target=2, L_target=80)
-    with pytest.raises(PlanError, match="L_target"):
+    with pytest.raises(ValueError, match="L_target"):
         build_encoder_decoder(enc0, enc1, dec, plan, L1_target=40, L_target=41)
 
 
@@ -328,5 +327,5 @@ def test_stage_chain_mismatch():
     enc0 = StageSpec(in_dim=2, components=((ident, (0,)),))
     enc1 = StageSpec(in_dim=2, components=((ident, (0,)),))
     dec = StageSpec(in_dim=1, components=((ident, (0,)),))
-    with pytest.raises(PlanError, match="chain"):
+    with pytest.raises(ValueError, match="chain"):
         build_encoder_decoder(enc0, enc1, dec, ApproxPlan(N=10, m=8), 30, 60)

@@ -302,6 +302,39 @@ def test_evaluate_lag_mismatch_is_config_error(tmp_path):
     assert run(["evaluate", "--config", ev, "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("case, message", [
+    ("single", "r: 5 lags need more than 5 rows, but the test part has 4"),
+    ("sweep", "sweep: r_values: 30 lags need more than 30 rows, but the train part has 20"),
+    ("train_two_rows", "r: 2 lags need more than 2 rows, but the train part has 2"),
+    ("evaluate_two_rows", "test_csv: 2 lags need more than 2 rows, but the test part has 2"),
+], ids=["single", "sweep", "train_two_rows", "evaluate_two_rows"])
+def test_lag_count_longer_than_a_series_part_names_its_field(tmp_path, capsys, case, message):
+    sim = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 40, "seed": 1})
+    assert run(["simulate", "--config", sim, "--out", tmp_path]) == 0
+    series = str(tmp_path / "series.csv")
+    data_module.save_series_csv(tmp_path / "short.csv", load_series_csv(series)[:2])
+    short = str(tmp_path / "short.csv")
+    command, payload = "train", {"train_csv": series, "train": {"epochs": 0}}
+    if case == "single":
+        payload.update(train_fraction=0.9, r=5, arch={"p": [25, 4, 5]})
+    elif case == "sweep":
+        # every r is checked before the first cell trains
+        payload.update(train_fraction=0.5, sweep={"r_values": [1, 30], "m_values": [2]})
+    elif case == "train_two_rows":
+        payload.update(train_csv=short, r=2, arch={"p": [10, 4, 5]})
+    else:
+        net = write_cfg(tmp_path, "net.json", {**payload, "r": 2, "arch": {"p": [10, 4, 5]}})
+        assert run(["train", "--config", net, "--out", tmp_path]) == 0
+        command, payload = "evaluate", {"model_json": str(tmp_path / "model.json"),
+                                        "test_csv": short}
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"config error: {message}\n"
+    assert out == "" and list((tmp_path / "out").iterdir()) == []  # no row, no file
+
+
 def test_evaluate_output_dim_mismatch_is_config_error(tmp_path, capsys):
     # input dim 4 divides the series dimension 2, but the 4 outputs cannot match it
     sim = write_cfg(tmp_path, "sim.json", {"model": {"kind": "zero", "d": 4}, "n": 40})
@@ -709,22 +742,45 @@ def test_normalizing_a_constant_coordinate_is_config_error(tmp_path, capsys):
     assert "coordinate 0 is constant" in capsys.readouterr().err
 
 
+def run_patched(tmp_path, patch, command, payload):
+    """The finished process that applies the Python lines ``patch`` (with
+    ``edforecast.approx``, ``rates`` and ``simulate`` imported), then runs
+    ``command`` on the config ``payload``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfg = write_cfg(tmp_path, f"{command}.json", payload)
+    code = (
+        "import sys, edforecast.cli as cli\n"
+        "from edforecast import approx, rates, simulate\n"
+        f"{patch}"
+        f"sys.exit(cli.main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]))\n"
+    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def test_internal_shape_error_exits_1_with_traceback(tmp_path):
     # a ShapeError from inside the library is a bug, not a config error
-    src = Path(__file__).resolve().parents[1] / "src"
-    cfg = write_cfg(tmp_path, "sim.json", {"model": "low_d", "n": 50})
-    code = (
-        "import sys, edforecast.cli as cli, edforecast.simulate as simulate\n"
+    proc = run_patched(tmp_path, (
         "from edforecast.network import ShapeError\n"
         "def broken(*args, **kwargs):\n"
         "    raise ShapeError('forced internal shape mismatch')\n"
-        "simulate.generate = broken\n"
-        f"sys.exit(cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+        "simulate.generate = broken\n"), "simulate", {"model": "low_d", "n": 50})
     assert proc.returncode == 1
     assert "Traceback" in proc.stderr and "forced internal shape mismatch" in proc.stderr
+    assert "config error" not in proc.stderr
+
+
+def test_catalog_entry_beyond_its_radius_exits_1_with_traceback(tmp_path):
+    # a built-in target whose values exceed its declared K is a bug in the
+    # catalog, not in the config that names it
+    proc = run_patched(tmp_path, (
+        "import dataclasses\n"
+        "real = approx.catalog\n"
+        "approx.catalog = lambda: {**real(), 'linear': dataclasses.replace(real()['linear'], K=0.5)}\n"
+    ), "certify", {"target": "linear", "N": 10, "m": 6})
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr
+    assert "ValueError: |linear| exceeds its declared radius K=0.5" in proc.stderr
     assert "config error" not in proc.stderr
 
 
@@ -769,18 +825,10 @@ def test_unstable_model_simulation_exits_3(tmp_path, capsys):
 
 
 def test_rate_computation_error_exits_3(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    cfg = write_cfg(tmp_path, "rates.json", STRICT_BASE["rates"])
-    code = (
-        "import sys, edforecast.rates as rates\n"
-        "from edforecast.cli import main\n"
+    proc = run_patched(tmp_path, (
         "def broken(*args, **kwargs):\n"
-        "    raise rates.RateComputationError('forced solver failure')\n"
-        "rates.rate_function = broken\n"
-        f"sys.exit(main(['rates', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+        "    raise rates.NumericFailure('forced solver failure')\n"
+        "rates.rate_function = broken\n"), "rates", STRICT_BASE["rates"])
     assert proc.returncode == 3, proc.stderr
     assert "numeric failure: forced solver failure" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from edforecast import ConfigError, approx, network
+from edforecast import approx, network
 from edforecast.approx import (
     ApproxPlan,
     HolderFunction,
@@ -880,7 +880,7 @@ def test_save_json_writes_the_document_and_a_newline(tmp_path):
 @pytest.mark.parametrize("key, value", [("L", 2), ("L", 0), ("p", [2, 4, 2]), ("p", [2, 3])])
 def test_from_dict_rejects_an_arch_that_disagrees_with_its_weights(key, value):
     doc = to_dict(random_net(np.random.default_rng(79), (2, 3, 2)))
-    with pytest.raises(ConfigError, match="but its weights give L=1, p=\\[2, 3, 2\\]"):
+    with pytest.raises(ValueError, match="but its weights give L=1, p=\\[2, 3, 2\\]"):
         from_dict({**doc, "arch": {**doc["arch"], key: value}})
 
 
@@ -904,7 +904,7 @@ def test_from_dict_rejects_a_non_integer_arch_entry(key, value):
     # never truncated; an integral float such as 3.0 reads as 3
     doc = to_dict(random_net(np.random.default_rng(73), (2, 3, 2)))
     assert doc["arch"] == {"L": 1, "L1": None, "p": [2, 3, 2]}
-    with pytest.raises(ConfigError, match="network document: ShapeError"):
+    with pytest.raises(ValueError, match="network document: ShapeError"):
         from_dict({**doc, "arch": {**doc["arch"], key: value}})
     if key != "L":  # an Architecture has no L field: its depth is len(p) - 2
         with pytest.raises(ShapeError, match="expected an integer"):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from edforecast import NumericFailure
 from edforecast.rates import (
     DependenceSpec,
-    RateComputationError,
     SmoothnessProfile,
     _first_index,
     _hurwitz_zeta,
@@ -199,6 +199,12 @@ def test_hurwitz_zeta_matches_scipy():
             assert abs(_hurwitz_zeta(alpha, q + 1.0) - ref) <= 1e-13 * ref
 
 
+def test_lambda_dep_at_an_alpha_whose_zeta_tail_underflows():
+    # from alpha ~ 1.4e154, x^-alpha underflows to 0 and the tail's rising
+    # factorial overflows; Delta is still 1 at j = 0 and 0 after, as at 1e100
+    assert lambda_dep(fdm_polynomial(1e200), 0.01) == lambda_dep(fdm_polynomial(1e100), 0.01)
+
+
 def test_polynomial_tail_matches_brute_force_sum():
     for alpha in ZETA_ALPHAS:
         spec = fdm_polynomial(alpha, kappa=3.0)
@@ -311,7 +317,7 @@ def test_lambda_dep_fixed_point_property():
 
 def test_beta_dep_requires_summable_sequence():
     bad = functional_delta(lambda j: 1.0 / (j + 1.0))
-    with pytest.raises(RateComputationError):
+    with pytest.raises(NumericFailure):
         beta_dep(bad, 1)
 
 
@@ -323,7 +329,7 @@ def _beta_dep_walk(delta, q):
         total += term
         if term < 1e-15 * max(total, 1e-300):
             return total
-    raise RateComputationError("no stop")
+    raise NumericFailure("no stop")
 
 
 def test_beta_dep_convergent_walks_unchanged():
@@ -388,7 +394,7 @@ def test_first_index_is_the_same_from_every_hint():
             for hint in range(0, 80):
                 got = _first_index(lambda i: i >= first, start, 2 ** 10, "unreached", hint=hint)
                 assert got == first
-    with pytest.raises(RateComputationError, match="unreached"):
+    with pytest.raises(NumericFailure, match="unreached"):
         _first_index(lambda i: False, 0, 2 ** 10, "unreached", hint=600)
 
 
@@ -418,7 +424,7 @@ def test_q_star_matches_linear_scan_on_random_monotone_sequences():
 
 
 def test_q_star_no_decay_raises():
-    with pytest.raises(RateComputationError):
+    with pytest.raises(NumericFailure):
         q_star(lambda q: 1e9, 1e-9)
 
 
